@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test test-chaos bench bench-kernel bench-kernel-check \
-	reproduce reproduce-smoke inject-smoke frontier-smoke serve-smoke \
+	bench-e2e bench-e2e-live reproduce reproduce-smoke inject-smoke frontier-smoke serve-smoke \
 	serve-recovery-smoke fleet-smoke test-service test-fleet examples clean
 
 SMOKE_DIR ?= .smoke
@@ -53,6 +53,18 @@ bench-kernel-check: bench-kernel
 		--control test_trace_generation_throughput \
 		--max-ratio \
 		'test_kernel_cycle_throughput[vector]/test_kernel_cycle_throughput[python]=0.2'
+
+# End-to-end benchmark (benchmarks/e2e, declared in BENCHMARK.json): every
+# workload, each in its own fresh process, outputs checked byte for byte.
+bench-e2e:
+	python3 benchmarks/e2e/run.py
+
+# The live-campaign workload alone, traced: exit 0 requires the golden
+# artefact bytes, the pinned outcome counts and every required layer span
+# (a probe that no longer reaches the strike/warmup/kernel code fails it).
+bench-e2e-live:
+	python3 benchmarks/e2e/run.py --workload live_validation --seed 1 \
+		--seconds 15 --trace 1
 
 reproduce:
 	$(PYTHON) -m repro.cli reproduce --out reproduction

@@ -98,6 +98,20 @@ class VulnerabilityAccount:
         self.has_direct_adds = False
         self._threads_cache = ()
 
+    def fork(self) -> "VulnerabilityAccount":
+        """An independent copy of the ledger."""
+        clone = VulnerabilityAccount.__new__(VulnerabilityAccount)
+        clone.name = self.name
+        clone.capacity = self.capacity
+        clone.ace_cycles = dict(self.ace_cycles)
+        clone.unace_cycles = dict(self.unace_cycles)
+        clone.window_start = self.window_start
+        clone.intervals = (list(self.intervals) if self.intervals is not None
+                           else None)
+        clone.has_direct_adds = self.has_direct_adds
+        clone._threads_cache = self._threads_cache
+        return clone
+
     # -- reduction ---------------------------------------------------------------
 
     def total_ace(self) -> float:

@@ -102,6 +102,19 @@ class AvfEngine:
         """Probe-bus lifecycle hook: the measurement window restarted."""
         self.reset(cycle)
 
+    def fork(self) -> "AvfEngine":
+        """An independent copy of every ledger, with cache/TLB observers
+        feeding the copies (for :meth:`SMTCore.fork`)."""
+        clone = AvfEngine.__new__(AvfEngine)
+        clone.__dict__.update(self.__dict__)
+        clone._shared = {s: a.fork() for s, a in self._shared.items()}
+        clone._private = {s: {tid: a.fork() for tid, a in per_thread.items()}
+                          for s, per_thread in self._private.items()}
+        clone.dl1_observer = Dl1AvfObserver(
+            clone._shared[Structure.DL1_DATA], clone._shared[Structure.DL1_TAG])
+        clone.dtlb_observer = DtlbAvfObserver(clone._shared[Structure.DTLB])
+        return clone
+
     # -- reduction -------------------------------------------------------------------
 
     def report(self, cycles: int) -> AvfReport:

@@ -40,6 +40,12 @@ class BranchTargetBuffer:
         self.hits += 1
         return target
 
+    def fork(self) -> "BranchTargetBuffer":
+        clone = BranchTargetBuffer.__new__(BranchTargetBuffer)
+        clone.__dict__.update(self.__dict__)
+        clone._sets = [dict(entries) for entries in self._sets]
+        return clone
+
     def update(self, pc: int, target: int) -> None:
         """Install/refresh the target of a taken control instruction."""
         entries, tag = self._locate(pc)

@@ -58,6 +58,12 @@ class GsharePredictor:
         else:
             self._history = ((history_checkpoint << 1) | int(taken)) & self._history_mask
 
+    def fork(self) -> "GsharePredictor":
+        clone = GsharePredictor.__new__(GsharePredictor)
+        clone.__dict__.update(self.__dict__)
+        clone._table = bytearray(self._table)
+        return clone
+
     @property
     def history(self) -> int:
         """Current speculative global history register value."""

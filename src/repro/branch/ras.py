@@ -41,5 +41,11 @@ class ReturnAddressStack:
     def restore(self, snapshot: List[int]) -> None:
         self._stack = list(snapshot)
 
+    def fork(self) -> "ReturnAddressStack":
+        clone = ReturnAddressStack.__new__(ReturnAddressStack)
+        clone.__dict__.update(self.__dict__)
+        clone._stack = list(self._stack)
+        return clone
+
     def __len__(self) -> int:
         return len(self._stack)

@@ -91,6 +91,16 @@ class BranchUnit:
                     self.ras.pop()
         return mispredicted
 
+    def fork(self) -> "BranchUnit":
+        """An independent copy.  Predictions already handed out are shared:
+        nothing mutates a :class:`BranchPrediction` after it is made."""
+        clone = BranchUnit.__new__(BranchUnit)
+        clone.__dict__.update(self.__dict__)
+        clone.gshare = self.gshare.fork()
+        clone.btb = self.btb.fork()
+        clone.ras = self.ras.fork()
+        return clone
+
     @property
     def misprediction_rate(self) -> float:
         return self.mispredictions / self.predictions if self.predictions else 0.0

@@ -48,7 +48,6 @@ from repro.faultinject.live import (
     LiveCampaignResult,
     LiveConfig,
     LiveStrikeRecord,
-    StrikeInjector,
     StrikeSpec,
     draw_strike,
     golden_run,
@@ -63,6 +62,6 @@ __all__ = ["CampaignJob", "ClassifyTask", "InjectionOutcome",
            "run_campaign", "run_campaign_supervised",
            "DigestRecorder", "Watchdog",
            "FORCED_KINDS", "GoldenRun", "LiveBatchJob", "LiveCampaignResult",
-           "LiveConfig", "LiveStrikeRecord", "StrikeInjector", "StrikeSpec",
+           "LiveConfig", "LiveStrikeRecord", "StrikeSpec",
            "draw_strike", "golden_run", "machine_capacity",
            "plan_live_batches", "run_live_campaign", "run_one_strike"]

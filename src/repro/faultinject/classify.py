@@ -23,17 +23,6 @@ golden (fault-free) run of the same workload:
   ``progress_window`` cycles).  Either trip raises
   :class:`~repro.errors.HangDetected`, which the strike runner converts to
   the **hang** outcome; no strike can wedge a campaign.
-
-* :class:`_StrikeIdle` / :class:`_StrikeDetected` — control-flow signals
-  the strike injector uses to end a run early when its outcome is already
-  decided (the struck slot was empty, or the struck structure's protection
-  scheme resolved the burst).  Resolution is per (scheme, effective
-  cluster length) — :func:`repro.protection.schemes.detected_outcome` —
-  so e.g. a 2-bit burst sails through parity but a 3-bit one trips it,
-  and SECDED downgrades from ``"corrected"`` to ``"due"`` to a miss as
-  the cluster grows.  They derive from ``Exception`` directly — not
-  :class:`~repro.errors.ReproError` — so the runner's containment clause
-  (corrupted simulator state raising mid-run => DUE) cannot swallow them.
 """
 
 from __future__ import annotations
@@ -43,19 +32,6 @@ import json
 from typing import Dict, Tuple
 
 from repro.errors import HangDetected
-
-
-class _StrikeIdle(Exception):
-    """The sampled slot held nothing: masked by idleness, stop simulating."""
-
-
-class _StrikeDetected(Exception):
-    """The struck structure's protection scheme resolved the burst
-    before consumption (per scheme *and* effective cluster length)."""
-
-    def __init__(self, resolution: str) -> None:
-        self.resolution = resolution  # "due" or "corrected"
-        super().__init__(resolution)
 
 
 class DigestRecorder:
@@ -112,6 +88,14 @@ class DigestRecorder:
             and instr.fetched_at >= 0 and instr.committed_at < 0)
         self.finalized = True
 
+    def fork(self) -> "DigestRecorder":
+        """An independent copy (for a fork of the core it observes)."""
+        clone = DigestRecorder.__new__(DigestRecorder)
+        clone.__dict__.update(self.__dict__)
+        clone._arch = dict(self._arch)
+        clone._mem = dict(self._mem)
+        return clone
+
     # -- digest ------------------------------------------------------------------
 
     @property
@@ -149,6 +133,11 @@ class Watchdog:
         self.progress_window = progress_window
         self._last_committed = -1
         self._next_check = progress_window
+
+    def fork(self) -> "Watchdog":
+        clone = Watchdog.__new__(Watchdog)
+        clone.__dict__.update(self.__dict__)
+        return clone
 
     def on_cycle(self, core) -> None:
         if core.cycle >= self.cycle_limit:

@@ -3,16 +3,19 @@
 The timeline campaign (:mod:`repro.faultinject.campaign`) classifies
 strikes *post hoc* from residency intervals; this module actually flips a
 bit in a live structure mid-run and watches what the machine does.  One
-golden (fault-free) run per campaign configuration is memoized; each
-strike then re-simulates the same traces with three extra observers on the
-probe bus:
+golden (fault-free) run per campaign configuration is memoized.  Each
+batch of strikes then drives one session of the same traces with two
+extra observers on the probe bus:
 
-* a :class:`StrikeInjector` that calls the struck structure's
-  ``inject_bit`` hook at the sampled cycle,
 * a :class:`~repro.faultinject.classify.Watchdog` bounding the run by the
   golden run's cycle count (hang containment),
 * a :class:`~repro.faultinject.classify.DigestRecorder` folding commits
   into the architectural digest that is diffed against the golden one.
+
+The driver advances to each strike's cycle in turn and calls the struck
+structure's ``inject_bit`` hook there; only a strike that lands on live
+state its protection does not resolve gets a faulty run of its own, on a
+fork of the driver (:class:`_StrikeDriver`, :meth:`SMTCore.fork`).
 
 Outcomes (:class:`~repro.faultinject.campaign.InjectionOutcome`):
 ``MASKED_IDLE`` (struck slot empty), ``MASKED`` (digest identical),
@@ -58,12 +61,7 @@ from repro.faultinject.campaign import (
     StructureCampaign,
     _open_campaign_cache,
 )
-from repro.faultinject.classify import (
-    DigestRecorder,
-    Watchdog,
-    _StrikeDetected,
-    _StrikeIdle,
-)
+from repro.faultinject.classify import DigestRecorder, Watchdog
 from repro.metrics.reliability import wilson_interval
 from repro.protection import ProtectionConfig, ProtectionScheme
 from repro.protection.config import CoercibleProtection
@@ -258,50 +256,7 @@ def draw_strike(seed: int, structure: Structure, index: int, cycles: int,
                       slot=slot, bit=bit, length=length)
 
 
-# -- faulty-run observers ----------------------------------------------------------
-
-
-class StrikeInjector:
-    """Fires one ``inject_bit`` at the sampled cycle (probe-bus observer).
-
-    With ``retry_until_applied`` (forced-DUE mode) an idle slot is retried
-    every cycle until something lives there; otherwise an idle strike ends
-    the run immediately via :class:`_StrikeIdle` — its outcome is decided.
-    A protection scheme that detects the flip undoes the mutation and ends
-    the run via :class:`_StrikeDetected`.
-    """
-
-    def __init__(self, structure: Structure, slot: int, bit: int, cycle: int,
-                 protection: CoercibleProtection,
-                 retry_until_applied: bool = False,
-                 length: int = 1) -> None:
-        self.structure = structure
-        self.slot = slot
-        self.bit = bit
-        self.cycle = cycle
-        self.protection = ProtectionConfig.coerce(protection)
-        self.retry_until_applied = retry_until_applied
-        self.length = length
-        self.cluster_len = len(burst_bits(structure, bit, length))
-        self.receipt = None
-        self._armed = True
-
-    def on_cycle(self, core) -> None:
-        if not self._armed or core.cycle < self.cycle:
-            return
-        receipt = core.inject_bit(self.structure, self.slot, self.bit,
-                                  self.length)
-        self.receipt = receipt
-        if not receipt.applied:
-            if self.retry_until_applied:
-                return
-            self._armed = False
-            raise _StrikeIdle()
-        self._armed = False
-        resolution = self.protection.resolve(self.structure, self.cluster_len)
-        if resolution is not None:
-            receipt.undo()
-            raise _StrikeDetected(resolution)
+# -- forced-outcome hooks ----------------------------------------------------------
 
 
 class _ForcedHang:
@@ -354,78 +309,145 @@ class _ForcedCrash:
                 return
 
 
-# -- one faulty run ----------------------------------------------------------------
+# -- the strike driver -------------------------------------------------------------
+
+#: A decided strike: (outcome, detail).
+_Verdict = Tuple[InjectionOutcome, str]
 
 
-def _contained_run(workload: Union[WorkloadMix, Sequence[str]], policy: str,
-                   config: MachineConfig, sim: SimConfig, golden: GoldenRun,
-                   live: LiveConfig, extra_observers: Sequence[object],
-                   ) -> Tuple[Optional[InjectionOutcome], str, DigestRecorder]:
-    """Run one faulty simulation with full outcome containment.
+def _contained(run, *args) -> Optional[_Verdict]:
+    """Call ``run(*args)``; map whatever a struck simulator raises to its
+    outcome, or return None when it returned normally.
 
-    Returns ``(outcome, detail, recorder)``; ``outcome`` is None when the
-    run finished normally and the caller should classify by digest diff.
     Nothing a strike does — hang, raise, corrupt — escapes this function,
     so no strike can abort a campaign.
     """
-    limit = int(golden.cycles * live.budget_factor) + live.budget_slack
-    faulty_sim = replace(sim, max_cycles=limit + 16)
-    recorder = DigestRecorder()
-    watchdog = Watchdog(limit, live.progress_window)
-    observers = (recorder, watchdog, *extra_observers)
-    session = SimSession(workload, policy=policy, config=config,
-                         sim=faulty_sim, traces=golden.traces,
-                         observers=observers, taint=True)
     try:
-        if faulty_sim.functional_warmup:
-            functional_warmup(session.core, golden.traces)
-        session.core.run()
-    except _StrikeIdle:
-        return InjectionOutcome.MASKED_IDLE, "", recorder
-    except _StrikeDetected as sig:
-        outcome = (InjectionOutcome.DUE if sig.resolution == "due"
-                   else InjectionOutcome.CORRECTED)
-        return outcome, f"protection: {sig.resolution}", recorder
+        run(*args)
     except HangDetected as exc:
-        return InjectionOutcome.HANG, str(exc), recorder
+        return InjectionOutcome.HANG, str(exc)
     except (KeyboardInterrupt, SystemExit, MemoryError):
         raise
     except Exception as exc:  # noqa: BLE001 - containment is the contract
         # The corrupted simulator failed loudly (a StructureError, an
         # IndexError in a perturbed queue, ...): the hardware analogue of
         # a machine-check — detected, unrecoverable, contained.
-        detail = f"contained {type(exc).__name__}: {exc}"
-        return InjectionOutcome.DUE, detail, recorder
-    return None, "", recorder
+        return InjectionOutcome.DUE, f"contained {type(exc).__name__}: {exc}"
+    return None
+
+
+class _StrikeDriver:
+    """One taint-mode session that strikes are injected into, in cycle order.
+
+    Built exactly as a faulty run is: the golden run's memoized traces, a
+    cycle budget of ``budget_factor`` x the golden length plus slack, a
+    :class:`DigestRecorder`, a :class:`Watchdog` and one functional warmup.
+    Until something is injected it *is* the golden run, so it is advanced
+    from strike to strike (``run(until=cycle)``) and only an applied,
+    unresolved strike needs a run of its own: a fork of the driver
+    (:meth:`SMTCore.fork`) or, for a batch of one, the driver itself.
+    """
+
+    def __init__(self, workload: Union[WorkloadMix, Sequence[str]],
+                 policy: str, config: MachineConfig, sim: SimConfig,
+                 golden: GoldenRun, live: LiveConfig,
+                 hooks: Sequence[object] = ()) -> None:
+        limit = int(golden.cycles * live.budget_factor) + live.budget_slack
+        faulty_sim = replace(sim, max_cycles=limit + 16)
+        self.golden = golden
+        session = SimSession(workload, policy=policy, config=config,
+                             sim=faulty_sim, traces=golden.traces,
+                             observers=(DigestRecorder(),
+                                        Watchdog(limit, live.progress_window),
+                                        *hooks),
+                             taint=True)
+        self.core = session.core
+        #: Set once the driver itself stopped (it never does on a sane
+        #: golden run); every later strike would stop the same way first.
+        self.failure: Optional[_Verdict] = None
+        if faulty_sim.functional_warmup:
+            self.failure = _contained(functional_warmup, self.core,
+                                      golden.traces)
+
+    def advance(self, cycle: int) -> None:
+        """Run the driver up to and including cycle ``cycle``'s hooks."""
+        if self.failure is None:
+            self.failure = _contained(self.core.run, cycle)
+
+    def finish(self, core) -> _Verdict:
+        """Run ``core`` (the driver or a fork of it) to the end, contained,
+        and classify it by its architectural digest."""
+        verdict = _contained(core.run)
+        if verdict is not None:
+            return verdict
+        recorder = next(sub for sub in core.instruments.bus.subscribers
+                        if isinstance(sub, DigestRecorder))
+        if recorder.digest() == self.golden.digest:
+            return InjectionOutcome.MASKED, ""
+        return InjectionOutcome.SDC, ""
+
+    def strike(self, spec: StrikeSpec, protection: ProtectionConfig,
+               fork: bool) -> Tuple[InjectionOutcome, str, str]:
+        """Inject ``spec`` at the driver's current cycle and classify it.
+
+        The strike first probes the driver: an empty slot is masked by
+        idleness and a burst the protection scheme resolves is undone —
+        both decided without simulating a cycle.  Otherwise the strike
+        runs to the end on a fork (``fork=True``; the driver is restored
+        and stays golden) or on the driver itself.  Returns (outcome,
+        detail, target).
+        """
+        if self.failure is not None:
+            return (*self.failure, "")
+        receipt = self.core.inject_bit(spec.structure, spec.slot, spec.bit,
+                                       spec.length)
+        if not receipt.applied:
+            return InjectionOutcome.MASKED_IDLE, "", receipt.target
+        resolution = protection.resolve(spec.structure, spec.effective_length)
+        if resolution is not None:
+            receipt.undo()
+            outcome = (InjectionOutcome.DUE if resolution == "due"
+                       else InjectionOutcome.CORRECTED)
+            return outcome, f"protection: {resolution}", receipt.target
+        if not fork:
+            try:
+                return (*self.finish(self.core), receipt.target)
+            finally:
+                # Trace objects outlive this run: restore any struck
+                # trace-owned field (e.g. a flipped mem_addr).
+                receipt.undo()
+        try:
+            victim = self.core.fork()
+        finally:
+            receipt.undo()
+        return (*self.finish(victim), receipt.target)
+
+
+# -- strikes -----------------------------------------------------------------------
 
 
 def run_one_strike(spec: StrikeSpec,
                    workload: Union[WorkloadMix, Sequence[str]], policy: str,
                    config: MachineConfig, sim: SimConfig, golden: GoldenRun,
                    protection: CoercibleProtection,
-                   live: LiveConfig) -> LiveStrikeRecord:
-    """Inject one strike, classify it, and leave the traces pristine."""
-    injector = StrikeInjector(spec.structure, spec.slot, spec.bit,
-                              spec.cycle, protection, length=spec.length)
-    try:
-        outcome, detail, recorder = _contained_run(
-            workload, policy, config, sim, golden, live, (injector,))
-    finally:
-        # Trace objects are shared across strikes: restore any struck
-        # trace-owned field (e.g. a flipped mem_addr).  Pipeline-owned
-        # fields reset at the next run's fetch.
-        if injector.receipt is not None:
-            injector.receipt.undo()
-    if outcome is None:
-        if recorder.digest() == golden.digest:
-            outcome = InjectionOutcome.MASKED
-        else:
-            outcome = InjectionOutcome.SDC
-    target = injector.receipt.target if injector.receipt is not None else ""
+                   live: LiveConfig,
+                   driver: Optional[_StrikeDriver] = None) -> LiveStrikeRecord:
+    """Inject one strike, classify it, and leave the traces pristine.
+
+    ``driver`` is a batch's shared driver, not yet past ``spec.cycle``;
+    the strike forks it.  Without one the strike is a batch of one: it
+    builds its own driver and strikes it in place.
+    """
+    in_place = driver is None
+    if in_place:
+        driver = _StrikeDriver(workload, policy, config, sim, golden, live)
+    driver.advance(spec.cycle)
+    outcome, detail, target = driver.strike(
+        spec, ProtectionConfig.coerce(protection), fork=not in_place)
     return LiveStrikeRecord(structure=spec.structure, index=spec.index,
                             cycle=spec.cycle, slot=spec.slot, bit=spec.bit,
                             outcome=outcome, target=target, detail=detail,
-                            cluster_len=injector.cluster_len)
+                            cluster_len=spec.effective_length)
 
 
 def run_forced_strike(kind: str,
@@ -436,36 +458,31 @@ def run_forced_strike(kind: str,
 
     ``hang`` must classify HANG, ``crash`` and ``due`` must classify DUE —
     the CI smoke target asserts exactly that, proving the watchdog and the
-    exception containment on every push.
+    exception containment on every push.  Each is a batch of one on its
+    own driver: ``hang`` and ``crash`` corrupt it through a cycle hook;
+    ``due`` strikes IQ slot 0 under parity at the first cycle it is
+    occupied.
     """
-    if kind == "hang":
-        hook: object = _ForcedHang()
-        injector = None
-    elif kind == "crash":
-        hook = _ForcedCrash()
-        injector = None
-    elif kind == "due":
-        hook = injector = StrikeInjector(Structure.IQ, slot=0, bit=0, cycle=1,
-                                         protection=ProtectionScheme.PARITY,
-                                         retry_until_applied=True)
-    else:
+    if kind not in FORCED_KINDS:
         raise ReproError(f"unknown forced strike kind {kind!r}; "
                          f"known: {', '.join(FORCED_KINDS)}")
-    try:
-        outcome, detail, recorder = _contained_run(
-            workload, policy, config, sim, golden, live, (hook,))
-    finally:
-        if injector is not None and injector.receipt is not None:
-            injector.receipt.undo()
-    if outcome is None:
-        # A forced hook that never found a target (should not happen on
-        # any real workload) falls through to digest classification.
-        outcome = (InjectionOutcome.MASKED
-                   if recorder.digest() == golden.digest
-                   else InjectionOutcome.SDC)
-    target = getattr(hook, "target", "") or (
-        injector.receipt.target if injector is not None
-        and injector.receipt is not None else "")
+    hook = {"hang": _ForcedHang, "crash": _ForcedCrash}.get(kind)
+    hooks = (hook(),) if hook is not None else ()
+    driver = _StrikeDriver(workload, policy, config, sim, golden, live, hooks)
+    if kind == "due":
+        cycle = 0
+        while (driver.failure is None and driver.core.cycle == cycle
+               and not driver.core.issue_queue.entries()):
+            cycle += 1
+            driver.advance(cycle)
+        spec = StrikeSpec(structure=Structure.IQ, index=-1, cycle=cycle,
+                          slot=0, bit=0)
+        outcome, detail, target = driver.strike(
+            spec, ProtectionConfig.coerce(ProtectionScheme.PARITY),
+            fork=False)
+    else:
+        outcome, detail = driver.finish(driver.core)
+        target = hooks[0].target
     return LiveStrikeRecord(structure=Structure.IQ, index=-1, cycle=0,
                             slot=0, bit=0, outcome=outcome,
                             target=f"forced:{kind} {target}".strip(),
@@ -615,28 +632,49 @@ class LiveBatchJob:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def run(self) -> Dict[str, object]:
+        """Strike every index of the batch; records in index order.
+
+        One driver serves the whole batch: strikes run in cycle order,
+        each forking the driver where it needs a faulty run of its own.
+        """
         workload = self._workload()
         golden = golden_run(workload, self.policy, self.config, self.sim)
         num_threads = len(golden.names)
         capacity = machine_capacity(self.structure, self.config, num_threads)
         bits = strike_entry_bits(self.structure)
-        records = []
-        for index in self.indices:
-            spec = draw_strike(self.seed, self.structure, index,
-                               golden.cycles, capacity, bits, self.mbu)
-            record = run_one_strike(spec, workload, self.policy, self.config,
-                                    self.sim, golden, self.protection,
-                                    self.live)
-            records.append(record.to_payload())
-        return {"records": records}
+        specs = [draw_strike(self.seed, self.structure, index, golden.cycles,
+                             capacity, bits, self.mbu)
+                 for index in self.indices]
+        driver = _StrikeDriver(workload, self.policy, self.config, self.sim,
+                               golden, self.live)
+        records: List[Optional[LiveStrikeRecord]] = [None] * len(specs)
+        for i in sorted(range(len(specs)), key=lambda i: specs[i].cycle):
+            records[i] = run_one_strike(specs[i], workload, self.policy,
+                                        self.config, self.sim, golden,
+                                        self.protection, self.live, driver)
+        return {"records": [record.to_payload() for record in records]}
 
     def validate(self, payload: Dict[str, object]) -> None:
+        """Reject a payload that is not exactly this batch's records.
+
+        A result from a cache entry or a fleet commit must carry one
+        record per index, in ``indices`` order, for this structure, with
+        an outcome this version knows — otherwise the structure's outcome
+        counts would stop summing to its injections.
+        """
         records = payload["records"]
         if len(records) != len(self.indices):
             raise ValueError(f"{len(records)} records for "
                              f"{len(self.indices)} strikes")
-        for entry in records:
-            record = LiveStrikeRecord.from_payload(entry)
+        for expected, entry in zip(self.indices, records):
+            try:
+                record = LiveStrikeRecord.from_payload(entry)
+            except KeyError as exc:
+                raise ValueError(f"unknown outcome or field {exc} in "
+                                 f"record {entry!r}") from None
+            if record.index != expected:
+                raise ValueError(f"record for strike {record.index}, "
+                                 f"expected {expected}")
             if record.structure is not self.structure:
                 raise ValueError(f"record for {record.structure.value}, "
                                  f"expected {self.structure.value}")
@@ -770,16 +808,18 @@ def run_live_campaign(workload: Union[WorkloadMix, Sequence[str]],
             entry = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
-        if (not isinstance(entry, dict)
-                or entry.get("schema") != CAMPAIGN_SCHEMA_VERSION):
+        try:
+            if (not isinstance(entry, dict)
+                    or entry.get("schema") != CAMPAIGN_SCHEMA_VERSION):
+                raise ValueError("stale cache schema")
+            job.validate(entry)
+        except Exception:
+            # Stale or invalid: drop it so the batch recomputes and the
+            # rewrite replaces it.
             try:
                 path.unlink()
             except OSError:
                 pass
-            return None
-        try:
-            job.validate(entry)
-        except Exception:
             return None
         return entry
 

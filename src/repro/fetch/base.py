@@ -11,7 +11,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, List
 
-from repro.isa.instruction import DynInstr
+from repro.isa.instruction import DynInstr, InstrRemap
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.core import SMTCore
@@ -40,6 +40,17 @@ class FetchPolicy(ABC):
 
     def on_squash(self, core: "SMTCore", instr: DynInstr) -> None:
         """A fetched instruction was squashed (it may never execute)."""
+
+    # -- forking ------------------------------------------------------------------------
+
+    def fork(self, remap: InstrRemap) -> "FetchPolicy":
+        """An independent copy for a fork of the core (see
+        :meth:`SMTCore.fork`).  The default shallow copy suits policies
+        whose state is scalars; a policy holding containers or
+        instructions must override it."""
+        clone = type(self).__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        return clone
 
     # -- shared helper ----------------------------------------------------------------
 

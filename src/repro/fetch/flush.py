@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List
 
 from repro.fetch.base import FetchPolicy
-from repro.isa.instruction import DynInstr
+from repro.isa.instruction import DynInstr, InstrRemap
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.core import SMTCore
@@ -33,6 +33,11 @@ class FlushPolicy(FetchPolicy):
             return self.icount_order(core, candidates)
         all_threads = core.fetchable_threads()
         return self.icount_order(core, all_threads)[:1]
+
+    def fork(self, remap: InstrRemap) -> "FlushPolicy":
+        clone = super().fork(remap)
+        clone._pending = {tid: remap(load) for tid, load in self._pending.items()}
+        return clone
 
     def on_l2_miss(self, core: "SMTCore", load: DynInstr) -> None:
         tid = load.thread_id

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Set
 
 from repro.fetch.flush import FlushPolicy
-from repro.isa.instruction import DynInstr
+from repro.isa.instruction import DynInstr, InstrRemap
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.core import SMTCore
@@ -37,6 +37,13 @@ class PredictiveFlushPolicy(FlushPolicy):
         self._tables: Dict[int, bytearray] = {}
         self._gating: Dict[int, Set[int]] = {}   # thread -> {id(load), ...}
         self.predicted_gates = 0
+
+    def fork(self, remap: InstrRemap) -> "PredictiveFlushPolicy":
+        clone = super().fork(remap)
+        clone._tables = {tid: bytearray(t) for tid, t in self._tables.items()}
+        clone._gating = {tid: {remap.id_of(i) for i in gated}
+                         for tid, gated in self._gating.items()}
+        return clone
 
     def _table(self, tid: int) -> bytearray:
         table = self._tables.get(tid)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Set
 
 from repro.fetch.base import FetchPolicy
-from repro.isa.instruction import DynInstr
+from repro.isa.instruction import DynInstr, InstrRemap
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.core import SMTCore
@@ -31,6 +31,13 @@ class PredictiveDataGatingPolicy(FetchPolicy):
         self._tables: Dict[int, bytearray] = {}   # thread -> counter table
         self._predicted: Dict[int, int] = {}      # thread -> predicted-miss count
         self._flagged: Set[int] = set()           # id(instr) of counted loads
+
+    def fork(self, remap: InstrRemap) -> "PredictiveDataGatingPolicy":
+        clone = super().fork(remap)
+        clone._tables = {tid: bytearray(t) for tid, t in self._tables.items()}
+        clone._predicted = dict(self._predicted)
+        clone._flagged = {remap.id_of(i) for i in self._flagged}
+        return clone
 
     def _table(self, tid: int) -> bytearray:
         table = self._tables.get(tid)

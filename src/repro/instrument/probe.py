@@ -112,6 +112,28 @@ class Instrumentation:
         self.dl1_observer = dl1_observer
         self.dtlb_observer = dtlb_observer
 
+    def fork(self) -> "Instrumentation":
+        """The same wiring over independent copies of every subscriber.
+
+        Each subscriber must implement ``fork()``; one that does not (an
+        auditor, a trace writer, a strike hook) cannot be duplicated
+        faithfully, so the fork is refused rather than silently sharing
+        it.  Subscription order is kept, so hooks fire in the same order.
+        """
+        if self.bus is None:
+            raise ReproError("cannot fork instrumentation built without a bus")
+        bus = ProbeBus()
+        copies = {}
+        for subscriber in self.bus.subscribers:
+            fork = getattr(subscriber, "fork", None)
+            if fork is None:
+                raise ReproError(f"cannot fork a core observed by "
+                                 f"{type(subscriber).__name__}")
+            copies[id(subscriber)] = bus.subscribe(fork())
+        return bus.attach(ledger=copies.get(id(self.ledger)),
+                          recorder=copies.get(id(self.recorder)),
+                          taint=self.taint)
+
     def __repr__(self) -> str:
         return (f"Instrumentation(probe={type(self.probe).__name__}, "
                 f"bus={self.bus!r})")

@@ -10,7 +10,7 @@ residency per structure.
 from __future__ import annotations
 
 from enum import Enum, auto
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.opcodes import OpClass, is_control_op, is_memory_op
 
@@ -146,6 +146,65 @@ class DynInstr:
             f"DynInstr(t{self.thread_id}#{self.seq} {self.op.name} pc={self.pc:#x}"
             f" ace={self.ace.name}{' ' + flags if flags else ''})"
         )
+
+
+def _compile_cloner():
+    """Compile ``clone_instrs(instrs)``: independent copies, in order.
+
+    Generated from ``__slots__`` so a new field can never be left out, and
+    unrolled so a copy costs one attribute load and store per slot — an
+    order of magnitude cheaper than ``copy.copy`` or pickling.
+    """
+    body = "".join(f"        c.{s} = i.{s}\n" for s in DynInstr.__slots__)
+    src = ("def clone_instrs(instrs):\n    out = []\n"
+           "    for i in instrs:\n        c = _new(_cls)\n"
+           f"{body}        out.append(c)\n    return out\n")
+    namespace = {"_new": object.__new__, "_cls": DynInstr}
+    exec(src, namespace)  # noqa: S102 - source built from __slots__ only
+    return namespace["clone_instrs"]
+
+
+clone_instrs = _compile_cloner()
+
+
+class InstrRemap:
+    """Maps a core's instructions to their copies in a fork of that core.
+
+    Correct-path instructions resolve by (thread, seq) into the fork's
+    copied traces — a trace's ``seq`` is its index.  Wrong-path
+    instructions (negative ``seq``, never in a trace) are copied on first
+    sight and memoized, so every structure holding one gets the same copy.
+    """
+
+    __slots__ = ("_old", "_new", "_wrong", "_ids")
+
+    def __init__(self, old: Sequence[List[DynInstr]],
+                 new: Sequence[List[DynInstr]]) -> None:
+        self._old = old
+        self._new = new
+        self._wrong: Dict[int, DynInstr] = {}
+        self._ids: Optional[Dict[int, DynInstr]] = None
+
+    def __call__(self, instr: DynInstr) -> DynInstr:
+        if instr.seq >= 0:
+            return self._new[instr.thread_id][instr.seq]
+        copy = self._wrong.get(id(instr))
+        if copy is None:
+            copy = self._wrong[id(instr)] = clone_instrs((instr,))[0]
+        return copy
+
+    def id_of(self, old_id: int) -> int:
+        """Remap an ``id()`` a policy keyed its state by.
+
+        Call after every structure is copied, so wrong-path instructions
+        the structures hold are already memoized.  An id that names no
+        known instruction is returned unchanged.
+        """
+        if self._ids is None:
+            self._ids = {id(o): n for old, new in zip(self._old, self._new)
+                         for o, n in zip(old, new)}
+        copy = self._wrong.get(old_id) or self._ids.get(old_id)
+        return id(copy) if copy is not None else old_id
 
 
 def classify_generated(op: OpClass, dynamically_dead: bool) -> AceClass:

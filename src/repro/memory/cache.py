@@ -42,6 +42,19 @@ class CacheLine:
     def dirty(self) -> bool:
         return any(self.word_dirty)
 
+    def clone(self) -> "CacheLine":
+        copy = CacheLine.__new__(CacheLine)
+        copy.tag = self.tag
+        copy.set_index = self.set_index
+        copy.thread_id = self.thread_id
+        copy.fill_cycle = self.fill_cycle
+        copy.last_access_cycle = self.last_access_cycle
+        copy.word_last_read = self.word_last_read[:]
+        copy.word_last_write = self.word_last_write[:]
+        copy.word_dirty = self.word_dirty[:]
+        copy.accesses = self.accesses
+        return copy
+
 
 class CacheObserver(Protocol):
     """Receives content events from a cache for reliability accounting."""
@@ -154,6 +167,17 @@ class Cache:
             line.word_dirty[w] = True
         else:
             line.word_last_read[w] = cycle
+
+    def fork(self, observer: Optional[CacheObserver] = None) -> "Cache":
+        """An independent copy of contents and counters, reporting
+        evictions to ``observer`` (as the constructor would)."""
+        clone = Cache.__new__(Cache)
+        clone.__dict__.update(self.__dict__)
+        clone._observer = observer or NullObserver()
+        # Insertion order is LRU order, so the set dicts are rebuilt in it.
+        clone._sets = [{tag: line.clone() for tag, line in entries.items()}
+                       if entries else {} for entries in self._sets]
+        return clone
 
     def drain(self, cycle: int) -> None:
         """Evict every resident line (end-of-simulation accounting)."""

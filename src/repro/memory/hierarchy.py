@@ -160,6 +160,21 @@ class MemoryHierarchy:
 
     # -- lifecycle -----------------------------------------------------------------
 
+    def fork(self, dl1_observer: Optional[CacheObserver] = None,
+             dtlb_observer: Optional[TlbObserver] = None) -> "MemoryHierarchy":
+        """An independent copy wired to the given observers (as the
+        constructor would wire them)."""
+        clone = MemoryHierarchy.__new__(MemoryHierarchy)
+        clone.__dict__.update(self.__dict__)
+        clone.il1 = self.il1.fork()
+        clone.dl1 = self.dl1.fork(dl1_observer)
+        clone.l2 = self.l2.fork()
+        clone.itlb = self.itlb.fork()
+        clone.dtlb = self.dtlb.fork(dtlb_observer)
+        clone._dl1_mshrs = self._dl1_mshrs.fork()
+        clone._il1_mshrs = self._il1_mshrs.fork()
+        return clone
+
     def reset_statistics(self) -> None:
         """Zero hit/miss counters and in-flight miss state (post-warmup)."""
         for cache in (self.il1, self.dl1, self.l2):

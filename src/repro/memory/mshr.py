@@ -51,6 +51,12 @@ class MshrFile:
         for la in done:
             del self._outstanding[la]
 
+    def fork(self) -> "MshrFile":
+        clone = MshrFile.__new__(MshrFile)
+        clone.__dict__.update(self.__dict__)
+        clone._outstanding = dict(self._outstanding)
+        return clone
+
     def clear(self) -> None:
         """Drop all tracked misses (end of functional warmup)."""
         self._outstanding.clear()

@@ -26,6 +26,12 @@ class TlbEntry:
         self.last_use_cycle = fill_cycle
         self.uses = 0
 
+    def clone(self) -> "TlbEntry":
+        copy = TlbEntry(self.vpn, self.thread_id, self.fill_cycle)
+        copy.last_use_cycle = self.last_use_cycle
+        copy.uses = self.uses
+        return copy
+
 
 class TlbObserver(Protocol):
     def on_evict(self, entry: TlbEntry, cycle: int) -> None: ...
@@ -83,6 +89,16 @@ class Tlb:
         entry.last_use_cycle = cycle
         entry.uses += 1
         return hit
+
+    def fork(self, observer: Optional[TlbObserver] = None) -> "Tlb":
+        """An independent copy of contents and counters, reporting
+        evictions to ``observer`` (as the constructor would)."""
+        clone = Tlb.__new__(Tlb)
+        clone.__dict__.update(self.__dict__)
+        clone._observer = observer
+        clone._sets = [{vpn: entry.clone() for vpn, entry in entries.items()}
+                       for entries in self._sets]
+        return clone
 
     def drain(self, cycle: int) -> None:
         """Evict all entries (end-of-simulation accounting)."""

@@ -14,13 +14,13 @@ materialised traces make replay exact.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import MachineConfig, SimConfig
 from repro.errors import SimulationError, StructureError
 from repro.fetch.base import FetchPolicy
 from repro.instrument import Instrumentation, Structure
-from repro.isa.instruction import DynInstr
+from repro.isa.instruction import DynInstr, InstrRemap, clone_instrs
 from repro.isa.opcodes import OpClass
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.frontend import ThreadContext
@@ -147,12 +147,18 @@ class SMTCore:
 
     # -- main loop ------------------------------------------------------------------------
 
-    def run(self) -> int:
+    def run(self, until: Optional[int] = None) -> Optional[int]:
         """Simulate until the instruction budget or all traces complete.
 
-        Returns the number of measured cycles (post-warmup).
+        Returns the number of measured cycles (post-warmup).  With
+        ``until``, the run pauses once cycle ``until``'s hooks have run
+        (or at once, if the core is already there) and returns None
+        without draining or finalizing; a later call resumes it.  A run
+        that completes before cycle ``until`` finishes normally.
         """
-        while not self._done():
+        while until is None or self.cycle < until:
+            if self._done():
+                break
             self.cycle += 1
             if self.cycle > self.sim.max_cycles:
                 raise SimulationError(
@@ -169,6 +175,8 @@ class SMTCore:
             if self._cycle_hooks:
                 for hook in self._cycle_hooks:
                     hook.on_cycle(self)
+        else:
+            return None  # paused after cycle ``until``
         self._drain()
         for hook in self.instruments.finalize_hooks:
             hook.on_finalize(self)
@@ -542,6 +550,54 @@ class SMTCore:
         if structure is Structure.FU:
             return self._fu_pool.inject_bit(slot, bit, length)
         raise StructureError(f"structure {structure.value} is not injectable")
+
+    def fork(self) -> "SMTCore":
+        """An independent copy of this core, paused at the same point.
+
+        Take it between cycles — after a cycle's hooks, e.g. once
+        ``run(until=c)`` has returned.  Running the fork to the end gives
+        exactly what running this core to the end would, and neither run
+        disturbs the other: every piece of mutable state is copied — the
+        traces' instructions (the pipeline annotates them in place), every
+        structure, the memory hierarchy, predictors, the fetch policy,
+        the wrong-path generators' random streams, and each probe-bus
+        subscriber (see :meth:`Instrumentation.fork`).  Only immutable
+        configuration and lookup tables are shared.
+        """
+        cls = type(self)
+        clone = cls.__new__(cls)
+        clone.__dict__.update(self.__dict__)
+        old = [t.trace.instrs for t in self.threads]
+        new = [clone_instrs(instrs) for instrs in old]
+        remap = InstrRemap(old, new)
+        instruments = self.instruments.fork()
+        probe = instruments.probe
+        clone.instruments = instruments
+        clone._cycle_hooks = instruments.cycle_hooks
+        clone._commit_hooks = instruments.commit_hooks
+        clone.mem = self.mem.fork(instruments.dl1_observer,
+                                  instruments.dtlb_observer)
+        clone.threads = [
+            t.fork(ThreadTrace(t.trace.profile, t.trace.thread_id,
+                               t.trace.seed, instrs), remap, probe)
+            for t, instrs in zip(self.threads, new)]
+        clone._iq = self._iq.fork(remap, probe)
+        clone._regfile = self._regfile.fork(probe)
+        clone._fu_pool = self._fu_pool.fork(remap, probe)
+        clone._events = {
+            when: [(remap(instr), stamp, dl1, l2)
+                   for instr, stamp, dl1, l2 in bucket]
+            for when, bucket in self._events.items()}
+        clone._waiters = {
+            phys: [(remap(instr), stamp) for instr, stamp in waiting]
+            for phys, waiting in self._waiters.items()}
+        clone.mem_tags = dict(self.mem_tags)
+        clone._committed_at_measure_start = list(
+            self._committed_at_measure_start)
+        # Last: policies key some state by id(), which resolves only once
+        # every wrong-path instruction in flight has its copy.
+        clone.policy = self.policy.fork(remap)
+        return clone
 
     # -- helpers -----------------------------------------------------------------------------------------------
 

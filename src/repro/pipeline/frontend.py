@@ -8,7 +8,7 @@ from typing import Deque, Optional, Tuple
 from repro.branch.unit import BranchUnit
 from repro.config import MachineConfig
 from repro.instrument import ResidencyProbe
-from repro.isa.instruction import DynInstr
+from repro.isa.instruction import DynInstr, InstrRemap
 from repro.structures.lsq import LoadStoreQueue
 from repro.structures.rob import ReorderBuffer
 from repro.workload.address_stream import THREAD_ADDRESS_SPACE
@@ -58,6 +58,23 @@ class ThreadContext:
         self.committed = 0
         self.fetched = 0
         self.wrong_path_fetched = 0
+
+    def fork(self, trace: ThreadTrace, remap: InstrRemap,
+             probe: ResidencyProbe) -> "ThreadContext":
+        """An independent copy running ``trace`` (this context's trace,
+        copied) with ``remap``'s instruction copies in flight."""
+        clone = ThreadContext.__new__(ThreadContext)
+        clone.__dict__.update(self.__dict__)
+        clone.trace = trace
+        clone.branch_unit = self.branch_unit.fork()
+        clone.rob = self.rob.fork(remap, probe)
+        clone.lsq = self.lsq.fork(remap, probe)
+        clone.synth = self.synth.fork()
+        clone.decode_queue = deque((ready, remap(instr))
+                                   for ready, instr in self.decode_queue)
+        if self.pending_branch is not None:
+            clone.pending_branch = remap(self.pending_branch)
+        return clone
 
     # -- status ----------------------------------------------------------------------
 

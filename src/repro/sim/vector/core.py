@@ -30,6 +30,8 @@ reference loop, so every observer keeps working against this backend.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.avf.engine import AvfEngine
 from repro.errors import SimulationError, StructureError
 from repro.fetch.base import FetchPolicy
@@ -60,9 +62,11 @@ _WORD_MASK = ~0x7  # store-to-load forwarding granularity (lsq._WORD_MASK)
 class VectorCore(SMTCore):
     """Numpy-accelerated drop-in for :class:`SMTCore` (``--backend vector``)."""
 
-    def run(self) -> int:
-        if not self._fast_path_eligible():
-            return super().run()
+    def run(self, until: Optional[int] = None) -> Optional[int]:
+        # A paused run (``until``) is the reference loop's business: the
+        # fast loop only ever runs a fresh core to the end.
+        if until is not None or not self._fast_path_eligible():
+            return super().run(until)
         return self._vector_run()
 
     def _fast_path_eligible(self) -> bool:

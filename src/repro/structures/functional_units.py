@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 
 from repro.config import MachineConfig
 from repro.instrument import ResidencyProbe, Structure
-from repro.isa.instruction import DynInstr
+from repro.isa.instruction import DynInstr, InstrRemap
 from repro.isa.opcodes import FUType, OpClass, execution_latency, fu_type_for
 from repro.structures.strike import StrikeReceipt, burst_bits, cluster_token
 
@@ -69,6 +69,16 @@ class FunctionalUnitPool:
                 self._probe.fu_busy_cycle(instr.thread_id, instr.is_ace, cycle)
                 self.busy_unit_cycles += 1
             self._busy[fu] = [r for r in reservations if r[0] > cycle + 1]
+
+    def fork(self, remap: InstrRemap, probe: ResidencyProbe) -> "FunctionalUnitPool":
+        """An independent copy holding ``remap``'s instruction copies."""
+        clone = FunctionalUnitPool.__new__(FunctionalUnitPool)
+        clone.__dict__.update(self.__dict__)
+        clone._busy = {fu: [(release, remap(instr))
+                            for release, instr in reservations]
+                       for fu, reservations in self._busy.items()}
+        clone._probe = probe
+        return clone
 
     @property
     def busy_count(self) -> int:

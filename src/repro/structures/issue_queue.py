@@ -13,7 +13,7 @@ from typing import Callable, Dict, Iterable, List
 
 from repro.errors import StructureError
 from repro.instrument import ResidencyProbe, Structure
-from repro.isa.instruction import DynInstr
+from repro.isa.instruction import DynInstr, InstrRemap
 from repro.structures.strike import (StrikeReceipt, burst_bits, cluster_token,
                                      locate_field)
 
@@ -88,6 +88,15 @@ class SharedIssueQueue:
 
     def entries(self) -> Iterable[DynInstr]:
         return tuple(self._entries)
+
+    def fork(self, remap: InstrRemap, probe: ResidencyProbe) -> "SharedIssueQueue":
+        """An independent copy holding ``remap``'s instruction copies."""
+        clone = SharedIssueQueue.__new__(SharedIssueQueue)
+        clone.__dict__.update(self.__dict__)
+        clone._entries = list(map(remap, self._entries))
+        clone._per_thread = dict(self._per_thread)
+        clone._probe = probe
+        return clone
 
     # -- live fault injection ----------------------------------------------------
 

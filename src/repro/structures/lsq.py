@@ -18,7 +18,7 @@ from typing import Deque, List, Optional
 
 from repro.errors import StructureError
 from repro.instrument import ResidencyProbe, Structure
-from repro.isa.instruction import DynInstr
+from repro.isa.instruction import DynInstr, InstrRemap
 from repro.structures.strike import (StrikeReceipt, burst_bits, cluster_token,
                                      locate_field)
 
@@ -94,6 +94,14 @@ class LoadStoreQueue:
         if instr.completed_at >= 0:
             self._probe.occupy(Structure.LSQ_DATA, self.thread_id,
                                instr.renamed_at, instr.completed_at, False)
+
+    def fork(self, remap: InstrRemap, probe: ResidencyProbe) -> "LoadStoreQueue":
+        """An independent copy holding ``remap``'s instruction copies."""
+        clone = LoadStoreQueue.__new__(LoadStoreQueue)
+        clone.__dict__.update(self.__dict__)
+        clone._entries = deque(map(remap, self._entries))
+        clone._probe = probe
+        return clone
 
     # -- live fault injection ----------------------------------------------------
 

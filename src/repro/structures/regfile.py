@@ -36,6 +36,16 @@ class _PhysReg:
         self.ready = False
         self.tag = 0  # taint carried by the register's value (live injection)
 
+    def clone(self) -> "_PhysReg":
+        copy = _PhysReg.__new__(_PhysReg)
+        copy.thread_id = self.thread_id
+        copy.alloc_cycle = self.alloc_cycle
+        copy.written_cycle = self.written_cycle
+        copy.last_ace_read = self.last_ace_read
+        copy.ready = self.ready
+        copy.tag = self.tag
+        return copy
+
 
 class PhysicalRegisterFile:
     """Shared INT + FP physical register pool and per-thread rename maps.
@@ -161,6 +171,17 @@ class PhysicalRegisterFile:
             self.free(phys, cycle)
         for rmap in self._rename:
             rmap.clear()
+
+    def fork(self, probe: ResidencyProbe) -> "PhysicalRegisterFile":
+        """An independent copy (free lists, lifetimes, rename maps)."""
+        clone = PhysicalRegisterFile.__new__(PhysicalRegisterFile)
+        clone.__dict__.update(self.__dict__)
+        clone._int_free = list(self._int_free)
+        clone._fp_free = list(self._fp_free)
+        clone._meta = {phys: meta.clone() for phys, meta in self._meta.items()}
+        clone._rename = [dict(rmap) for rmap in self._rename]
+        clone._probe = probe
+        return clone
 
     # -- live fault injection ----------------------------------------------------
 

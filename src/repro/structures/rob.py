@@ -12,7 +12,7 @@ from typing import Deque, List, Optional
 
 from repro.errors import StructureError
 from repro.instrument import ResidencyProbe, Structure
-from repro.isa.instruction import DynInstr
+from repro.isa.instruction import DynInstr, InstrRemap
 from repro.structures.strike import (StrikeReceipt, burst_bits, cluster_token,
                                      locate_field)
 
@@ -82,6 +82,14 @@ class ReorderBuffer:
     def _accrue(self, instr: DynInstr, cycle: int) -> None:
         self._probe.occupy(Structure.ROB, self.thread_id,
                            instr.renamed_at, cycle, instr.is_ace)
+
+    def fork(self, remap: InstrRemap, probe: ResidencyProbe) -> "ReorderBuffer":
+        """An independent copy holding ``remap``'s instruction copies."""
+        clone = ReorderBuffer.__new__(ReorderBuffer)
+        clone.__dict__.update(self.__dict__)
+        clone._entries = deque(map(remap, self._entries))
+        clone._probe = probe
+        return clone
 
     # -- live fault injection ----------------------------------------------------
 

@@ -82,6 +82,14 @@ class AddressStream:
         self._next_stream = 0
         self._fresh_cursor = 0
 
+    def fork(self, rng: np.random.Generator) -> "AddressStream":
+        """An independent copy drawing from ``rng``."""
+        clone = AddressStream.__new__(AddressStream)
+        clone.__dict__.update(self.__dict__)
+        clone._rng = rng
+        clone._cursors = list(self._cursors)
+        return clone
+
     def next_address(self, size: int = 8) -> int:
         """Return the next data address (aligned to ``size``)."""
         r = self._rng.random()

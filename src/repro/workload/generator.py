@@ -101,6 +101,15 @@ class _RegisterChooser:
         self._rr_int = 0
         self._rr_fp = 0
 
+    def fork(self, rng: np.random.Generator) -> "_RegisterChooser":
+        """An independent copy drawing from ``rng``."""
+        clone = _RegisterChooser.__new__(_RegisterChooser)
+        clone.__dict__.update(self.__dict__)
+        clone._rng = rng
+        clone._recent_int = list(self._recent_int)
+        clone._recent_fp = list(self._recent_fp)
+        return clone
+
     def _recent(self, fp: bool) -> List[int]:
         return self._recent_fp if fp else self._recent_int
 
@@ -332,6 +341,18 @@ class WrongPathSynthesizer:
         self._data = AddressStream(profile, thread_id, self._rng)
         self._regs = _RegisterChooser(profile, self._rng)
         self._seq = 0
+
+    def fork(self) -> "WrongPathSynthesizer":
+        """An independent copy that continues this one's random stream."""
+        bit_generator = np.random.PCG64(0)
+        bit_generator.state = self._rng.bit_generator.state
+        rng = np.random.Generator(bit_generator)
+        clone = WrongPathSynthesizer.__new__(WrongPathSynthesizer)
+        clone.__dict__.update(self.__dict__)
+        clone._rng = rng
+        clone._data = self._data.fork(rng)
+        clone._regs = self._regs.fork(rng)
+        return clone
 
     def synthesize(self, pc: int) -> DynInstr:
         """Produce the next wrong-path instruction at ``pc``."""

@@ -411,6 +411,35 @@ class TestCoordinatorExecutor:
         assert outbox["run"].executed == 1 and len(commits) == 1
         assert not outbox["run"].report.failures
 
+    def test_right_count_with_foreign_indices_is_invalid(self):
+        # A payload with one record per strike but the wrong strikes (a
+        # duplicate index) must not commit: the campaign's outcome counts
+        # would stop summing to its injections.
+        coordinator = FleetCoordinator(lease_timeout=30.0, hedge_after=60.0,
+                                       shard_timeout=60.0)
+        coordinator.register("shard-a")
+        [job] = tiny_jobs()
+        payload = job.run()
+        records = [dict(r) for r in payload["records"]]
+        records[1]["index"] = records[0]["index"]
+        local = Supervisor(max_workers=1, policy=RetryPolicy(retries=2))
+        executor = FleetExecutor(coordinator, "camp-x", local)
+        commits, outbox, thread = _run_executor(executor, [job])
+
+        granted = coordinator.poll("shard-a", 5.0)
+        verdict = coordinator.commit("shard-a", granted["token"],
+                                     job.digest(), {"records": records})
+        assert verdict["verdict"] == "invalid"
+        assert "expected 1" in verdict["error"]
+        assert not coordinator.leases.is_committed(job.digest())
+
+        regranted = coordinator.poll("shard-a", 5.0)
+        assert coordinator.commit("shard-a", regranted["token"],
+                                  job.digest(), payload)["verdict"] == "ok"
+        thread.join(20)
+        assert not thread.is_alive() and "error" not in outbox
+        assert commits == [(job.digest(), payload)]
+
     def test_remote_attempts_exhausted_aborts_with_report(self):
         coordinator = FleetCoordinator(lease_timeout=0.3, hedge_after=60.0,
                                        shard_timeout=60.0)

@@ -8,6 +8,7 @@ supervised campaign, and the Section-2 statistical cross-validation of
 ACE AVF against the live SDC rate.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,9 @@ from repro.config import DEFAULT_CONFIG, SimConfig
 from repro.errors import ReproError, StructureError
 from repro.faultinject import (
     InjectionOutcome,
+    LiveBatchJob,
     LiveConfig,
+    plan_live_batches,
     run_live_campaign,
 )
 from repro.faultinject.campaign import INJECTABLE, StructureCampaign
@@ -350,6 +353,92 @@ class TestWorkerCountIndependence:
         fanned = run_live_campaign(jobs=4, **kwargs)
         assert ([r.to_payload() for r in serial.records]
                 == [r.to_payload() for r in fanned.records])
+
+
+# -- batch payload validation ------------------------------------------------------
+
+
+class TestBatchValidation:
+    """A cache entry or fleet commit must be exactly the batch's records."""
+
+    @pytest.fixture(scope="class")
+    def job_and_payload(self):
+        [job] = plan_live_batches(WORKLOAD, injections=4,
+                                  structures=(Structure.IQ,), sim=SIM,
+                                  seed=42, live=LiveConfig(strike_batch=4))
+        return job, job.run()
+
+    @staticmethod
+    def _with(payload, position, key, value):
+        """``payload`` with one field of one record replaced."""
+        records = [dict(r) for r in payload["records"]]
+        records[position][key] = value
+        return {"records": records}
+
+    def test_own_payload_validates(self, job_and_payload):
+        job, payload = job_and_payload
+        job.validate(payload)
+
+    def test_duplicate_index_is_refused(self, job_and_payload):
+        job, payload = job_and_payload
+        duplicate = self._with(payload, 1, "index", 0)
+        with pytest.raises(ValueError, match="expected 1"):
+            job.validate(duplicate)
+
+    def test_foreign_index_is_refused(self, job_and_payload):
+        job, payload = job_and_payload
+        with pytest.raises(ValueError, match="expected 3"):
+            job.validate(self._with(payload, 3, "index", 99))
+
+    def test_reordered_records_are_refused(self, job_and_payload):
+        job, payload = job_and_payload
+        swapped = {"records": payload["records"][::-1]}
+        with pytest.raises(ValueError):
+            job.validate(swapped)
+
+    def test_unknown_outcome_is_refused(self, job_and_payload):
+        job, payload = job_and_payload
+        with pytest.raises(ValueError, match="METEOR"):
+            job.validate(self._with(payload, 0, "outcome", "METEOR"))
+
+    def test_invalid_cache_entry_is_dropped_and_recomputed(self, tmp_path):
+        kwargs = dict(workload=WORKLOAD, injections=4,
+                      structures=(Structure.IQ,), sim=SIM, seed=42,
+                      live=LiveConfig(strike_batch=4), cache_dir=tmp_path)
+        first = run_live_campaign(**kwargs)
+        [entry] = tmp_path.glob("live-*.json")
+        good = entry.read_text()
+        tampered = json.loads(good)
+        # Right count, wrong indices: counts would no longer sum right.
+        tampered["records"][1] = dict(tampered["records"][0])
+        entry.write_text(json.dumps(tampered))
+
+        second = run_live_campaign(**kwargs)
+        assert second.batches_cached == 0 and second.batches_executed == 1
+        assert ([r.to_payload() for r in second.records]
+                == [r.to_payload() for r in first.records])
+        campaign = second.structures[Structure.IQ]
+        assert sum(campaign.outcomes.values()) == campaign.injections
+        assert json.loads(entry.read_text()) == json.loads(good)
+
+    def test_invalid_cache_entry_is_unlinked(self, tmp_path, monkeypatch):
+        kwargs = dict(workload=WORKLOAD, injections=4,
+                      structures=(Structure.IQ,), sim=SIM, seed=42,
+                      live=LiveConfig(strike_batch=4), cache_dir=tmp_path)
+        run_live_campaign(**kwargs)
+        [entry] = tmp_path.glob("live-*.json")
+        entry.write_text(json.dumps({"schema": json.loads(
+            entry.read_text())["schema"], "records": []}))
+
+        def refuse(job):
+            raise RuntimeError("no recompute")
+
+        # With the batch unable to rerun, nothing rewrites the entry: it
+        # must be gone because loading it refused and removed it.
+        monkeypatch.setattr(LiveBatchJob, "run", refuse)
+        with pytest.raises(RuntimeError, match="no recompute"):
+            run_live_campaign(**kwargs)
+        assert not entry.exists()
 
 
 # -- statistics --------------------------------------------------------------------
