@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test test-chaos bench bench-kernel bench-kernel-check \
-	bench-e2e bench-e2e-live reproduce reproduce-smoke inject-smoke frontier-smoke serve-smoke \
+	bench-e2e bench-e2e-live bench-e2e-reproduce reproduce reproduce-smoke inject-smoke frontier-smoke serve-smoke \
 	serve-recovery-smoke fleet-smoke test-service test-fleet examples clean
 
 SMOKE_DIR ?= .smoke
@@ -65,6 +65,15 @@ bench-e2e:
 bench-e2e-live:
 	python3 benchmarks/e2e/run.py --workload live_validation --seed 1 \
 		--seconds 15 --trace 1
+
+# The cold reproduce workload alone, traced: exit 0 requires all ten
+# seed-1 artefact pins and every required layer span, among them
+# workload.trace and sim.simulate — so a change to how runs share their
+# traces that alters an artefact, or that bypasses the probed trace
+# builder or simulate call, fails it.
+bench-e2e-reproduce:
+	python3 benchmarks/e2e/run.py --workload reproduce_cold --seed 1 \
+		--seconds 1 --trace 1
 
 reproduce:
 	$(PYTHON) -m repro.cli reproduce --out reproduction

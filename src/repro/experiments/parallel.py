@@ -3,11 +3,22 @@
 One job is one independent :func:`repro.sim.simulator.simulate` call — a
 (workload, policy, machine config, sim config) tuple.  :func:`run_jobs`
 deduplicates jobs by content digest, skips those already satisfied by the
-:class:`ResultCache` (memory or disk) and executes the rest, inline for one
-worker or on a supervised worker pool (:mod:`repro.resilience`) otherwise —
-crashes, hangs and corrupt payloads are retried per the supervisor's
-policy, and every completed result lands in the cache even when a sibling
-job fails, so artefact rendering afterwards never simulates.
+:class:`ResultCache` (memory or disk) and executes the rest.
+
+* Inline (one worker, no supervisor): pending jobs are grouped by trace
+  identity (programs, trace length, seed — see
+  :func:`repro.sim.session.trace_identity`).  Each group's traces are
+  built once and every job of the group runs on them; they are dropped
+  before the next group builds its own, so at most one group's traces are
+  alive at a time.  Figures 6-8 run each mix under six fetch policies and
+  the resource sweep runs one mix at four sizes, so most reproduce jobs
+  share a group.
+* Pooled: jobs run on a supervised worker pool (:mod:`repro.resilience`),
+  each building its own traces — crashes, hangs and corrupt payloads are
+  retried per the supervisor's policy, and every completed result lands
+  in the cache even when a sibling job fails.
+
+Either way artefact rendering afterwards never simulates.
 
 :func:`prewarm_artefacts` knows which runs each ``repro-sim reproduce``
 artefact needs.  Planning happens in two stages because the single-thread
@@ -46,6 +57,7 @@ from repro.experiments.sensitivity import SWEEPABLE
 from repro.fetch.registry import POLICY_NAMES
 from repro.resilience import RetryPolicy, Supervisor
 from repro.sim.results import SimResult
+from repro.sim.session import TraceIdentity, build_traces, trace_identity
 from repro.sim.simulator import simulate
 from repro.workload.mixes import TABLE2_MIXES, WorkloadMix, get_mix, mixes_for
 
@@ -116,8 +128,10 @@ def run_jobs(jobs: Iterable[SimJob], cache: ResultCache,
     each distinct simulation once.  Jobs a supervised run has already
     failed permanently (``cache.failed``) are neither re-run nor counted.
 
-    ``max_workers == 1`` without a ``supervisor`` runs inline (the legacy
-    fast path); otherwise execution goes through a
+    ``max_workers == 1`` (or a single pending job) without a
+    ``supervisor`` runs inline, one trace-identity group at a time: each
+    group's traces are built once and lent to every job of the group
+    through :meth:`ResultCache.run`.  Otherwise execution goes through a
     :class:`~repro.resilience.Supervisor` — the caller's, carrying its
     retry policy, journal and failure budget, or a default one with zero
     retries, which still guarantees that every payload completed before a
@@ -134,9 +148,12 @@ def run_jobs(jobs: Iterable[SimJob], cache: ResultCache,
     if not pending:
         return 0
     if supervisor is None and (max_workers == 1 or len(pending) == 1):
+        groups: Dict[TraceIdentity, List[SimJob]] = {}
         for job in pending.values():
-            cache.run(job.workload(), policy=job.policy,
-                      sim=job.sim, config=job.config)
+            groups.setdefault(trace_identity(job.programs, job.sim),
+                              []).append(job)
+        for group in groups.values():
+            _run_group(group, cache)
         return len(pending)
     if supervisor is None:
         supervisor = Supervisor(max_workers=max_workers,
@@ -157,6 +174,18 @@ def run_jobs(jobs: Iterable[SimJob], cache: ResultCache,
         for failure in supervisor.report.failures:
             cache.mark_failed(failure.digest, failure.label)
     return outcome.executed
+
+
+def _run_group(group: List[SimJob], cache: ResultCache) -> None:
+    """Run jobs of one trace identity on one set of traces.
+
+    The traces are local to this call, so they are garbage once it
+    returns — before the caller builds the next group's.
+    """
+    traces = build_traces(group[0].programs, group[0].sim)
+    for job in group:
+        cache.run(job.workload(), policy=job.policy, sim=job.sim,
+                  config=job.config, traces=traces)
 
 
 # -- per-artefact job planning ---------------------------------------------------

@@ -23,7 +23,9 @@ from repro.avf.structures import Structure
 from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
 from repro.errors import ConfigError, MissingResultError
 from repro.sim.results import SimResult
+from repro.sim.session import check_traces
 from repro.sim.simulator import simulate
+from repro.workload.generator import ThreadTrace
 from repro.workload.mixes import WorkloadMix, mixes_for
 
 #: Environment knob for benchmark runs: per-thread instruction budget.
@@ -202,10 +204,19 @@ class ResultCache:
 
     def run(self, workload: WorkloadLike, policy: str = "ICOUNT",
             sim: Optional[SimConfig] = None,
-            config: Optional[MachineConfig] = None) -> SimResult:
-        """Cached :func:`simulate` with an arbitrary machine/sim config."""
+            config: Optional[MachineConfig] = None,
+            traces: Optional[List[ThreadTrace]] = None) -> SimResult:
+        """Cached :func:`simulate` with an arbitrary machine/sim config.
+
+        ``traces`` lends the run pre-built traces, e.g. shared with other
+        runs of the same trace identity.  They must be the ones
+        ``build_traces(workload, sim)`` builds (else :class:`ConfigError`):
+        the cache key claims exactly those.
+        """
         config = config or self.config
         sim = sim or SimConfig()
+        if traces is not None:
+            check_traces(workload, sim, traces)
         digest = stable_digest(job_key(config, sim, workload, policy))
         hit = self.get(digest)
         if hit is not None:
@@ -215,7 +226,8 @@ class ResultCache:
             # silent inline re-run here would mask the failure (and likely
             # fail the same way, this time with nothing supervising it).
             raise MissingResultError(self.failed[digest], digest)
-        result = simulate(workload, policy=policy, config=config, sim=sim)
+        result = simulate(workload, policy=policy, config=config, sim=sim,
+                          traces=traces)
         self.simulated += 1
         self.put(digest, result)
         return result

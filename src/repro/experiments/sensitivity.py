@@ -22,11 +22,9 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.avf.bits import structure_bits
 from repro.avf.structures import Structure
-from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
 from repro.errors import ConfigError
 from repro.experiments.formatting import render_table
 from repro.experiments.runner import ExperimentScale, ResultCache
-from repro.sim.simulator import simulate
 from repro.workload.mixes import WorkloadMix, get_mix
 
 #: Resources the sweep can scale and the structure whose exposure it tracks.
@@ -76,14 +74,19 @@ def run_resource_sweep(resource: str,
                        supervisor=None) -> SweepData:
     """Scale one resource over ``sizes`` and measure IPC and exposure.
 
-    With ``cache`` given, each size step's run goes through the result
-    cache (keyed by the overridden machine config), so repeated sweeps —
-    and the ``reproduce`` driver's parallel prewarm — reuse the runs.
-    ``jobs``/``supervisor`` fan the independent size steps over a
-    (supervised, fault-tolerant) worker pool first; a step whose job
+    Every size step is a :class:`~repro.experiments.parallel.SimJob`
+    planned through :func:`~repro.experiments.parallel.run_jobs` into
+    ``cache`` (a private one when none is given), keyed by the overridden
+    machine config — so repeated sweeps and the ``reproduce`` driver's
+    prewarm reuse the runs, and the inline path builds the steps' shared
+    traces once.  ``jobs``/``supervisor`` fan the steps over a
+    (supervised, fault-tolerant) worker pool instead; a step whose job
     failed permanently surfaces as
     :class:`~repro.errors.MissingResultError` when the sweep reads it.
     """
+    # Imported lazily: parallel.py imports SWEEPABLE from this module.
+    from repro.experiments.parallel import SimJob, run_jobs
+
     if resource not in SWEEPABLE:
         raise ConfigError(f"unknown resource {resource!r}; "
                           f"known: {sorted(SWEEPABLE)}")
@@ -94,29 +97,21 @@ def run_resource_sweep(resource: str,
     fields, structure = SWEEPABLE[resource]
 
     data = SweepData(resource=resource, workload=mix.name, structure=structure)
-    base_config = cache.config if cache is not None else DEFAULT_CONFIG
-    if jobs > 1 or supervisor is not None:
-        # Imported lazily: parallel.py imports SWEEPABLE from this module.
-        from repro.experiments.parallel import SimJob, run_jobs
-
-        cache = cache or ResultCache(base_config)
-        run_jobs(
-            [SimJob(workload_name=mix.name, programs=mix.programs,
-                    policy=policy,
-                    config=base_config.with_overrides(
-                        **{f: size for f in fields}),
-                    sim=scale.sim_config(mix.num_threads))
-             for size in sizes],
-            cache, max_workers=jobs, supervisor=supervisor)
-    for size in sizes:
-        config = base_config.with_overrides(**{f: size for f in fields})
-        # Built via the scale (not a bare SimConfig) so the digest matches
-        # the parallel planner's jobs even when runtime auditing is on.
-        sim = scale.sim_config(mix.num_threads)
-        if cache is not None:
-            result = cache.run(mix, policy=policy, sim=sim, config=config)
-        else:
-            result = simulate(mix, policy=policy, config=config, sim=sim)
+    cache = cache or ResultCache()
+    configs = [cache.config.with_overrides(**{f: size for f in fields})
+               for size in sizes]
+    # Built via the scale (not a bare SimConfig) so the digest matches
+    # the reproduce planner's jobs even when runtime auditing is on.
+    sim = scale.sim_config(mix.num_threads)
+    steps = [SimJob(workload_name=mix.name, programs=mix.programs,
+                    policy=policy, config=config, sim=sim)
+             for config in configs]
+    # A custom mix a SimJob cannot reconstruct would be filed under
+    # another digest than the read below; it is simulated by that read.
+    run_jobs([job for job in steps if job.workload() == mix], cache,
+             max_workers=jobs, supervisor=supervisor)
+    for size, config in zip(sizes, configs):
+        result = cache.run(mix, policy=policy, sim=sim, config=config)
         avf = result.avf.avf[structure]
         bits = structure_bits(structure, config, mix.num_threads)
         data.points.append(SweepPoint(size=size, ipc=result.ipc, avf=avf,

@@ -12,14 +12,14 @@ session assembles.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.audit.auditor import SimAuditor
 from repro.audit.observe import TraceWriter
 from repro.avf.engine import AvfEngine
 from repro.avf.phases import PhaseTracker
 from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
-from repro.errors import SimulationError, WorkloadError
+from repro.errors import ConfigError, SimulationError, WorkloadError
 from repro.fetch.base import FetchPolicy
 from repro.fetch.registry import create_policy
 from repro.instrument import IntervalRecorder, ProbeBus
@@ -44,19 +44,56 @@ def _program_names(workload: WorkloadSpec) -> List[str]:
     return names
 
 
+TraceIdentity = Tuple[Tuple[str, ...], int, int]
+
+
+def trace_identity(workload: WorkloadSpec, sim: SimConfig) -> TraceIdentity:
+    """Everything :func:`build_traces` depends on: (programs, length, seed).
+
+    Runs with equal identities read identical traces, so they may share
+    one set of :class:`ThreadTrace` objects (see "Trace ownership and
+    sharing" in ``docs/simulator-internals.md``).
+    """
+    return (tuple(_program_names(workload)),
+            sim.max_instructions + sim.warmup_instructions, sim.seed)
+
+
 def build_traces(workload: WorkloadSpec, sim: SimConfig) -> List[ThreadTrace]:
     """Materialise one correct-path trace per context.
 
-    Each thread's trace is as long as the whole run's instruction budget —
-    a safe upper bound, since no single thread can commit more than the
-    total budget.
+    Each thread's trace is as long as the whole run's instruction budget
+    (warmup included) — a safe upper bound, since no single thread can
+    commit more than the total budget.  A run only writes the pipeline
+    fields of a trace's instructions and clears them again at fetch, so
+    the result may be shared by every run of the same
+    :func:`trace_identity`; :func:`repro.experiments.parallel.run_jobs`
+    builds them once per such group.
     """
-    names = _program_names(workload)
-    length = sim.max_instructions + sim.warmup_instructions
+    names, length, seed = trace_identity(workload, sim)
     return [
-        generate_trace(get_profile(name), tid, length, seed=sim.seed)
+        generate_trace(get_profile(name), tid, length, seed=seed)
         for tid, name in enumerate(names)
     ]
+
+
+def check_traces(workload: WorkloadSpec, sim: SimConfig,
+                 traces: Sequence[ThreadTrace]) -> None:
+    """Raise :class:`ConfigError` unless ``traces`` are, by program,
+    thread, seed and length, the traces ``build_traces(workload, sim)``
+    builds.
+
+    For callers that label a result with the run's inputs (the result
+    cache's content digest): a result simulated from other traces must
+    not be filed under a key that claims these.
+    """
+    names, length, seed = trace_identity(workload, sim)
+    expected = [(name, tid, seed, length) for tid, name in enumerate(names)]
+    found = [(trace.profile.name, trace.thread_id, trace.seed, len(trace))
+             for trace in traces]
+    if found != expected:
+        raise ConfigError(
+            f"traces (program, thread, seed, length) {found} are not the "
+            f"ones this run builds: {expected}")
 
 
 class SimSession:

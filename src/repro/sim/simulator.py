@@ -58,7 +58,10 @@ def simulate(workload: WorkloadSpec,
         ``sim.check_invariants=N`` to audit conservation laws every N
         cycles (see :mod:`repro.audit`).
     traces:
-        Pre-built traces (must match the workload); mainly for tests.
+        Pre-built traces, one per program; only their count is checked
+        (``ResultCache.run`` checks them fully before it caches).
+        A run leaves their trace-owned fields unchanged, so one set may
+        serve several runs.
     trace_out:
         Path for a JSONL observability trace (occupancy samples, stage
         counters, audit events); None disables tracing.
