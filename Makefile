@@ -100,7 +100,7 @@ reproduce-smoke:
 # watchdog catches a wedged pipeline and the containment turns a corrupted
 # simulator into a classified DUE instead of a campaign abort.
 inject-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli inject gcc mcf --live \
+	PYTHONPATH=src $(PYTHON) -m repro.cli inject gcc mcf \
 		--strikes 6 --structures iq rob \
 		--force hang --force crash --force due --seed 11
 
@@ -152,7 +152,7 @@ test-fleet:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/test_fleet.py
 
 examples:
-	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done
+	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f || exit 1; done
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .hypothesis

@@ -1,38 +1,29 @@
-"""Cross-validation: statistical fault injection must agree with AVF.
+"""Cross-validation: live fault injection must agree with ACE AVF.
 
 Section 2 of the paper presents the two methodologies as measuring the same
-quantity.  This benchmark runs an injection campaign (random transient
-strikes over cycle x entry points, classified against an independently
-reconstructed occupancy timeline) and asserts the SDC rate matches the
-reported AVF for every injectable structure.
+quantity.  This benchmark regenerates the ``injection_validation``
+artefact: a live bit-flip campaign over every injectable structure, each
+structure's SDC rate with its 95% Wilson interval next to the exact ACE
+AVF.  ACE analysis upper-bounds true vulnerability, so no structure may
+show an ``ANOMALY`` (ACE AVF below the interval).
 """
 
 from conftest import save_artifact
 
-from repro.config import SimConfig
 from repro.experiments.runner import ExperimentScale
-from repro.faultinject import run_campaign
-from repro.workload.mixes import get_mix
+from repro.experiments.validate_injection import (
+    format_injection_validation,
+    run_injection_validation,
+)
 
 
 def test_injection_agrees_with_avf(benchmark):
     scale = ExperimentScale.from_env()
-    mix = get_mix("4-MIX-A")
+    result = benchmark.pedantic(lambda: run_injection_validation(scale),
+                                rounds=1, iterations=1)
+    save_artifact("injection_validation", format_injection_validation(result))
 
-    def campaign():
-        return run_campaign(
-            mix,
-            injections=20_000,
-            sim=SimConfig(
-                max_instructions=scale.instructions_per_thread * mix.num_threads,
-                seed=scale.seed,
-            ),
-        )
-
-    result = benchmark.pedantic(campaign, rounds=1, iterations=1)
-    save_artifact("injection_validation", result.summary())
-
-    for s, c in result.structures.items():
-        assert abs(c.sdc_rate - c.reported_avf) < 0.02, (
-            f"{s}: injection {c.sdc_rate:.4f} vs AVF {c.reported_avf:.4f}"
-        )
+    for s in result.structures:
+        assert result.verdict(s) != "ANOMALY", (
+            f"{s}: ACE AVF {result.structures[s].reported_avf:.4f} below "
+            f"the live interval {result.interval(s)}")

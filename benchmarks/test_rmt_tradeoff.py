@@ -4,7 +4,8 @@ The paper's related work (refs [24, 25]) turns SMT into a fault-detection
 substrate.  This benchmark measures the two sides of that trade on this
 reproduction's machine: the redundancy tax (logical IPC vs unprotected),
 and the outcome conversion (silent corruptions -> detected errors inside
-the sphere of replication).
+the sphere of replication), read from the exact per-structure AVF of the
+solo run and the redundant pair.
 """
 
 from conftest import save_artifact
@@ -23,9 +24,7 @@ def test_rmt_tradeoff(benchmark):
     def run():
         runs = {p: run_redundant(p, instructions=scale.instructions_per_thread)
                 for p in PROGRAMS}
-        cov = coverage_analysis("gcc", injections=10_000,
-                                instructions=scale.instructions_per_thread)
-        return runs, cov
+        return runs, coverage_analysis(runs["gcc"])
 
     runs, cov = benchmark.pedantic(run, rounds=1, iterations=1)
 

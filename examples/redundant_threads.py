@@ -7,7 +7,8 @@ and reports the three numbers that define the technique:
 
 1. the redundancy tax (logical throughput vs running unprotected),
 2. the slack discipline (the trailer riding in the leader's shadow),
-3. the coverage: strike outcomes with and without redundancy.
+3. the coverage: strike outcome rates with and without redundancy, read
+   from the exact AVF of the solo run and of the redundant pair.
 
 Usage::
 
@@ -29,9 +30,7 @@ def main() -> None:
           f"{rmt.solo.dl1_miss_rate:.3%} — the leader prefetches for the "
           f"trailer" if rmt.trailer_dl1_benefit else "")
     print()
-    cov = coverage_analysis(program, injections=5000,
-                            instructions=min(instructions, 1500))
-    print(cov.summary())
+    print(coverage_analysis(rmt).summary())
     print()
     print("Inside the sphere of replication every silent corruption became a")
     print("detected error; the cost was the redundancy tax above.")

@@ -23,8 +23,8 @@ class VulnerabilityAccount:
 
     With ``record_intervals`` enabled, every interval is additionally kept
     verbatim in ``intervals`` as ``(thread, start, end, ace)`` tuples — the
-    raw material the fault-injection campaign replays to cross-validate the
-    summed ledgers (see :mod:`repro.faultinject`).
+    raw material the auditor's interval replay re-sums to cross-validate
+    the summed ledgers (see :func:`repro.audit.check_interval_replay`).
     """
 
     __slots__ = ("name", "capacity", "ace_cycles", "unace_cycles",

@@ -6,7 +6,7 @@ Installed as the ``repro-sim`` console script::
     repro-sim run 4-MIX-A --policy FLUSH -n 2500
     repro-sim run mcf twolf --policy ICOUNT     # ad-hoc program list
     repro-sim figure 1 --scale 1200             # any of 1..8
-    repro-sim inject 2-MIX-A --strikes 10000    # AVF-vs-injection check
+    repro-sim inject 2-MIX-A --strikes 48       # live bit flips vs ACE AVF
     repro-sim fit 4-CPU-A                       # FIT/MTTF breakdown
     repro-sim reproduce --jobs 8 --cache-dir .repro-cache   # parallel + cached
 """
@@ -270,52 +270,16 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
-    from repro.faultinject import run_campaign, run_campaign_supervised
-
-    apply_backend_env(args.backend)
-    if args.live:
-        return _cmd_inject_live(args)
-    workload = _resolve_workload(args.workload)
-    threads = (workload.num_threads if hasattr(workload, "num_threads")
-               else len(workload))
-    instructions = 2500 if args.instructions is None else args.instructions
-    strikes = 5000 if args.strikes is None else args.strikes
-    sim = SimConfig(max_instructions=instructions * threads,
-                    seed=args.seed)
-    cache_dir = None if args.no_cache else args.cache_dir
-    tag = (args.workload[0] if len(args.workload) == 1
-           else "+".join(args.workload))
-    supervisor = _supervisor_from_args(args, f"inject-{tag}")
-    if supervisor is None:
-        result = run_campaign(workload, injections=strikes, sim=sim,
-                              jobs=args.jobs, cache_dir=cache_dir)
-        print(result.summary())
-        return 0
-    result = run_campaign_supervised(workload, supervisor,
-                                     injections=strikes, sim=sim,
-                                     classify_jobs=args.jobs,
-                                     cache_dir=cache_dir)
-    if result is None:
-        print(f"inject: DEGRADED — MISSING(campaign/{tag}) "
-              f"(campaign failed permanently; see failures report)")
-    else:
-        print(result.summary())
-    return _finish_resilient(supervisor, args.failures_out)
-
-
-def _cmd_inject_live(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from repro.faultinject import LiveConfig, run_live_campaign
-    from repro.faultinject.live import INJECTABLE
+    from repro.faultinject import INJECTABLE, LiveConfig, run_live_campaign
     from repro.structures.strike import MbuConfig
 
+    apply_backend_env(args.backend)
     workload = _resolve_workload(args.workload)
     threads = (workload.num_threads if hasattr(workload, "num_threads")
                else len(workload))
-    instructions = 300 if args.instructions is None else args.instructions
-    strikes = 24 if args.strikes is None else args.strikes
-    sim = SimConfig(max_instructions=instructions * threads,
+    sim = SimConfig(max_instructions=args.instructions * threads,
                     seed=args.seed)
     if args.structures:
         by_name = {s.value.lower(): s for s in INJECTABLE}
@@ -334,7 +298,7 @@ def _cmd_inject_live(args: argparse.Namespace) -> int:
            else "+".join(args.workload))
     supervisor = _supervisor_from_args(args, f"inject-live-{tag}")
     result = run_live_campaign(
-        workload, injections=strikes, structures=structures,
+        workload, injections=args.strikes, structures=structures,
         sim=sim, seed=args.seed,
         protection=args.protect, live=live,
         mbu=MbuConfig(max_len=args.mbu_len),
@@ -352,10 +316,7 @@ def _cmd_rmt(args: argparse.Namespace) -> int:
     print(result.summary())
     if args.coverage:
         print()
-        cov = coverage_analysis(args.program, injections=args.strikes,
-                                instructions=min(args.instructions, 2000),
-                                seed=args.seed)
-        print(cov.summary())
+        print(coverage_analysis(result).summary())
     return 0
 
 
@@ -721,45 +682,39 @@ def build_parser() -> argparse.ArgumentParser:
     _add_invariant_option(fig)
     _add_backend_option(fig)
 
-    inject = sub.add_parser("inject", help="fault-injection campaign")
+    inject = sub.add_parser(
+        "inject", help="live fault injection: flip real bits mid-run and "
+                       "classify each strike against a golden run")
     inject.add_argument("workload", nargs="+")
-    inject.add_argument("--strikes", type=_non_negative_int, default=None,
-                        help="injections (default: 5000 interval-replay, "
-                             "24/structure live)")
+    inject.add_argument("--strikes", type=_non_negative_int, default=24,
+                        help="injections per structure (default 24)")
     inject.add_argument("-n", "--instructions", type=_positive_int,
-                        default=None,
-                        help="instructions per thread (default: 2500, "
-                             "or 300 live)")
+                        default=300,
+                        help="instructions per thread (default 300)")
     inject.add_argument("--seed", type=int, default=1)
-    live_grp = inject.add_argument_group(
-        "live injection (bit flips in a running simulation)")
-    live_grp.add_argument("--live", action="store_true",
-                          help="flip real bits mid-run and classify each "
-                               "strike against a golden run "
-                               "(masked/SDC/DUE/hang)")
-    live_grp.add_argument("--structures", nargs="+", default=None,
-                          metavar="STRUCT",
-                          help="restrict live strikes to these structures "
-                               "(iq rob lsq_tag lsq_data reg fu)")
-    live_grp.add_argument("--protect", default="none", type=_protect_arg,
-                          metavar="SCHEME|STRUCT=SCHEME,...",
-                          help="protection assignment: one scheme for every "
-                               "structure (none, parity, secded, dec-bch; "
-                               "'ecc' is a secded alias) or a per-structure "
-                               "list like iq=secded,rob=parity "
-                               "(default none)")
-    live_grp.add_argument("--mbu-len", type=_mbu_len, default=1,
-                          metavar="N",
-                          help="multi-bit upset mode: clusters of up to N "
-                               "adjacent bits per strike (1-3, default 1 = "
-                               "single-bit)")
-    live_grp.add_argument("--force", action="append", default=[],
-                          choices=["hang", "crash", "due"], metavar="KIND",
-                          help="add a guaranteed-outcome probe strike "
-                               "(repeatable; exercises watchdog and "
-                               "containment)")
-    live_grp.add_argument("--strike-batch", type=_positive_int, default=None,
-                          help="strikes per supervised worker task")
+    inject.add_argument("--structures", nargs="+", default=None,
+                        metavar="STRUCT",
+                        help="restrict strikes to these structures "
+                             "(iq rob lsq_tag lsq_data reg fu)")
+    inject.add_argument("--protect", default="none", type=_protect_arg,
+                        metavar="SCHEME|STRUCT=SCHEME,...",
+                        help="protection assignment: one scheme for every "
+                             "structure (none, parity, secded, dec-bch; "
+                             "'ecc' is a secded alias) or a per-structure "
+                             "list like iq=secded,rob=parity "
+                             "(default none)")
+    inject.add_argument("--mbu-len", type=_mbu_len, default=1,
+                        metavar="N",
+                        help="multi-bit upset mode: clusters of up to N "
+                             "adjacent bits per strike (1-3, default 1 = "
+                             "single-bit)")
+    inject.add_argument("--force", action="append", default=[],
+                        choices=["hang", "crash", "due"], metavar="KIND",
+                        help="add a guaranteed-outcome probe strike "
+                             "(repeatable; exercises watchdog and "
+                             "containment)")
+    inject.add_argument("--strike-batch", type=_positive_int, default=None,
+                        help="strikes per supervised worker task")
     _add_cache_options(inject)
     _add_resilience_options(inject)
     _add_backend_option(inject)
@@ -768,8 +723,8 @@ def build_parser() -> argparse.ArgumentParser:
     rmt.add_argument("program")
     rmt.add_argument("-n", "--instructions", type=_positive_int, default=2000)
     rmt.add_argument("--coverage", action="store_true",
-                     help="also run the strike-coverage analysis")
-    rmt.add_argument("--strikes", type=_non_negative_int, default=5000)
+                     help="also print the strike coverage (exact AVF of "
+                          "the solo run vs the redundant pair)")
     rmt.add_argument("--seed", type=int, default=1)
 
     repro = sub.add_parser("reproduce",

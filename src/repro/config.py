@@ -222,9 +222,10 @@ class SimConfig:
     record_intervals: bool = False
     """Keep every residency interval verbatim (not just the sums).
 
-    Required by the fault-injection campaign (:mod:`repro.faultinject`),
-    which replays the intervals to cross-validate the AVF ledgers.  Costs
-    memory proportional to the instruction count; off by default.
+    The auditor's interval replay
+    (:func:`repro.audit.check_interval_replay`) re-sums them to
+    cross-validate the AVF ledgers.  Costs memory proportional to the
+    instruction count; off by default.
     """
 
     phase_window_cycles: int = 0

@@ -1,7 +1,7 @@
 """Live bit-flip fault injection with golden-run differential classification.
 
-The timeline campaign (:mod:`repro.faultinject.campaign`) classifies
-strikes *post hoc* from residency intervals; this module actually flips a
+The ACE ledgers (:mod:`repro.avf`) compute each structure's AVF exactly;
+this module measures the same quantity the other way round: it flips a
 bit in a live structure mid-run and watches what the machine does.  One
 golden (fault-free) run per campaign configuration is memoized.  Each
 batch of strikes then drives one session of the same traces with two
@@ -17,7 +17,7 @@ structure's ``inject_bit`` hook there; only a strike that lands on live
 state its protection does not resolve gets a faulty run of its own, on a
 fork of the driver (:class:`_StrikeDriver`, :meth:`SMTCore.fork`).
 
-Outcomes (:class:`~repro.faultinject.campaign.InjectionOutcome`):
+Outcomes (:class:`InjectionOutcome`):
 ``MASKED_IDLE`` (struck slot empty), ``MASKED`` (digest identical),
 ``SDC`` (digest diverged), ``DUE`` (parity detected the flip, or the
 corrupted simulator raised and was contained), ``HANG`` (watchdog),
@@ -45,6 +45,7 @@ import hashlib
 import json
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
+from enum import Enum, auto
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -54,13 +55,6 @@ from repro.avf.bits import structure_capacity
 from repro.avf.structures import PRIVATE_STRUCTURES, Structure
 from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
 from repro.errors import HangDetected, ReproError
-from repro.faultinject.campaign import (
-    CAMPAIGN_SCHEMA_VERSION,
-    INJECTABLE,
-    InjectionOutcome,
-    StructureCampaign,
-    _open_campaign_cache,
-)
 from repro.faultinject.classify import DigestRecorder, Watchdog
 from repro.metrics.reliability import wilson_interval
 from repro.protection import ProtectionConfig, ProtectionScheme
@@ -69,6 +63,72 @@ from repro.sim.session import SimSession, functional_warmup
 from repro.structures.strike import MbuConfig, burst_bits
 from repro.structures.strike import entry_bits as strike_entry_bits
 from repro.workload.mixes import TABLE2_MIXES, WorkloadMix
+
+#: The pipeline structures live strikes can target.
+INJECTABLE = (Structure.IQ, Structure.ROB, Structure.LSQ_TAG,
+              Structure.LSQ_DATA, Structure.REG, Structure.FU)
+
+
+class InjectionOutcome(Enum):
+    MASKED_IDLE = auto()    # the struck slot held nothing
+    SDC = auto()            # the faulty run's architectural digest diverged
+    MASKED = auto()         # the faulty run's architectural digest matched
+    DUE = auto()            # detected (parity) or contained simulator failure
+    HANG = auto()           # the watchdog tripped: forward progress stopped
+    CORRECTED = auto()      # ECC repaired the flip in place
+
+
+#: Outcomes with no architectural consequence (the error rate's complement).
+MASKED_OUTCOMES = frozenset({
+    InjectionOutcome.MASKED_IDLE,
+    InjectionOutcome.MASKED,
+    InjectionOutcome.CORRECTED,
+})
+
+#: Version of the on-disk batch-record layout, hashed into every
+#: :meth:`LiveBatchJob.key`; entries recorded under a different schema are
+#: re-run rather than misread.  v2: the MASKED/DUE/HANG/CORRECTED outcome
+#: classes.
+CAMPAIGN_SCHEMA_VERSION = 2
+
+
+@dataclass
+class StructureCampaign:
+    """Outcome counts for one structure."""
+
+    structure: Structure
+    injections: int
+    outcomes: Dict[InjectionOutcome, int] = field(default_factory=dict)
+    reported_avf: float = 0.0
+
+    def _rate(self, outcomes) -> float:
+        if not self.injections:
+            return 0.0
+        return sum(self.outcomes.get(o, 0) for o in outcomes) / self.injections
+
+    @property
+    def sdc_rate(self) -> float:
+        """Injection-estimated AVF: the fraction of strikes that corrupt."""
+        return self._rate((InjectionOutcome.SDC,))
+
+    @property
+    def masked_rate(self) -> float:
+        """Fraction of strikes with no architectural consequence.
+
+        Counted from the masked outcome classes, not ``1 - sdc_rate``: the
+        complement would count DUE/HANG strikes as masked, and would report
+        a vacuous 1.0 for a zero-strike campaign.
+        """
+        return self._rate(MASKED_OUTCOMES)
+
+    @property
+    def due_rate(self) -> float:
+        return self._rate((InjectionOutcome.DUE,))
+
+    @property
+    def hang_rate(self) -> float:
+        return self._rate((InjectionOutcome.HANG,))
+
 
 #: Seed-substream index per structure (order is part of the RNG contract;
 #: never reorder).
@@ -793,7 +853,12 @@ def run_live_campaign(workload: Union[WorkloadMix, Sequence[str]],
 
     cache_root: Optional[Path] = None
     if cache_dir is not None:
-        cache_root = _open_campaign_cache(cache_dir)
+        from repro.experiments.runner import sweep_tmp_orphans
+
+        cache_root = Path(cache_dir)
+        cache_root.mkdir(parents=True, exist_ok=True)
+        # Crashed writers' .tmp<pid> orphans, as in the result cache.
+        sweep_tmp_orphans(cache_root)
 
     def cache_path(job: LiveBatchJob) -> Optional[Path]:
         if cache_root is None:

@@ -7,9 +7,8 @@ deliberately narrow: it knows nothing about AVF maths, auditing, tracing
 or fault injection, so nothing under ``repro.pipeline`` or
 ``repro.structures`` needs to import ``repro.avf``.
 
-Consumers (the AVF engine, the fault-injection interval recorder, the
-phase tracker, the auditor, the JSONL trace writer) subscribe to a
-:class:`ProbeBus`.  The bus multiplexes residency events to every
+Consumers (the AVF engine, the interval recorder, the phase tracker,
+the auditor, the JSONL trace writer) subscribe to a :class:`ProbeBus`.  The bus multiplexes residency events to every
 residency subscriber and drives the observer lifecycle:
 
 ``on_reset(cycle)``

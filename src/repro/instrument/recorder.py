@@ -1,12 +1,11 @@
-"""Verbatim residency log: the fault-injection campaign's raw material.
+"""Verbatim residency log: the raw material of the ledgers' interval replay.
 
 The :class:`IntervalRecorder` is a plain :class:`~repro.instrument.probe.
 ResidencyProbe` subscriber that keeps every residency event as a
 ``(thread, start, end, ace)`` tuple, per structure, clipped to the
 measurement window exactly as the AVF ledgers clip their accruals.  The
-campaign replays these logs into per-cycle occupancy timelines, and the
-audit layer replays them to cross-validate the summed ledgers — both
-independent of the ledger arithmetic.
+audit layer replays these logs to cross-validate the summed ledgers,
+independently of the ledger arithmetic.
 """
 
 from __future__ import annotations

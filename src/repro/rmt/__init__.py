@@ -16,9 +16,10 @@ This package implements an SRT-style harness on the simulator:
 * :func:`~repro.rmt.harness.run_redundant` — run a program redundantly,
   measure the redundancy tax (lead IPC vs solo IPC) and the slack actually
   maintained;
-* :func:`~repro.rmt.coverage.coverage_analysis` — rerun the fault-injection
-  campaign under a sphere of replication: strikes that were silent data
-  corruptions become *detected* (DUE) when they land in replicated state.
+* :func:`~repro.rmt.coverage.coverage_analysis` — read one redundant
+  run's exact per-structure AVF under a sphere of replication: strikes
+  that would be silent data corruptions alone become *detected* (DUE)
+  when they land in replicated state.
 """
 
 from repro.rmt.slack import SlackFetchPolicy

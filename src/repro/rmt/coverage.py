@@ -1,39 +1,34 @@
 """Fault coverage under redundant multithreading.
 
 SRT's sphere of replication: all state computed redundantly — here, every
-pipeline structure the injection campaign covers (IQ, ROB, LSQ, register
+pipeline structure live injection can strike (IQ, ROB, LSQ, register
 file, FUs) — is protected by comparison: a transient strike that corrupts
 one copy's ACE state makes the streams diverge and is *detected* (a DUE,
 detected unrecoverable error) instead of escaping as silent data
 corruption.  State outside the sphere (the memory system) is conventionally
 ECC-protected and is not part of this analysis.
 
-The analysis reruns the fault-injection campaign on the redundant pair and
-reclassifies: every would-be SDC inside the sphere becomes a DUE.  The
-classic RMT picture emerges: the *event* rate goes up (two copies expose
-roughly twice the ACE state, plus the machine runs longer), while the
-*silent corruption* rate inside the sphere drops to zero — reliability is
-bought with throughput (see :mod:`repro.rmt.harness`) and error-handling
-rate, not magic.
+The analysis reads the exact per-structure AVF of both runs of one
+:class:`~repro.rmt.harness.RedundantRunResult` and reclassifies: the solo
+run's AVF is its SDC rate, and inside the sphere the redundant pair's AVF
+becomes its DUE rate.  The classic RMT picture emerges: the *event* rate
+goes up (two copies expose roughly twice the ACE state, plus the machine
+runs longer), while the *silent corruption* rate inside the sphere drops
+to zero — reliability is bought with throughput (see
+:mod:`repro.rmt.harness`) and error-handling rate, not magic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.avf.structures import Structure
-from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
-from repro.faultinject.campaign import (
-    INJECTABLE,
-    InjectionCampaignResult,
-    InjectionOutcome,
-    run_campaign,
-)
-from repro.rmt.slack import SlackFetchPolicy
+from repro.faultinject.live import INJECTABLE
+from repro.rmt.harness import RedundantRunResult
 
 #: Structures inside SRT's sphere of replication (strike -> divergence ->
-#: detection).  Everything the campaign can inject into is replicated
+#: detection).  Everything live injection can strike is replicated
 #: pipeline state.
 SPHERE_OF_REPLICATION = frozenset(INJECTABLE)
 
@@ -51,14 +46,10 @@ class StructureCoverage:
 @dataclass
 class CoverageResult:
     program: str
-    injections: int
     structures: Dict[Structure, StructureCoverage] = field(default_factory=dict)
-    solo_campaign: Optional[InjectionCampaignResult] = None
-    rmt_campaign: Optional[InjectionCampaignResult] = None
 
     def summary(self) -> str:
-        lines = [f"RMT coverage — {self.program} "
-                 f"({self.injections} strikes/structure)",
+        lines = [f"RMT coverage — {self.program} (exact ACE AVF)",
                  f"{'structure':<10} {'solo SDC':>9} {'RMT DUE':>9} {'RMT SDC':>9}"]
         for s, c in self.structures.items():
             lines.append(f"{s.value:<10} {c.unprotected_sdc_rate:9.4f} "
@@ -67,38 +58,19 @@ class CoverageResult:
         return "\n".join(lines)
 
 
-def coverage_analysis(program: str,
-                      injections: int = 4000,
-                      instructions: int = 2000,
-                      structures: Sequence[Structure] = tuple(INJECTABLE),
-                      config: Optional[MachineConfig] = None,
-                      seed: int = 7) -> CoverageResult:
-    """Compare strike outcomes: unprotected solo run vs SRT redundant pair."""
-    config = config or DEFAULT_CONFIG
-    solo = run_campaign([program], injections=injections,
-                        structures=structures, config=config,
-                        sim=SimConfig(max_instructions=instructions, seed=seed),
-                        seed=seed)
-    rmt = run_campaign(
-        [program, program],
-        injections=injections,
-        structures=structures,
-        policy=SlackFetchPolicy(leader=0, trailer=1),
-        config=config,
-        sim=SimConfig(max_instructions=2 * instructions, seed=seed),
-        seed=seed,
-    )
-    result = CoverageResult(program=program, injections=injections,
-                            solo_campaign=solo, rmt_campaign=rmt)
+def coverage_analysis(run: RedundantRunResult,
+                      structures: Sequence[Structure] = INJECTABLE
+                      ) -> CoverageResult:
+    """Strike outcome rates of ``run``: its unprotected solo run vs its
+    SRT redundant pair, from each run's exact per-structure AVF."""
+    result = CoverageResult(program=run.program)
     for s in structures:
-        solo_c = solo.structures[s]
-        rmt_c = rmt.structures[s]
+        rmt_avf = run.redundant.avf.avf[s]
         inside = s in SPHERE_OF_REPLICATION
-        rmt_sdc = rmt_c.outcomes.get(InjectionOutcome.SDC, 0) / injections
         result.structures[s] = StructureCoverage(
             structure=s,
-            unprotected_sdc_rate=solo_c.sdc_rate,
-            protected_due_rate=rmt_sdc if inside else 0.0,
-            protected_sdc_rate=0.0 if inside else rmt_sdc,
+            unprotected_sdc_rate=run.solo.avf.avf[s],
+            protected_due_rate=rmt_avf if inside else 0.0,
+            protected_sdc_rate=0.0 if inside else rmt_avf,
         )
     return result

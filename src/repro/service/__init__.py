@@ -4,7 +4,7 @@ The paper's AVF methodology becomes decision-grade at fleet scale —
 millions of strikes across many configurations — which no single CLI
 invocation should own.  This package turns the supervised campaign
 substrate (result cache, checkpoint journal, supervised worker pool,
-live/interval injection campaigns, reproduce artefacts) into a shared
+live injection campaigns, reproduce artefacts) into a shared
 service:
 
 - :mod:`repro.service.specs` — schema-validated campaign specs with a
@@ -12,8 +12,8 @@ service:
 - :mod:`repro.service.store` — the content-hash cache promoted to a
   shared artifact store with per-campaign manifests;
 - :mod:`repro.service.scheduler` — shards specs into supervised job
-  units (:class:`~repro.faultinject.LiveBatchJob`,
-  :class:`~repro.faultinject.CampaignJob`, reproduce prewarm jobs),
+  units (:class:`~repro.faultinject.LiveBatchJob`, reproduce prewarm
+  jobs),
   executes them on per-campaign supervisor pools, and streams progress
   with partial Wilson intervals as batches land;
 - :mod:`repro.service.server` — the asyncio REST/JSON front end

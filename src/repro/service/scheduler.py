@@ -626,7 +626,6 @@ class CampaignScheduler:
         try:
             try:
                 runner = {"live": self._run_live,
-                          "interval": self._run_interval,
                           "reproduce": self._run_reproduce}[campaign.spec.kind]
                 payload, degraded = runner(campaign, supervisor)
             except CampaignCancelled:
@@ -801,41 +800,6 @@ class CampaignScheduler:
         from repro.structures.strike import MbuConfig
 
         return MbuConfig(max_len=spec.mbu_len)
-
-    def _run_interval(self, campaign: _Campaign, supervisor: Supervisor
-                      ) -> Tuple[Dict[str, object], bool]:
-        from repro.faultinject import InjectionOutcome, run_campaign_supervised
-        from repro.faultinject.campaign import INJECTABLE, _campaign_payload
-
-        spec = campaign.spec
-        structures = (self._live_structures(spec) if spec.structures
-                      else INJECTABLE)
-        sim = self._sim_config(spec, len(spec.programs))
-        self._bump(campaign, lambda c: setattr(c, "batches_total", 1))
-        result = run_campaign_supervised(
-            list(spec.programs), supervisor, injections=spec.strikes,
-            structures=structures, policy=spec.policy, sim=sim,
-            seed=spec.seed, cache_dir=self.store.cache_dir)
-        if result is None:
-            # Failed permanently within the budget: degraded, no artifact.
-            return {"kind": "interval", "spec": spec.to_payload(),
-                    "missing": True}, True
-
-        def advance(c: _Campaign) -> None:
-            c.batches_done = 1
-            for structure, counts in result.structures.items():
-                c.progress[structure.value] = {
-                    "strikes": counts.injections,
-                    "sdc": counts.outcomes.get(InjectionOutcome.SDC, 0),
-                }
-        self._bump(campaign, advance)
-        payload = {
-            "kind": "interval",
-            "spec": spec.to_payload(),
-            "result": _campaign_payload(result),
-            "summary": result.summary(),
-        }
-        return payload, bool(supervisor.report)
 
     def _run_reproduce(self, campaign: _Campaign, supervisor: Supervisor
                        ) -> Tuple[Dict[str, object], bool]:

@@ -1,16 +1,12 @@
 """Campaign specs: the service's schema-validated request contract.
 
 A campaign spec is a plain JSON object a client POSTs to
-``/campaigns``.  Three kinds exist, mirroring the three campaign
-substrates the framework already runs:
+``/campaigns``.  Two kinds exist, mirroring the two campaign
+substrates the framework runs:
 
 ``live``
     Live bit-flip injection (:func:`repro.faultinject.run_live_campaign`):
     strikes per structure, protection scheme, watchdog batching.
-``interval``
-    Interval-replay injection (:func:`repro.faultinject.run_campaign`):
-    post-hoc classification of strikes against recorded residency
-    timelines.
 ``reproduce``
     Paper artefacts (:data:`repro.experiments.reproduce.ARTEFACTS`):
     a job graph of every simulation the named artefacts need.
@@ -46,7 +42,7 @@ from repro.workload.spec2000 import PROFILES
 #: the ``mbu_len`` multi-bit-upset cluster cap.
 SPEC_SCHEMA_VERSION = 2
 
-SPEC_KINDS = ("live", "interval", "reproduce")
+SPEC_KINDS = ("live", "reproduce")
 
 #: Hard ceilings: the service is shared, one client must not be able to
 #: submit a campaign that monopolises the fleet for hours.
@@ -353,11 +349,17 @@ def parse_spec(payload: object) -> CampaignSpec:
         raise SpecError(
             f"campaign spec must be a JSON object, got "
             f"{type(payload).__name__}")
+    kind = payload.get("kind")
+    if kind == "interval":
+        # Refused by name, not as a bare enum mismatch, so a client that
+        # used it learns what changed and what to submit instead.
+        raise SpecError("spec.kind: 'interval' was removed: its strikes only "
+                        "sampled the exact ACE AVF every run reports; submit "
+                        "kind 'live' for bit-flip injection")
     errors = validate_schema(payload, SPEC_SCHEMA, path="spec")
     if errors:
         raise SpecError("; ".join(errors))
 
-    kind = payload["kind"]
     # Injection campaigns strike one workload; reproduce campaigns draw
     # their workloads from the artefact registry, so a workload there is
     # rejected rather than silently splitting digests of equal requests.
@@ -427,8 +429,7 @@ def parse_spec(payload: object) -> CampaignSpec:
         job_timeout=budget_raw.get("job_timeout"),
     )
 
-    defaults = {"live": (300, 8), "interval": (2500, 2000),
-                "reproduce": (300, 0)}
+    defaults = {"live": (300, 8), "reproduce": (300, 0)}
     default_instructions, default_strikes = defaults[kind]
     # Injection-only fields are normalised away for reproduce specs so a
     # stray "strikes": 5 cannot split two otherwise-identical reproduce

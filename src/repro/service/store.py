@@ -1,13 +1,13 @@
 """The shared artifact store: content-hash cache + per-campaign manifests.
 
-The PR-1 result cache and the PR-3/PR-5 campaign caches already key every
-payload by a content hash of its inputs; this module promotes that layout
-to a multi-tenant store the campaign service owns:
+The result cache and the live batch cache already key every payload by
+a content hash of its inputs; this module promotes that layout to a
+multi-tenant store the campaign service owns:
 
 ``<root>/cache/``
-    The shared computation cache — ``SimResult`` entries, interval-replay
-    ``campaign-<digest>.json`` entries and live ``live-<digest>.json``
-    batch entries, exactly the files the CLI paths read and write.  Every
+    The shared computation cache — ``SimResult`` entries and live
+    ``live-<digest>.json`` batch entries, exactly the files the CLI
+    paths read and write.  Every
     campaign's supervised jobs dedup through it, so two campaigns sharing
     simulations share the work.
 

@@ -1,8 +1,8 @@
 """Unified simulation session: one owner for trace building, observer
 wiring, core construction and result packaging.
 
-Every harness that runs the cycle kernel — :func:`repro.sim.simulate`, the
-fault-injection campaign and the RMT harness — goes through
+Every harness that runs the cycle kernel — :func:`repro.sim.simulate`,
+live fault injection and the RMT harness — goes through
 :class:`SimSession`, so the wiring of the probe bus (ledger, interval
 recorder, phase tracker, auditor, trace writer) exists in exactly one
 place.  The kernel itself (:class:`repro.pipeline.core.SMTCore`) only ever

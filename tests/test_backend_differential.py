@@ -102,18 +102,6 @@ class TestGoldenArtefactsPerBackend:
         golden = json.loads((GOLDEN / "golden_report.json").read_text())
         assert fresh == golden
 
-    def test_golden_campaign(self, backend, monkeypatch):
-        from repro.faultinject.campaign import _campaign_payload, run_campaign
-
-        # The campaign builds its sessions internally; the env var is the
-        # channel the CLI uses, so exercise exactly that.
-        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
-        result = run_campaign(["bzip2", "gcc"], injections=500,
-                              sim=SimConfig(max_instructions=1500, seed=11),
-                              seed=7)
-        golden = json.loads((GOLDEN / "golden_campaign.json").read_text())
-        assert _campaign_payload(result) == golden
-
     def test_golden_rmt(self, backend, monkeypatch):
         from repro.rmt.harness import run_redundant
 

@@ -44,11 +44,21 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
 
 
+#: A live campaign small enough for the CLI tests.
+TINY_INJECT = ["inject", "2-CPU-A", "-n", "60", "--strikes", "2",
+               "--structures", "iq"]
+
+
 class TestInject:
     def test_inject_prints_summary(self, capsys):
-        assert main(["inject", "2-CPU-A", "--strikes", "500", "-n", "300"]) == 0
+        assert main(TINY_INJECT) == 0
         out = capsys.readouterr().out
-        assert "SDC rate" in out
+        assert "Live fault injection" in out and "95% CI" in out
+
+    def test_structures_restricts_the_campaign(self, capsys):
+        assert main(TINY_INJECT) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split()[0] for row in rows] == ["IQ"]
 
 
 class TestFit:
@@ -79,31 +89,30 @@ class TestProtectFlag:
 
     def test_accepts_uniform_scheme(self):
         args = build_parser().parse_args(
-            ["inject", "2-CPU-A", "--live", "--protect", "parity"])
+            ["inject", "2-CPU-A", "--protect", "parity"])
         assert args.protect.label() == "parity"
 
     def test_accepts_per_structure_list(self):
         args = build_parser().parse_args(
-            ["inject", "2-CPU-A", "--live",
-             "--protect", "iq=secded,rob=parity"])
+            ["inject", "2-CPU-A", "--protect", "iq=secded,rob=parity"])
         assert args.protect.label() == "IQ=secded,ROB=parity"
 
     def test_ecc_alias_maps_to_secded(self):
         args = build_parser().parse_args(
-            ["inject", "2-CPU-A", "--live", "--protect", "ecc"])
+            ["inject", "2-CPU-A", "--protect", "ecc"])
         assert args.protect.label() == "secded"
 
     def test_rejects_unknown_scheme_naming_valid_set(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["inject", "2-CPU-A", "--live", "--protect", "hamming"])
+                ["inject", "2-CPU-A", "--protect", "hamming"])
         err = capsys.readouterr().err
         assert "parity" in err and "secded" in err and "dec-bch" in err
 
     def test_rejects_unknown_structure_naming_valid_set(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["inject", "2-CPU-A", "--live", "--protect", "l2=parity"])
+                ["inject", "2-CPU-A", "--protect", "l2=parity"])
         err = capsys.readouterr().err
         assert "iq" in err.lower()
 
@@ -111,15 +120,15 @@ class TestProtectFlag:
         for bad in ("0", "4", "-1", "two"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(
-                    ["inject", "2-CPU-A", "--live", "--mbu-len", bad])
+                    ["inject", "2-CPU-A", "--mbu-len", bad])
 
     def test_mbu_len_in_range(self):
         args = build_parser().parse_args(
-            ["inject", "2-CPU-A", "--live", "--mbu-len", "3"])
+            ["inject", "2-CPU-A", "--mbu-len", "3"])
         assert args.mbu_len == 3
 
     def test_live_campaign_runs_with_protect_and_mbu(self, capsys):
-        assert main(["inject", "gcc", "mcf", "--live", "--strikes", "4",
+        assert main(["inject", "gcc", "mcf", "--strikes", "4",
                      "-n", "200", "--structures", "iq",
                      "--protect", "iq=parity", "--mbu-len", "2"]) == 0
         out = capsys.readouterr().out
@@ -169,22 +178,21 @@ class TestCacheFlags:
         assert list((tmp_path / "cache").glob("*.json"))
 
     def test_inject_cache_dir_round_trip(self, capsys, tmp_path):
-        argv = ["inject", "2-CPU-A", "--strikes", "200", "-n", "300",
-                "--jobs", "2", "--cache-dir", str(tmp_path)]
+        argv = TINY_INJECT + ["--jobs", "2", "--cache-dir", str(tmp_path)]
         assert main(argv) == 0
         first = capsys.readouterr().out
-        assert list(tmp_path.glob("campaign-*.json"))
+        assert list(tmp_path.glob("live-*.json"))
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
 
 class TestZeroStrikeInject:
     def test_inject_zero_strikes_does_not_crash(self, capsys):
-        """Regression: the summary's idle/un-ACE columns divided by zero."""
-        assert main(["inject", "2-CPU-A", "--strikes", "0", "-n", "300"]) == 0
+        """Regression: the summary's rate columns divided by zero."""
+        assert main(TINY_INJECT[:4] + ["--strikes", "0"]) == 0
         out = capsys.readouterr().out
         assert "0 strikes/structure" in out
-        assert "SDC rate" in out
+        assert "95% CI" in out
 
 
 class TestArgumentValidation:
@@ -196,7 +204,7 @@ class TestArgumentValidation:
         (["inject", "2-CPU-A", "-n", "many"], "-n/--instructions"),
         (["run", "2-CPU-A", "-n", "-100"], "-n/--instructions"),
         (["rmt", "mcf", "-n", "0"], "-n/--instructions"),
-        (["rmt", "mcf", "--strikes", "-1"], "--strikes"),
+        (["inject", "2-CPU-A", "--strikes", "many"], "--strikes"),
         (["figure", "1", "--jobs", "-2"], "--jobs"),
         (["figure", "1", "--scale", "0"], "--scale"),
         (["reproduce", "--job-timeout", "0"], "--job-timeout"),
@@ -287,10 +295,9 @@ class TestResilientCli:
         assert "degraded" in out.err
 
     def test_inject_supervised_matches_unsupervised(self, capsys, tmp_path):
-        argv = ["inject", "2-CPU-A", "--strikes", "200", "-n", "300"]
-        assert main(argv) == 0
+        assert main(TINY_INJECT) == 0
         plain = capsys.readouterr().out
-        assert main(argv + ["--retries", "1"]) == 0
+        assert main(TINY_INJECT + ["--retries", "1"]) == 0
         assert capsys.readouterr().out == plain
 
 

@@ -21,7 +21,7 @@ import pytest
 from repro.config import SimConfig
 from repro.errors import ReproError
 from repro.faultinject import run_live_campaign
-from repro.faultinject.campaign import CAMPAIGN_SCHEMA_VERSION
+from repro.faultinject.live import CAMPAIGN_SCHEMA_VERSION
 from repro.resilience import RetryPolicy, Supervisor
 from repro.resilience.journal import JOURNAL_SCHEMA_VERSION, CheckpointJournal
 

@@ -26,8 +26,13 @@ from repro.faultinject import (
     plan_live_batches,
     run_live_campaign,
 )
-from repro.faultinject.campaign import INJECTABLE, StructureCampaign
-from repro.faultinject.live import draw_strike, golden_run, machine_capacity
+from repro.faultinject.live import (
+    INJECTABLE,
+    StructureCampaign,
+    draw_strike,
+    golden_run,
+    machine_capacity,
+)
 from repro.metrics.reliability import wilson_interval
 from repro.protection import ProtectionConfig, ProtectionScheme
 from repro.structures.strike import (

@@ -84,9 +84,17 @@ class TestHarness:
 
 class TestCoverage:
     @pytest.fixture(scope="class")
-    def cov(self):
-        return coverage_analysis("gcc", injections=1500, instructions=800,
-                                 structures=(Structure.IQ, Structure.ROB))
+    def run(self):
+        return run_redundant("gcc", instructions=800)
+
+    @pytest.fixture(scope="class")
+    def cov(self, run):
+        return coverage_analysis(run, structures=(Structure.IQ, Structure.ROB))
+
+    def test_rates_are_the_runs_exact_avf(self, run, cov):
+        for s, c in cov.structures.items():
+            assert c.unprotected_sdc_rate == run.solo.avf.avf[s]
+            assert c.protected_due_rate == run.redundant.avf.avf[s]
 
     def test_sphere_includes_pipeline_structures(self):
         assert Structure.IQ in SPHERE_OF_REPLICATION

@@ -175,11 +175,9 @@ class TestResponseSchemas:
         assert raw.endswith(b"\n")
 
     @pytest.mark.parametrize("spec,expect_progress", [
-        ({"kind": "interval", "workload": ["gcc"], "strikes": 30,
-          "instructions": 150}, True),
         ({"kind": "reproduce", "artefacts": ["fig1_avf_profile"],
           "instructions": 120}, False),
-    ], ids=["interval", "reproduce"])
+    ], ids=["reproduce"])
     def test_other_kinds_honour_the_same_contract(self, service, spec,
                                                   expect_progress):
         status, payload, _ = service.request("POST", "/campaigns", body=spec)
@@ -194,6 +192,17 @@ class TestResponseSchemas:
         assert status == 200
         check(payload, "result_envelope")
         assert payload["result"]["kind"] == spec["kind"]
+
+    def test_removed_interval_kind_is_refused_by_name(self, service):
+        status, payload, _ = service.request(
+            "POST", "/campaigns",
+            body={"kind": "interval", "workload": ["gcc"], "strikes": 30})
+        assert status == 400
+        check(payload, "error")
+        message = payload["error"]
+        assert "spec.kind" in message and "'interval' was removed" in message
+        assert "'live'" in message
+        assert service.request("GET", "/stats")[1]["executions"] == 0
 
     def test_error_schemas(self, service):
         cases = [

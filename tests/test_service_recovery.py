@@ -261,6 +261,10 @@ class TestSchedulerRecovery:
         root = tmp_path / "store"
         store = ArtifactStore(root)
         _dead_process_journal(root, "badc0ffee badc0ff", {"kind": "nope"})
+        # A kind this build removed is rejected the same way.
+        _dead_process_journal(root, "1ea7e7ba1ea7e7ba",
+                              {"kind": "interval", "workload": ["gcc"],
+                               "strikes": 30})
         journal = ServiceJournal(Path(root) / SERVICE_JOURNAL_NAME)
 
         scheduler = CampaignScheduler(store, workers=2, journal=journal)
@@ -293,8 +297,12 @@ class TestSchedulerRecovery:
 # -- kill-and-restart differential -------------------------------------------------
 
 
-def _spawn_serve(state_dir, *, chaos=None):
-    """Start ``repro-sim serve`` on an ephemeral port; return (proc, port)."""
+def _spawn_serve(state_dir, *, chaos=None, new_session=False):
+    """Start ``repro-sim serve`` on an ephemeral port; return (proc, port).
+
+    ``new_session`` starts the server in its own process group, so the
+    pool workers a SIGKILL orphans can be reaped by group afterwards.
+    """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop(CHAOS_ENV_VAR, None)
     if chaos:
@@ -303,7 +311,7 @@ def _spawn_serve(state_dir, *, chaos=None):
         [sys.executable, "-m", "repro.cli", "serve",
          "--state-dir", str(state_dir), "--port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True, env=env)
+        text=True, env=env, start_new_session=new_session)
     box = {}
     ready = threading.Event()
 
@@ -353,9 +361,12 @@ class TestKillAndRestart:
         baseline_bytes = baseline_sched.result_bytes(cid)
 
         # Life one: chaos slows every batch so the SIGKILL lands with
-        # most of the 24 batches still outstanding.
+        # most of the 24 batches still outstanding.  Its own process
+        # group, so the pool workers the SIGKILL orphans can be reaped.
         state = tmp_path / "state"
-        proc, port = _spawn_serve(state, chaos="hang:live/gcc:*:1.0")
+        proc, port = _spawn_serve(state, chaos="hang:live/gcc:*:1.0",
+                                  new_session=True)
+        first_life_group = proc.pid
         try:
             status, payload, _ = _http(port, "POST", "/campaigns", body=spec)
             assert status == 201, payload
@@ -396,3 +407,20 @@ class TestKillAndRestart:
         finally:
             proc.send_signal(signal.SIGTERM)
             proc.wait(15)
+            _reap_group(first_life_group)
+
+
+def _reap_group(pgid, timeout=30.0):
+    """SIGKILL process group ``pgid`` and wait until none of it is left."""
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        return
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return
+        assert time.monotonic() < deadline, f"process group {pgid} survived"
+        time.sleep(0.1)

@@ -1,10 +1,10 @@
 """SimSession and the instrumentation bus.
 
-Differential coverage: the fault-injection campaign and the RMT harness now
-construct their cores through :class:`repro.sim.SimSession`; the golden
-files in ``tests/golden/`` were produced by the pre-refactor code paths
-(each harness wiring its own core), so byte-identical payloads prove the
-re-route changed nothing observable.
+Differential coverage: the RMT harness constructs its cores through
+:class:`repro.sim.SimSession`; its golden file in ``tests/golden/`` was
+produced by the pre-refactor code path (the harness wiring its own core),
+so a byte-identical payload proves the re-route changed nothing
+observable.
 """
 
 import json
@@ -25,17 +25,6 @@ from repro.instrument import (
 from repro.sim import SimSession, simulate
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-class TestCampaignDifferential:
-    def test_campaign_matches_pre_refactor_golden(self):
-        from repro.faultinject.campaign import _campaign_payload, run_campaign
-
-        result = run_campaign(["bzip2", "gcc"], injections=500,
-                              sim=SimConfig(max_instructions=1500, seed=11),
-                              seed=7)
-        golden = json.loads((GOLDEN / "golden_campaign.json").read_text())
-        assert _campaign_payload(result) == golden
 
 
 class TestRmtDifferential:

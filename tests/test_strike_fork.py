@@ -13,9 +13,9 @@ import pytest
 from repro.avf.structures import Structure
 from repro.config import DEFAULT_CONFIG, SimConfig
 from repro.faultinject import InjectionOutcome, LiveConfig
-from repro.faultinject.campaign import INJECTABLE
 from repro.faultinject.classify import DigestRecorder
 from repro.faultinject.live import (
+    INJECTABLE,
     LiveBatchJob,
     StrikeSpec,
     _StrikeDriver,

@@ -142,8 +142,12 @@ def dedup_smoke():
     print("serve-smoke OK")
 
 
-def spawn_serve(state_dir, chaos=None):
-    """Start ``repro-sim serve`` on an ephemeral port; return (proc, port)."""
+def spawn_serve(state_dir, chaos=None, new_session=False):
+    """Start ``repro-sim serve`` on an ephemeral port; return (proc, port).
+
+    ``new_session`` starts the server in its own process group, so the
+    pool workers a SIGKILL orphans can be reaped by group afterwards.
+    """
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     env.pop(CHAOS_ENV_VAR, None)
@@ -152,7 +156,8 @@ def spawn_serve(state_dir, chaos=None):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve",
          "--state-dir", str(state_dir), "--port", "0"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        start_new_session=new_session)
     box = {}
     ready = threading.Event()
 
@@ -185,9 +190,11 @@ def recovery_smoke(kill_after):
     print(f"baseline campaign {cid}: {final['batches']['total']} batches, "
           f"artifact {len(baseline_bytes)} bytes")
 
-    # Life one: chaos-slowed batches, then SIGKILL mid-campaign.
+    # Life one: chaos-slowed batches, then SIGKILL mid-campaign.  Its own
+    # process group, so the pool workers the SIGKILL orphans are reaped.
     state = workdir / "state"
-    proc, port = spawn_serve(state, chaos=RECOVERY_CHAOS)
+    proc, port = spawn_serve(state, chaos=RECOVERY_CHAOS, new_session=True)
+    first_life_group = proc.pid
     try:
         status, raw = request(port, "POST", "/campaigns",
                               body=RECOVERY_SPEC)
@@ -237,7 +244,24 @@ def recovery_smoke(kill_after):
     finally:
         proc.send_signal(signal.SIGTERM)
         proc.wait(15)
+        reap_group(first_life_group)
     print("serve-recovery-smoke OK")
+
+
+def reap_group(pgid, timeout=30.0):
+    """SIGKILL process group ``pgid`` and wait until none of it is left."""
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        return
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return
+        assert time.monotonic() < deadline, f"process group {pgid} survived"
+        time.sleep(0.1)
 
 
 def main(argv=None):
