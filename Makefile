@@ -98,11 +98,21 @@ reproduce-smoke:
 # Live fault-injection smoke test: a tiny campaign plus one forced hang,
 # one forced crash and one forced parity detection.  Exit 0 proves the
 # watchdog catches a wedged pipeline and the containment turns a corrupted
-# simulator into a classified DUE instead of a campaign abort.
+# simulator into a classified DUE instead of a campaign abort.  The same
+# campaign runs inline (--jobs 1: every batch struck on one shared driver)
+# and pooled (--jobs 2: one driver per batch); the two summaries must be
+# byte-identical.
+INJECT_SMOKE = PYTHONPATH=src $(PYTHON) -m repro.cli inject gcc mcf \
+	--strikes 6 --structures iq rob --strike-batch 2 \
+	--force hang --force crash --force due --seed 11 --no-cache
+
 inject-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli inject gcc mcf \
-		--strikes 6 --structures iq rob \
-		--force hang --force crash --force due --seed 11
+	mkdir -p $(SMOKE_DIR)
+	$(INJECT_SMOKE) --jobs 1 > $(SMOKE_DIR)/inject-jobs1.txt
+	cat $(SMOKE_DIR)/inject-jobs1.txt
+	$(INJECT_SMOKE) --jobs 2 > $(SMOKE_DIR)/inject-jobs2.txt
+	cmp $(SMOKE_DIR)/inject-jobs1.txt $(SMOKE_DIR)/inject-jobs2.txt
+	rm -f $(SMOKE_DIR)/inject-jobs1.txt $(SMOKE_DIR)/inject-jobs2.txt
 
 # Protection-frontier smoke test: regenerate the protection_frontier
 # artefact at the committed golden's scale and diff it against the

@@ -714,7 +714,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "(repeatable; exercises watchdog and "
                              "containment)")
     inject.add_argument("--strike-batch", type=_positive_int, default=None,
-                        help="strikes per supervised worker task")
+                        help="strikes per supervised task and per "
+                             "batch-cache entry (default 8); the unit of "
+                             "retry, resume and progress, not of a strike "
+                             "driver")
     _add_cache_options(inject)
     _add_resilience_options(inject)
     _add_backend_option(inject)

@@ -38,6 +38,7 @@ from repro.faultinject.live import (
     golden_run,
     machine_capacity,
     plan_live_batches,
+    run_batches,
     run_live_campaign,
     run_one_strike,
 )
@@ -47,4 +48,5 @@ __all__ = ["DigestRecorder", "Watchdog",
            "InjectionOutcome", "LiveBatchJob", "LiveCampaignResult",
            "LiveConfig", "LiveStrikeRecord", "StrikeSpec", "StructureCampaign",
            "draw_strike", "golden_run", "machine_capacity",
-           "plan_live_batches", "run_live_campaign", "run_one_strike"]
+           "plan_live_batches", "run_batches", "run_live_campaign",
+           "run_one_strike"]

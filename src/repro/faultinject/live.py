@@ -3,8 +3,8 @@
 The ACE ledgers (:mod:`repro.avf`) compute each structure's AVF exactly;
 this module measures the same quantity the other way round: it flips a
 bit in a live structure mid-run and watches what the machine does.  One
-golden (fault-free) run per campaign configuration is memoized.  Each
-batch of strikes then drives one session of the same traces with two
+golden (fault-free) run per campaign configuration is memoized.  The
+campaign's strikes then drive one session of the same traces with two
 extra observers on the probe bus:
 
 * a :class:`~repro.faultinject.classify.Watchdog` bounding the run by the
@@ -12,7 +12,8 @@ extra observers on the probe bus:
 * a :class:`~repro.faultinject.classify.DigestRecorder` folding commits
   into the architectural digest that is diffed against the golden one.
 
-The driver advances to each strike's cycle in turn and calls the struck
+The driver advances to each strike's cycle in turn (every pending batch's
+strikes merged in cycle order, :func:`run_batches`) and calls the struck
 structure's ``inject_bit`` hook there; only a strike that lands on live
 state its protection does not resolve gets a faulty run of its own, on a
 fork of the driver (:class:`_StrikeDriver`, :meth:`SMTCore.fork`).
@@ -47,7 +48,7 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum, auto
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -152,7 +153,11 @@ class LiveConfig:
     """Cycles without a single commit before the watchdog trips (0 = off)."""
 
     strike_batch: int = 8
-    """Strikes per supervised task (amortises the worker's golden run)."""
+    """Strikes per supervised task and per batch-cache entry.
+
+    It sets the unit of scheduling, retry, caching and progress reporting,
+    not the scope of a strike driver: the inline campaign strikes every
+    pending batch on one driver (:func:`run_batches`)."""
 
 
 @dataclass(frozen=True)
@@ -494,7 +499,7 @@ def run_one_strike(spec: StrikeSpec,
                    driver: Optional[_StrikeDriver] = None) -> LiveStrikeRecord:
     """Inject one strike, classify it, and leave the traces pristine.
 
-    ``driver`` is a batch's shared driver, not yet past ``spec.cycle``;
+    ``driver`` is a campaign's shared driver, not yet past ``spec.cycle``;
     the strike forks it.  Without one the strike is a batch of one: it
     builds its own driver and strikes it in place.
     """
@@ -694,25 +699,12 @@ class LiveBatchJob:
     def run(self) -> Dict[str, object]:
         """Strike every index of the batch; records in index order.
 
-        One driver serves the whole batch: strikes run in cycle order,
-        each forking the driver where it needs a faulty run of its own.
+        The one-job case of :func:`run_batches`: one driver serves the
+        batch, strikes run in cycle order, each forking the driver where
+        it needs a faulty run of its own.
         """
-        workload = self._workload()
-        golden = golden_run(workload, self.policy, self.config, self.sim)
-        num_threads = len(golden.names)
-        capacity = machine_capacity(self.structure, self.config, num_threads)
-        bits = strike_entry_bits(self.structure)
-        specs = [draw_strike(self.seed, self.structure, index, golden.cycles,
-                             capacity, bits, self.mbu)
-                 for index in self.indices]
-        driver = _StrikeDriver(workload, self.policy, self.config, self.sim,
-                               golden, self.live)
-        records: List[Optional[LiveStrikeRecord]] = [None] * len(specs)
-        for i in sorted(range(len(specs)), key=lambda i: specs[i].cycle):
-            records[i] = run_one_strike(specs[i], workload, self.policy,
-                                        self.config, self.sim, golden,
-                                        self.protection, self.live, driver)
-        return {"records": [record.to_payload() for record in records]}
+        (_, payload), = run_batches([self])
+        return payload
 
     def validate(self, payload: Dict[str, object]) -> None:
         """Reject a payload that is not exactly this batch's records.
@@ -738,6 +730,59 @@ class LiveBatchJob:
             if record.structure is not self.structure:
                 raise ValueError(f"record for {record.structure.value}, "
                                  f"expected {self.structure.value}")
+
+
+def run_batches(jobs: Sequence[LiveBatchJob]
+                ) -> Iterator[Tuple[LiveBatchJob, Dict[str, object]]]:
+    """Strike every batch of one campaign on one shared driver.
+
+    All strikes of ``jobs`` are drawn up front (a draw depends only on
+    seed, structure and index), merged in cycle order, and struck on a
+    single :class:`_StrikeDriver` that advances once through the golden
+    run.  Each ``(job, payload)`` — records in the job's index order — is
+    yielded as soon as the job's last strike is classified, so batches
+    complete in order of their last strike's cycle, not in ``jobs`` order;
+    the payload bytes are those of the job run alone.
+
+    Raises ``ValueError`` if the jobs disagree on anything but
+    ``structure`` and ``indices``: every other field shapes the driver.
+    """
+    jobs = list(jobs)
+    if not jobs:
+        return
+    first = jobs[0]
+    for job in jobs[1:]:
+        if replace(job, structure=first.structure,
+                   indices=first.indices) != first:
+            raise ValueError(f"{job.label} (digest {job.digest()[:12]}) is "
+                             f"not a batch of the campaign of {first.label}")
+    workload = first._workload()
+    golden = golden_run(workload, first.policy, first.config, first.sim)
+    num_threads = len(golden.names)
+    strikes: List[Tuple[StrikeSpec, int, int]] = []
+    for j, job in enumerate(jobs):
+        capacity = machine_capacity(job.structure, job.config, num_threads)
+        bits = strike_entry_bits(job.structure)
+        strikes += [(draw_strike(job.seed, job.structure, index,
+                                 golden.cycles, capacity, bits, job.mbu), j, i)
+                    for i, index in enumerate(job.indices)]
+    for job in jobs:
+        if not job.indices:
+            yield job, {"records": []}
+    records: List[List[Optional[LiveStrikeRecord]]] = [
+        [None] * len(job.indices) for job in jobs]
+    pending = [len(job.indices) for job in jobs]
+    driver = _StrikeDriver(workload, first.policy, first.config, first.sim,
+                           golden, first.live)
+    # A stable sort: equal cycles keep plan order.
+    for spec, j, i in sorted(strikes, key=lambda strike: strike[0].cycle):
+        records[j][i] = run_one_strike(spec, workload, first.policy,
+                                       first.config, first.sim, golden,
+                                       first.protection, first.live, driver)
+        pending[j] -= 1
+        if not pending[j]:
+            yield jobs[j], {"records": [record.to_payload()
+                                        for record in records[j]]}
 
 
 def _batched(indices: Sequence[int], batch: int) -> List[Tuple[int, ...]]:
@@ -812,14 +857,22 @@ def run_live_campaign(workload: Union[WorkloadMix, Sequence[str]],
 
     ``injections`` strikes per structure are sampled, injected and
     classified against the golden run; ``forced`` adds guaranteed-outcome
-    probe strikes (:data:`FORCED_KINDS`) reported separately.  With
-    ``jobs > 1`` or an explicit ``supervisor``, strike batches execute on
-    the supervised worker pool (timeouts, retries, resume via the
-    supervisor's journal); results are identical either way.  ``cache_dir``
-    persists each batch as ``live-<digest>.json``.  ``on_batch(job,
-    payload)`` fires as each batch lands (including batches answered by
-    the cache) — the campaign service streams partial Wilson intervals
-    from it.
+    probe strikes (:data:`FORCED_KINDS`) reported separately.
+
+    Inline (``jobs == 1``, no ``supervisor``), the batches the cache does
+    not answer run together on one strike driver (:func:`run_batches`):
+    the golden run is advanced once for the whole campaign, and each batch
+    lands when its last strike — in cycle order — is classified.  With
+    ``jobs > 1`` or an explicit ``supervisor``, each batch executes on the
+    supervised worker pool with a driver of its own (timeouts, retries,
+    resume via the supervisor's journal).  Records are identical either
+    way.
+
+    ``cache_dir`` persists each batch as ``live-<digest>.json``.
+    ``on_batch(job, payload)`` fires once per batch as it lands: first the
+    batches answered by the cache, in plan order, then the executed ones
+    in completion order (inline: by last strike cycle, not plan order).
+    The campaign service streams partial Wilson intervals from it.
     """
     config = config or DEFAULT_CONFIG
     base_sim = sim or SimConfig(max_instructions=600)
@@ -923,11 +976,10 @@ def run_live_campaign(workload: Union[WorkloadMix, Sequence[str]],
     cached = 0
     executed = 0
     if supervisor is None and jobs == 1:
-        for job in jobs_list:
-            if already_done(job):
-                cached += 1
-                continue
-            commit(job, job.run())
+        pending = [job for job in jobs_list if not already_done(job)]
+        cached = len(jobs_list) - len(pending)
+        for job, payload in run_batches(pending):
+            commit(job, payload)
             executed += 1
     else:
         if supervisor is None:

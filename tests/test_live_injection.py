@@ -21,7 +21,6 @@ from repro.config import DEFAULT_CONFIG, SimConfig
 from repro.errors import ReproError, StructureError
 from repro.faultinject import (
     InjectionOutcome,
-    LiveBatchJob,
     LiveConfig,
     plan_live_batches,
     run_live_campaign,
@@ -435,12 +434,13 @@ class TestBatchValidation:
         entry.write_text(json.dumps({"schema": json.loads(
             entry.read_text())["schema"], "records": []}))
 
-        def refuse(job):
+        def refuse(jobs):
             raise RuntimeError("no recompute")
 
         # With the batch unable to rerun, nothing rewrites the entry: it
-        # must be gone because loading it refused and removed it.
-        monkeypatch.setattr(LiveBatchJob, "run", refuse)
+        # must be gone because loading it refused and removed it.  The
+        # inline campaign strikes its pending batches through run_batches.
+        monkeypatch.setattr("repro.faultinject.live.run_batches", refuse)
         with pytest.raises(RuntimeError, match="no recompute"):
             run_live_campaign(**kwargs)
         assert not entry.exists()

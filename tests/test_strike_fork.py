@@ -1,18 +1,25 @@
-"""Forking a paused core, and the batch driver that forks it per strike.
+"""Forking a paused core, and the strike driver that forks it per strike.
 
-A live batch advances one golden driver core through its strikes in cycle
-order and forks it only for strikes that need a faulty run of their own.
-That shortcut must be invisible: a fork run to the end is the unforked
-run, the driver is untouched by its forks, and every strike of a forked
-batch gets exactly the record it gets as a batch of one (its own driver,
-struck in place, never forked).
+A live campaign advances one golden driver core through all its pending
+strikes in cycle order and forks it only for strikes that need a faulty
+run of their own.  Those shortcuts must be invisible: a fork run to the
+end is the unforked run, the driver is untouched by its forks, every
+strike of a forked batch gets exactly the record it gets as a batch of
+one (its own driver, struck in place, never forked), and every batch of
+a campaign struck on one shared driver gets exactly the payload it gets
+run alone.
 """
+
+import json
+from collections import OrderedDict
+from dataclasses import replace
 
 import pytest
 
 from repro.avf.structures import Structure
 from repro.config import DEFAULT_CONFIG, SimConfig
 from repro.faultinject import InjectionOutcome, LiveConfig
+from repro.faultinject import live as live_module
 from repro.faultinject.classify import DigestRecorder
 from repro.faultinject.live import (
     INJECTABLE,
@@ -22,6 +29,9 @@ from repro.faultinject.live import (
     draw_strike,
     golden_run,
     machine_capacity,
+    plan_live_batches,
+    run_batches,
+    run_live_campaign,
     run_one_strike,
 )
 from repro.pipeline.core import SMTCore
@@ -224,6 +234,181 @@ class TestBatchDifferential:
         assert forked[1].detail.startswith("contained StructureError")
         for spec, record in zip((early, CONTAINED_DUE, late), forked):
             assert record.to_payload() == _alone(spec, none).to_payload()
+
+
+# -- one campaign driver == every batch alone -------------------------------------
+
+
+def _campaign(structures, seed, protection=ProtectionScheme.NONE,
+              mbu=MbuConfig(), injections=8, strike_batch=4):
+    return plan_live_batches(list(WORKLOAD), injections=injections,
+                             structures=structures, sim=SIM, seed=seed,
+                             protection=protection, mbu=mbu,
+                             live=replace(LIVE, strike_batch=strike_batch))
+
+
+def _assert_campaign_matches_alone(jobs):
+    """Strike ``jobs`` on one shared driver; every batch's payload must be
+    byte-equal to the batch run alone.  Returns the shared-driver records."""
+    shared = {}
+    for job, payload in run_batches(jobs):
+        assert job.digest() not in shared, f"{job.label} yielded twice"
+        shared[job.digest()] = payload
+    assert len(shared) == len(jobs)
+    records = []
+    for job in jobs:
+        payload = shared[job.digest()]
+        job.validate(payload)
+        assert (json.dumps(payload, sort_keys=True)
+                == json.dumps(job.run(), sort_keys=True)), job.label
+        records += payload["records"]
+    return records
+
+
+class TestCampaignDifferential:
+    def test_all_structures_unprotected_single_bit(self):
+        records = _assert_campaign_matches_alone(
+            _campaign(INJECTABLE, seed=21))
+        assert len(records) == 8 * len(INJECTABLE)
+        assert {"MASKED_IDLE", "MASKED", "SDC"} <= {r["outcome"]
+                                                     for r in records}
+
+    @pytest.mark.parametrize("scheme", [ProtectionScheme.NONE,
+                                        ProtectionScheme.PARITY,
+                                        ProtectionScheme.SECDED])
+    def test_multi_bit_under_protection(self, scheme):
+        records = _assert_campaign_matches_alone(
+            _campaign((Structure.IQ, Structure.LSQ_TAG), seed=7,
+                      protection=scheme, mbu=MbuConfig(max_len=3)))
+        assert any(r.get("cluster_len", 1) > 1 for r in records)
+        if scheme is not ProtectionScheme.NONE:
+            assert "DUE" in {r["outcome"] for r in records}
+
+    def test_rob_batch_with_a_hang(self):
+        # Seed 2's ROB strike 10 (the HANG of TestBatchDifferential) in
+        # the second of three ROB batches, next to two IQ batches.
+        records = _assert_campaign_matches_alone(
+            _campaign((Structure.IQ, Structure.ROB), seed=2, injections=12))
+        assert any(r["outcome"] == "HANG" and r["index"] == 10
+                   for r in records)
+
+    def test_contained_exception_due(self, monkeypatch):
+        # No drawn strike of this configuration crashes the simulator, so
+        # ROB strike 5 is replaced by the known contained-exception DUE —
+        # in the shared-driver campaign and in the batch run alone alike.
+        original = draw_strike
+
+        def draw(seed, structure, index, *args):
+            if structure is Structure.ROB and index == 5:
+                return replace(CONTAINED_DUE, index=index)
+            return original(seed, structure, index, *args)
+
+        monkeypatch.setattr(live_module, "draw_strike", draw)
+        records = _assert_campaign_matches_alone(
+            _campaign((Structure.ROB, Structure.REG), seed=3))
+        due = next(r for r in records
+                   if r["structure"] == "ROB" and r["index"] == 5)
+        assert due["outcome"] == "DUE"
+        assert due["detail"].startswith("contained StructureError")
+
+    def test_partly_warm_cache_strikes_only_pending_batches(
+            self, tmp_path, monkeypatch):
+        kw = dict(injections=8, structures=(Structure.IQ, Structure.REG),
+                  sim=SIM, seed=9, live=replace(LIVE, strike_batch=4))
+        run_live_campaign(list(WORKLOAD), cache_dir=tmp_path, **kw)
+        entries = {path.name: path.read_bytes()
+                   for path in tmp_path.glob("live-*.json")}
+        jobs = plan_live_batches(list(WORKLOAD), **kw)
+        pending = jobs[1::2]
+        for job in pending:
+            (tmp_path / f"live-{job.digest()}.json").unlink()
+
+        struck = []
+        original = run_one_strike
+
+        def spy(spec, *args):
+            struck.append((spec.structure.value, spec.index))
+            return original(spec, *args)
+
+        monkeypatch.setattr(live_module, "run_one_strike", spy)
+        again = run_live_campaign(list(WORKLOAD), cache_dir=tmp_path, **kw)
+        assert (again.batches_cached, again.batches_executed) == (2, 2)
+        assert sorted(struck) == sorted(
+            (job.structure.value, index)
+            for job in pending for index in job.indices)
+        assert {path.name: path.read_bytes()
+                for path in tmp_path.glob("live-*.json")} == entries
+        monkeypatch.undo()
+        _assert_campaign_matches_alone(pending)
+
+
+# -- the inline campaign's shape ------------------------------------------------------
+
+
+class TestInlineCampaignShape:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Count driver constructions and functional warmups, starting from
+        an empty golden-run memo."""
+        counts = {"drivers": 0, "warmups": 0}
+        init = _StrikeDriver.__init__
+        warmup = live_module.functional_warmup
+
+        def counted_init(self, *args, **kwargs):
+            counts["drivers"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_warmup(*args):
+            counts["warmups"] += 1
+            return warmup(*args)
+
+        monkeypatch.setattr(_StrikeDriver, "__init__", counted_init)
+        monkeypatch.setattr(live_module, "functional_warmup", counted_warmup)
+        monkeypatch.setattr(live_module, "_GOLDEN_MEMO", OrderedDict())
+        return counts
+
+    @pytest.mark.parametrize("strike_batch", [1, 3, 6])
+    def test_one_driver_and_two_warmups_whatever_the_batch_count(
+            self, counts, strike_batch):
+        landed = []
+        result = run_live_campaign(
+            list(WORKLOAD), injections=6,
+            structures=(Structure.IQ, Structure.ROB), sim=SIM, seed=4,
+            live=replace(LIVE, strike_batch=strike_batch),
+            on_batch=lambda job, payload: landed.append((job, payload)))
+        batches = 2 * (6 // strike_batch)
+        assert counts == {"drivers": 1, "warmups": 2}
+        assert (result.batches_cached, result.batches_executed) == (
+            0, batches)
+        assert len(landed) == batches
+        assert len({job.digest() for job, _ in landed}) == batches
+        for job, payload in landed:
+            job.validate(payload)  # one record per index, in index order
+            assert [r["index"] for r in payload["records"]] == list(
+                job.indices)
+
+    def test_batch_counts_with_a_cache(self, counts, tmp_path):
+        kw = dict(injections=6, structures=(Structure.IQ,), sim=SIM, seed=4,
+                  live=replace(LIVE, strike_batch=2), cache_dir=tmp_path)
+        first = run_live_campaign(list(WORKLOAD), **kw)
+        assert (first.batches_cached, first.batches_executed) == (0, 3)
+        landed = []
+        warm = run_live_campaign(
+            list(WORKLOAD), on_batch=lambda job, _: landed.append(job), **kw)
+        assert (warm.batches_cached, warm.batches_executed) == (3, 0)
+        assert len(landed) == 3
+        assert counts["drivers"] == 1  # the warm run struck nothing
+        assert warm.summary() == first.summary()
+
+    @pytest.mark.parametrize("change", [{"seed": 22},
+                                        {"protection": ProtectionConfig.coerce(
+                                            ProtectionScheme.PARITY)}],
+                             ids=["seed", "protection"])
+    def test_jobs_of_two_campaigns_are_refused(self, change):
+        job = _job(Structure.IQ, range(4), seed=21)
+        other = replace(job, indices=(4, 5, 6, 7), **change)
+        with pytest.raises(ValueError, match="not a batch of the campaign"):
+            next(run_batches([job, other]))
 
 
 # -- short-circuits never fork ------------------------------------------------------
