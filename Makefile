@@ -82,17 +82,21 @@ reproduce:
 # simulation checks its conservation invariants every 64 cycles, the second
 # run must simulate nothing (served from the warm cache) and render
 # byte-identical output.
+SMOKE_ARTEFACTS = fig1_avf_profile,injection_validation
+
 reproduce-smoke:
 	rm -rf $(SMOKE_DIR)
-	PYTHONPATH=src $(PYTHON) -m repro.cli reproduce --only fig1_avf_profile \
+	PYTHONPATH=src $(PYTHON) -m repro.cli reproduce --only $(SMOKE_ARTEFACTS) \
 		--scale 300 --jobs 2 --check-invariants=64 \
 		--cache-dir $(SMOKE_DIR)/cache --out $(SMOKE_DIR)/run1
-	PYTHONPATH=src $(PYTHON) -m repro.cli reproduce --only fig1_avf_profile \
+	PYTHONPATH=src $(PYTHON) -m repro.cli reproduce --only $(SMOKE_ARTEFACTS) \
 		--scale 300 --jobs 2 --check-invariants=64 \
 		--cache-dir $(SMOKE_DIR)/cache --out $(SMOKE_DIR)/run2 \
 		| tee $(SMOKE_DIR)/second.log
 	grep -q "simulated 0 runs" $(SMOKE_DIR)/second.log
 	cmp $(SMOKE_DIR)/run1/fig1_avf_profile.txt $(SMOKE_DIR)/run2/fig1_avf_profile.txt
+	cmp $(SMOKE_DIR)/run1/injection_validation.txt \
+		$(SMOKE_DIR)/run2/injection_validation.txt
 	rm -rf $(SMOKE_DIR)
 
 # Live fault-injection smoke test: a tiny campaign plus one forced hang,

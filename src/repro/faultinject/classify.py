@@ -84,8 +84,7 @@ class DigestRecorder:
             1
             for thread in core.threads
             for instr in thread.trace.instrs
-            if instr.value_tag and instr.is_ace
-            and instr.fetched_at >= 0 and instr.committed_at < 0)
+            if _pending(instr))
         self.finalized = True
 
     def fork(self) -> "DigestRecorder":
@@ -116,6 +115,73 @@ class DigestRecorder:
         }
         blob = json.dumps(payload, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _pending(instr) -> bool:
+    """Would :meth:`DigestRecorder.on_finalize` count ``instr``'s taint as
+    pending: tainted, ACE, fetched by this run and not committed?"""
+    return bool(instr.value_tag and instr.is_ace
+                and instr.fetched_at >= 0 and instr.committed_at < 0)
+
+
+# -- live taint ------------------------------------------------------------------
+#
+# Where taint can still be found, either by the digest at the end of the run
+# or by a later read that would carry it on.  Each clause is one place; a
+# run none of them finds taint in can never taint anything again, because
+# taint only spreads from taint.
+
+
+def _arch_taint(core, recorder: DigestRecorder) -> bool:
+    """A committed register value the digest holds as tainted."""
+    return bool(recorder._arch)
+
+
+def _memory_taint(core, recorder: DigestRecorder) -> bool:
+    """A committed memory word: a later load reads it, the digest hashes it."""
+    return bool(core.mem_tags)
+
+
+def _rob_taint(core, recorder: DigestRecorder) -> bool:
+    """An in-flight instruction, wrong-path or dead ones included (the IQ,
+    LSQ, functional units and event queue hold only ROB instructions)."""
+    return any(instr.value_tag for thread in core.threads
+               for instr in thread.rob)
+
+
+def _decode_taint(core, recorder: DigestRecorder) -> bool:
+    """A fetched instruction waiting for rename."""
+    return any(instr.value_tag for thread in core.threads
+               for _ready, instr in thread.decode_queue)
+
+
+def _register_taint(core, recorder: DigestRecorder) -> bool:
+    """An allocated physical register a later consumer may read."""
+    return core.regfile.holds_taint()
+
+
+def _pending_taint(core, recorder: DigestRecorder) -> bool:
+    """A trace instruction :meth:`DigestRecorder.on_finalize` would count
+    as pending if the run ended now."""
+    return any(_pending(instr) for thread in core.threads
+               for instr in thread.trace.instrs)
+
+
+#: Every place live taint can sit, cheapest check first.
+LIVE_TAINT = (_arch_taint, _memory_taint, _rob_taint, _decode_taint,
+              _register_taint, _pending_taint)
+
+
+def taint_live(core, recorder: DigestRecorder) -> bool:
+    """True while ``core`` (observed by ``recorder``) holds taint anywhere
+    the digest or a later read can find it (:data:`LIVE_TAINT`).
+
+    Once it holds none, the rest of a run whose kernel decisions match
+    the fault-free run's commits exactly what that run commits, untainted.
+    The recorder's tainted-control and tainted-store counts are not live
+    taint: they only grow, and either one nonzero already decides SDC.
+    """
+    return any(clause(core, recorder) for clause in LIVE_TAINT)
 
 
 class Watchdog:

@@ -16,7 +16,12 @@ The driver advances to each strike's cycle in turn (every pending batch's
 strikes merged in cycle order, :func:`run_batches`) and calls the struck
 structure's ``inject_bit`` hook there; only a strike that lands on live
 state its protection does not resolve gets a faulty run of its own, on a
-fork of the driver (:class:`_StrikeDriver`, :meth:`SMTCore.fork`).
+fork of the driver (:class:`_StrikeDriver`, :meth:`SMTCore.fork`).  The
+driver, and so every faulty run, is ledger-free (``SimSession(ledger=False)``):
+reported AVF comes from the golden run alone.  A faulty run whose strike
+wrote only taint (``StrikeReceipt.taint_only``) is the golden run cycle
+for cycle, so it stops as soon as its outcome is decided
+(:func:`_run_faulty`); a structural strike runs to the end.
 
 Outcomes (:class:`InjectionOutcome`):
 ``MASKED_IDLE`` (struck slot empty), ``MASKED`` (digest identical),
@@ -56,7 +61,7 @@ from repro.avf.bits import structure_capacity
 from repro.avf.structures import PRIVATE_STRUCTURES, Structure
 from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
 from repro.errors import HangDetected, ReproError
-from repro.faultinject.classify import DigestRecorder, Watchdog
+from repro.faultinject.classify import DigestRecorder, Watchdog, taint_live
 from repro.metrics.reliability import wilson_interval
 from repro.protection import ProtectionConfig, ProtectionScheme
 from repro.protection.config import CoercibleProtection
@@ -379,16 +384,21 @@ class _ForcedCrash:
 #: A decided strike: (outcome, detail).
 _Verdict = Tuple[InjectionOutcome, str]
 
+#: Cycles a taint-only faulty run advances between checks of whether its
+#: outcome is decided.
+DECIDE_EVERY = 8
+
 
 def _contained(run, *args) -> Optional[_Verdict]:
-    """Call ``run(*args)``; map whatever a struck simulator raises to its
-    outcome, or return None when it returned normally.
+    """Call ``run(*args)`` and return what it returns — a verdict, or None
+    while the strike is undecided; map whatever a struck simulator raises
+    to its outcome.
 
     Nothing a strike does — hang, raise, corrupt — escapes this function,
     so no strike can abort a campaign.
     """
     try:
-        run(*args)
+        return run(*args)
     except HangDetected as exc:
         return InjectionOutcome.HANG, str(exc)
     except (KeyboardInterrupt, SystemExit, MemoryError):
@@ -398,6 +408,34 @@ def _contained(run, *args) -> Optional[_Verdict]:
         # IndexError in a perturbed queue, ...): the hardware analogue of
         # a machine-check — detected, unrecoverable, contained.
         return InjectionOutcome.DUE, f"contained {type(exc).__name__}: {exc}"
+
+
+def _digest_recorder(core) -> DigestRecorder:
+    return next(sub for sub in core.instruments.bus.subscribers
+                if isinstance(sub, DigestRecorder))
+
+
+def _run_faulty(core, taint_only: bool) -> Optional[_Verdict]:
+    """Run a struck ``core`` until its outcome is decided; None when it
+    ran to the end, to be classified by its digest.
+
+    A structural strike runs to the end.  A taint-only one cannot change
+    any kernel decision — no stage reads a tag — so its run is the golden
+    run cycle for cycle and can end only MASKED or SDC, never HANG or
+    DUE.  Every :data:`DECIDE_EVERY` cycles it stops as SDC once a
+    tainted control-flow instruction or store has committed (those counts
+    only grow, and the golden digest has none), or as MASKED once no taint
+    is live (:func:`~repro.faultinject.classify.taint_live`).
+    """
+    if not taint_only:
+        core.run()
+        return None
+    recorder = _digest_recorder(core)
+    while core.run(core.cycle + DECIDE_EVERY) is None:
+        if recorder.tainted_control or recorder.tainted_stores:
+            return InjectionOutcome.SDC, ""
+        if not taint_live(core, recorder):
+            return InjectionOutcome.MASKED, ""
     return None
 
 
@@ -406,7 +444,10 @@ class _StrikeDriver:
 
     Built exactly as a faulty run is: the golden run's memoized traces, a
     cycle budget of ``budget_factor`` x the golden length plus slack, a
-    :class:`DigestRecorder`, a :class:`Watchdog` and one functional warmup.
+    :class:`DigestRecorder`, a :class:`Watchdog`, one functional warmup
+    and no AVF ledger (``ledger=False``: faulty runs are classified by
+    digest, and none of the ledger's auditors, recorders or trackers —
+    which cannot be forked — is subscribed, whatever ``sim`` asks for).
     Until something is injected it *is* the golden run, so it is advanced
     from strike to strike (``run(until=cycle)``) and only an applied,
     unresolved strike needs a run of its own: a fork of the driver
@@ -425,7 +466,7 @@ class _StrikeDriver:
                              observers=(DigestRecorder(),
                                         Watchdog(limit, live.progress_window),
                                         *hooks),
-                             taint=True)
+                             taint=True, ledger=False)
         self.core = session.core
         #: Set once the driver itself stopped (it never does on a sane
         #: golden run); every later strike would stop the same way first.
@@ -435,19 +476,21 @@ class _StrikeDriver:
                                       golden.traces)
 
     def advance(self, cycle: int) -> None:
-        """Run the driver up to and including cycle ``cycle``'s hooks."""
+        """Run the driver up to and including cycle ``cycle``'s hooks.
+
+        The driver is the golden run and strikes fall within it, so the
+        run pauses (returns None) rather than finishing."""
         if self.failure is None:
             self.failure = _contained(self.core.run, cycle)
 
-    def finish(self, core) -> _Verdict:
-        """Run ``core`` (the driver or a fork of it) to the end, contained,
-        and classify it by its architectural digest."""
-        verdict = _contained(core.run)
+    def finish(self, core, taint_only: bool = False) -> _Verdict:
+        """Run ``core`` (the driver or a fork of it), contained, until its
+        outcome is decided (:func:`_run_faulty`); a run that reached the
+        end is classified by its architectural digest."""
+        verdict = _contained(_run_faulty, core, taint_only)
         if verdict is not None:
             return verdict
-        recorder = next(sub for sub in core.instruments.bus.subscribers
-                        if isinstance(sub, DigestRecorder))
-        if recorder.digest() == self.golden.digest:
+        if _digest_recorder(core).digest() == self.golden.digest:
             return InjectionOutcome.MASKED, ""
         return InjectionOutcome.SDC, ""
 
@@ -458,9 +501,9 @@ class _StrikeDriver:
         The strike first probes the driver: an empty slot is masked by
         idleness and a burst the protection scheme resolves is undone —
         both decided without simulating a cycle.  Otherwise the strike
-        runs to the end on a fork (``fork=True``; the driver is restored
-        and stays golden) or on the driver itself.  Returns (outcome,
-        detail, target).
+        runs until its outcome is decided (:meth:`finish`) on a fork
+        (``fork=True``; the driver is restored and stays golden) or on the
+        driver itself.  Returns (outcome, detail, target).
         """
         if self.failure is not None:
             return (*self.failure, "")
@@ -476,7 +519,8 @@ class _StrikeDriver:
             return outcome, f"protection: {resolution}", receipt.target
         if not fork:
             try:
-                return (*self.finish(self.core), receipt.target)
+                return (*self.finish(self.core, receipt.taint_only),
+                        receipt.target)
             finally:
                 # Trace objects outlive this run: restore any struck
                 # trace-owned field (e.g. a flipped mem_addr).
@@ -485,7 +529,7 @@ class _StrikeDriver:
             victim = self.core.fork()
         finally:
             receipt.undo()
-        return (*self.finish(victim), receipt.target)
+        return (*self.finish(victim, receipt.taint_only), receipt.target)
 
 
 # -- strikes -----------------------------------------------------------------------

@@ -111,6 +111,15 @@ class Instrumentation:
         self.dl1_observer = dl1_observer
         self.dtlb_observer = dtlb_observer
 
+    @property
+    def observes_residency(self) -> bool:
+        """Whether anything reads residency: a subscriber on the residency
+        probe, or the ledger's cache/TLB observers.  Without one, the
+        end-of-run drain that closes every open interval has no reader."""
+        return (self.probe is not NULL_PROBE
+                or self.dl1_observer is not None
+                or self.dtlb_observer is not None)
+
     def fork(self) -> "Instrumentation":
         """The same wiring over independent copies of every subscriber.
 

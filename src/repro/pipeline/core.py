@@ -111,7 +111,8 @@ class SMTCore:
 
     @property
     def engine(self):
-        """The residency ledger exposed for reporting and audits."""
+        """The residency ledger exposed for reporting and audits (None in
+        a ledger-free session)."""
         return self.instruments.ledger
 
     # -- public queries used by fetch policies -----------------------------------------
@@ -154,7 +155,9 @@ class SMTCore:
         ``until``, the run pauses once cycle ``until``'s hooks have run
         (or at once, if the core is already there) and returns None
         without draining or finalizing; a later call resumes it.  A run
-        that completes before cycle ``until`` finishes normally.
+        that completes before cycle ``until`` finishes normally.  The
+        drain at the end feeds the residency observers, so a run nothing
+        observes residency of (a ledger-free session) skips it.
         """
         while until is None or self.cycle < until:
             if self._done():
@@ -177,7 +180,8 @@ class SMTCore:
                     hook.on_cycle(self)
         else:
             return None  # paused after cycle ``until``
-        self._drain()
+        if self.instruments.observes_residency:
+            self._drain()
         for hook in self.instruments.finalize_hooks:
             hook.on_finalize(self)
         return self.measured_cycles

@@ -108,6 +108,14 @@ class SimSession:
     Attributes of interest after construction: ``core``, ``engine`` (the
     AVF ledger), ``recorder`` (interval recorder, or None), ``auditor``,
     ``phase_tracker``, ``names``, ``traces``, ``policy``, ``bus``.
+
+    ``ledger=False`` builds a *ledger-free* session: no ``AvfEngine``
+    (``engine`` and ``core.engine`` are None) and none of the observers
+    that read it — interval recorder, phase tracker, auditor — whatever
+    ``sim`` asks for, so only ``observers`` subscribe.  The run then pays
+    nothing for residency or cache-AVF bookkeeping, its end-of-run drain
+    is skipped, and :meth:`package` refuses: there is no AVF to report.
+    Live fault injection's faulty runs are built this way.
     """
 
     def __init__(self, workload: WorkloadSpec,
@@ -118,7 +126,8 @@ class SimSession:
                  trace_out: Optional[str] = None,
                  observers: Sequence[object] = (),
                  taint: bool = False,
-                 backend: Optional[str] = None) -> None:
+                 backend: Optional[str] = None,
+                 *, ledger: bool = True) -> None:
         self.config = config or DEFAULT_CONFIG
         self.backend = resolve_backend(backend)
         self.sim = sim or SimConfig()
@@ -132,23 +141,13 @@ class SimSession:
         self.policy = create_policy(policy) if isinstance(policy, str) else policy
 
         self.bus = ProbeBus()
-        self.engine = self.bus.subscribe(
-            AvfEngine(self.config, len(traces)))
-        self.recorder = None
-        if self.sim.record_intervals:
-            self.recorder = self.bus.subscribe(IntervalRecorder())
-        self.phase_tracker = None
-        if self.sim.phase_window_cycles > 0:
-            self.phase_tracker = self.bus.subscribe(
-                PhaseTracker(self.engine, self.sim.phase_window_cycles))
-        self.auditor = None
-        writer = TraceWriter(trace_out) if trace_out is not None else None
-        if self.sim.check_invariants > 0 or writer is not None:
-            self.auditor = self.bus.subscribe(
-                SimAuditor(check_every=self.sim.check_invariants,
-                           trace_writer=writer))
-        if writer is not None:
-            self.bus.subscribe(writer)
+        self.engine = self.recorder = None
+        self.phase_tracker = self.auditor = None
+        if ledger:
+            self._subscribe_ledger(trace_out)
+        elif trace_out is not None:
+            raise ConfigError("a ledger-free session cannot write an event "
+                              "trace: the trace writer rides on the auditor")
         # Extra observers (live fault injection's digest recorder, watchdog
         # and strike hook) subscribe after the standard set; none of them
         # implements the residency protocol, so the single-subscriber fast
@@ -163,6 +162,23 @@ class SimSession:
             self.bus.attach(ledger=self.engine,
                             recorder=self.recorder,
                             taint=taint))
+
+    def _subscribe_ledger(self, trace_out: Optional[str]) -> None:
+        """The ledger, then whichever of its dependents ``sim`` asks for."""
+        self.engine = self.bus.subscribe(
+            AvfEngine(self.config, len(self.traces)))
+        if self.sim.record_intervals:
+            self.recorder = self.bus.subscribe(IntervalRecorder())
+        if self.sim.phase_window_cycles > 0:
+            self.phase_tracker = self.bus.subscribe(
+                PhaseTracker(self.engine, self.sim.phase_window_cycles))
+        writer = TraceWriter(trace_out) if trace_out is not None else None
+        if self.sim.check_invariants > 0 or writer is not None:
+            self.auditor = self.bus.subscribe(
+                SimAuditor(check_every=self.sim.check_invariants,
+                           trace_writer=writer))
+        if writer is not None:
+            self.bus.subscribe(writer)
 
     def run(self) -> SimResult:
         """Optionally warm functionally, run the core, package the result."""
@@ -252,6 +268,11 @@ def package_result(core: SMTCore, workload: WorkloadSpec, names: List[str],
         raise SimulationError(
             f"simulation finished after {cycles} cycles; a degenerate run "
             "has no IPC (did the instruction budget round down to zero?)")
+    if core.engine is None:
+        raise SimulationError(
+            "cannot package a ledger-free run: it kept no AVF ledger "
+            "(SimSession(ledger=False) is for live fault injection's "
+            "faulty runs, which are classified by digest)")
     if auditor is None or phase_tracker is None:
         # Callers holding only the core (legacy ``_package`` signature):
         # recover the observers from the bus the core was wired with.

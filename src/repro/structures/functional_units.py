@@ -36,11 +36,14 @@ class FunctionalUnitPool:
         self._busy: Dict[FUType, List[Tuple[int, DynInstr]]] = {
             fu: [] for fu in FUType
         }
+        # Execution latency per operation class, fixed by the config.
+        self._latency: Dict[OpClass, int] = {
+            op: execution_latency(op, config) for op in OpClass}
         self.issued_ops = 0
         self.busy_unit_cycles = 0
 
     def latency_of(self, op: OpClass) -> int:
-        return execution_latency(op, self._config)
+        return self._latency[op]
 
     def available(self, fu: FUType) -> int:
         return self._counts[fu] - len(self._busy[fu])

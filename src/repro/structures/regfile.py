@@ -127,6 +127,10 @@ class PhysicalRegisterFile:
         meta = self._meta.get(phys)
         return meta.tag if meta is not None else 0
 
+    def holds_taint(self) -> bool:
+        """True when any allocated register carries taint (live injection)."""
+        return any(meta.tag for meta in self._meta.values())
+
     def note_read(self, phys: Optional[int], cycle: int, ace_reader: bool) -> None:
         """A consumer issued and read this register."""
         if phys is None:

@@ -8,7 +8,7 @@ known.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, Iterator, List, Optional
 
 from repro.errors import StructureError
 from repro.instrument import ResidencyProbe, Structure
@@ -32,6 +32,10 @@ class ReorderBuffer:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def __iter__(self) -> Iterator[DynInstr]:
+        """Entries from head (oldest) to tail."""
+        return iter(self._entries)
 
     @property
     def full(self) -> bool:

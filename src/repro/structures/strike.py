@@ -214,6 +214,13 @@ def cluster_token(structure: Structure, bits: Tuple[int, ...]) -> int:
     return token or payload_token(structure, bits[0])
 
 
+#: Attributes that hold only taint: an instruction's ``value_tag`` and a
+#: physical register's ``tag``.  No pipeline stage reads either to make a
+#: decision — taint only flows — so a strike that wrote nothing else
+#: leaves the run cycle-for-cycle the fault-free one.
+TAINT_ATTRS = frozenset({"value_tag", "tag"})
+
+
 class StrikeReceipt:
     """What one ``inject_bit`` call did, and how to take it back.
 
@@ -223,14 +230,20 @@ class StrikeReceipt:
     campaigns share trace objects across strikes, and a flip may land on
     a trace-owned field (``mem_addr``) that per-fetch pipeline resets do
     not cover.
+
+    ``taint_only`` is True while every recorded attribute is one of
+    :data:`TAINT_ATTRS`; a strike that also wrote a scheduling, status or
+    address field (``pending_srcs``, ``completed_at``, ``mem_addr``) is
+    *structural*.  It keeps its value after ``undo()``.
     """
 
-    __slots__ = ("applied", "target", "field", "_undo")
+    __slots__ = ("applied", "target", "field", "taint_only", "_undo")
 
     def __init__(self, applied: bool, target: str, field: str = "") -> None:
         self.applied = applied
         self.target = target
         self.field = field
+        self.taint_only = True
         self._undo: List[Tuple[object, str, object]] = []
 
     @classmethod
@@ -240,6 +253,8 @@ class StrikeReceipt:
     def record(self, obj: object, attr: str) -> None:
         """Snapshot ``obj.attr`` for undo; call before mutating it."""
         self._undo.append((obj, attr, getattr(obj, attr)))
+        if attr not in TAINT_ATTRS:
+            self.taint_only = False
 
     def undo(self) -> None:
         for obj, attr, value in reversed(self._undo):

@@ -14,7 +14,8 @@ import pytest
 
 from repro.avf.engine import AvfEngine
 from repro.config import DEFAULT_CONFIG, SimConfig
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError, SimulationError
+from repro.faultinject.classify import DigestRecorder
 from repro.instrument import (
     NULL_PROBE,
     IntervalRecorder,
@@ -72,6 +73,38 @@ class TestSimSessionWiring:
         result = session.run()
         assert result.audit is not None
         assert result.phase_series is not None
+
+
+class TestLedgerFreeSession:
+    SIM = SimConfig(max_instructions=200, check_invariants=10,
+                    phase_window_cycles=50, record_intervals=True)
+
+    def test_subscribes_only_its_observers(self):
+        observer = DigestRecorder()
+        session = SimSession(["bzip2", "gcc"], sim=self.SIM,
+                             observers=(observer,), ledger=False)
+        assert session.engine is None and session.core.engine is None
+        assert (session.recorder, session.auditor,
+                session.phase_tracker) == (None, None, None)
+        assert session.bus.subscribers == (observer,)
+        assert session.core.instruments.probe is NULL_PROBE
+        assert not session.core.instruments.observes_residency
+
+    def test_runs_like_the_ledger_session_but_will_not_package(self):
+        free = SimSession(["bzip2", "gcc"], sim=self.SIM, ledger=False)
+        kept = SimSession(["bzip2", "gcc"], sim=self.SIM)
+        assert free.core.run() == kept.core.run()
+        assert free.core.cycle == kept.core.cycle
+        assert free.core.total_committed == kept.core.total_committed
+        with pytest.raises(SimulationError, match="ledger-free"):
+            free.package(free.core.measured_cycles)
+        with pytest.raises(SimulationError, match="ledger-free"):
+            SimSession(["bzip2"], sim=self.SIM, ledger=False).run()
+
+    def test_refuses_an_event_trace(self, tmp_path):
+        with pytest.raises(ConfigError, match="ledger-free"):
+            SimSession(["bzip2"], sim=self.SIM, ledger=False,
+                       trace_out=str(tmp_path / "trace.jsonl"))
 
 
 class TestProbeBus:

@@ -7,7 +7,8 @@ end is the unforked run, the driver is untouched by its forks, every
 strike of a forked batch gets exactly the record it gets as a batch of
 one (its own driver, struck in place, never forked), and every batch of
 a campaign struck on one shared driver gets exactly the payload it gets
-run alone.
+run alone.  So must the early exit of a taint-only faulty run: every
+strike gets the record it gets when its run goes to the end.
 """
 
 import json
@@ -20,6 +21,8 @@ from repro.avf.structures import Structure
 from repro.config import DEFAULT_CONFIG, SimConfig
 from repro.faultinject import InjectionOutcome, LiveConfig
 from repro.faultinject import live as live_module
+from repro.avf.engine import AvfEngine
+from repro.faultinject import classify
 from repro.faultinject.classify import DigestRecorder
 from repro.faultinject.live import (
     INJECTABLE,
@@ -34,10 +37,13 @@ from repro.faultinject.live import (
     run_live_campaign,
     run_one_strike,
 )
+from repro.isa.instruction import AceClass
 from repro.pipeline.core import SMTCore
 from repro.protection import ProtectionConfig, ProtectionScheme
+from repro.sim import session as session_module
 from repro.sim.session import SimSession, functional_warmup, package_result
 from repro.structures.strike import MbuConfig, entry_bits
+from repro.workload.generator import NUM_ARCH_REGS
 
 WORKLOAD = ("gcc", "mcf")
 SIM = SimConfig(max_instructions=400, seed=5)
@@ -449,3 +455,266 @@ class TestShortCircuits:
         record = _alone(spec, ProtectionScheme.NONE)
         assert record.outcome is not InjectionOutcome.MASKED_IDLE
         assert fork_calls == []
+
+
+# -- the early exit of taint-only faulty runs ------------------------------------------
+
+#: A decision interval past any run's end: every faulty run goes to the end.
+TO_THE_END = 10 ** 9
+
+
+class _Exits:
+    """Spy on :func:`live._run_faulty`: how each faulty run ended."""
+
+    def __init__(self, monkeypatch):
+        self.early = []       # outcomes of taint-only runs stopped early
+        self.taint_only = []  # (final cycle, commits) of taint-only runs
+        self.structural = 0
+        original = live_module._run_faulty
+
+        def spy(core, taint_only):
+            verdict = original(core, taint_only)
+            if not taint_only:
+                self.structural += 1
+            elif verdict is not None:
+                self.early.append(verdict[0].name)
+            else:
+                self.taint_only.append((core.cycle, core.total_committed))
+            return verdict
+
+        monkeypatch.setattr(live_module, "_run_faulty", spy)
+
+
+def _records(jobs):
+    return json.dumps([payload for _job, payload in run_batches(jobs)],
+                      sort_keys=True)
+
+
+def _assert_early_exit_exact(monkeypatch, jobs):
+    """Strike ``jobs`` with early exit and again with every faulty run
+    going to the end: the records must be byte-equal.  Returns the exits
+    of the early-exit pass and its records."""
+    exits = _Exits(monkeypatch)
+    early = _records(jobs)
+    monkeypatch.setattr(live_module, "DECIDE_EVERY", TO_THE_END)
+    assert _records(jobs) == early
+    return exits, [record for payload in json.loads(early)
+                   for record in payload["records"]]
+
+
+class TestEarlyExitDifferential:
+    def test_all_structures_unprotected_single_bit(self, monkeypatch):
+        exits, _ = _assert_early_exit_exact(
+            monkeypatch, _campaign(INJECTABLE, seed=21))
+        assert {"MASKED", "SDC"} <= set(exits.early)
+        assert exits.structural > 0
+
+    @pytest.mark.parametrize("scheme", [ProtectionScheme.NONE,
+                                        ProtectionScheme.PARITY,
+                                        ProtectionScheme.SECDED])
+    def test_multi_bit_under_protection(self, monkeypatch, scheme):
+        exits, records = _assert_early_exit_exact(
+            monkeypatch, _campaign(INJECTABLE, seed=7, protection=scheme,
+                                   mbu=MbuConfig(max_len=3), injections=24,
+                                   strike_batch=8))
+        assert exits.early
+        assert any(r.get("cluster_len", 1) == 3 for r in records)
+
+    def test_rob_hang(self, monkeypatch):
+        _, records = _assert_early_exit_exact(
+            monkeypatch, _campaign((Structure.IQ, Structure.ROB), seed=2,
+                                   injections=12))
+        assert any(r["outcome"] == "HANG" and r["index"] == 10
+                   for r in records)
+
+    def test_contained_exception_due(self, monkeypatch):
+        original = draw_strike
+
+        def draw(seed, structure, index, *args):
+            if structure is Structure.ROB and index == 5:
+                return replace(CONTAINED_DUE, index=index)
+            return original(seed, structure, index, *args)
+
+        monkeypatch.setattr(live_module, "draw_strike", draw)
+        _, records = _assert_early_exit_exact(
+            monkeypatch, _campaign((Structure.ROB, Structure.REG), seed=3))
+        due = next(r for r in records
+                   if r["structure"] == "ROB" and r["index"] == 5)
+        assert due["detail"].startswith("contained StructureError")
+
+    def test_taint_only_runs_are_the_golden_run(self, monkeypatch):
+        # The premise of the exit: a strike that wrote only taint changes
+        # no kernel decision, so its run, taken to the end, ends exactly
+        # where the golden run does, with the same number of commits.
+        golden = _golden()
+        exits = _Exits(monkeypatch)
+        monkeypatch.setattr(live_module, "DECIDE_EVERY", TO_THE_END)
+        for _ in run_batches(_campaign(INJECTABLE, seed=21, injections=16,
+                                       mbu=MbuConfig(max_len=3))):
+            pass
+        assert len(exits.taint_only) > 20 and exits.structural > 0
+        assert set(exits.taint_only) == {(golden.cycles, golden.committed)}
+
+
+# -- each live-taint clause is needed ---------------------------------------------------
+#
+# Hand-built taint, planted on a fork of the driver where only the clause
+# under test can find it.  The fork's early exit must agree with its run to
+# the end (SDC), and with the clause dropped it must stop too soon, as
+# MASKED.  The checks run every cycle here: the exit is exact at any
+# interval, and a tight one leaves the planted taint no time to spread
+# somewhere another clause finds it.
+
+TOKEN = (1 << 40) | 1
+
+
+# Each case yields plants: functions that taint a fork (given with its
+# digest recorder) in one place.
+
+
+def _arch_register(core):
+    """A committed register value the digest holds as tainted."""
+    for reg in range(NUM_ARCH_REGS):
+        def plant(fork, recorder, reg=reg):
+            recorder._arch[(0, reg)] = TOKEN
+        yield plant
+
+
+def _memory_word(core):
+    def plant(fork, recorder):
+        fork.mem_tags[0] = TOKEN
+    yield plant
+
+
+def _physical_register(core):
+    for phys in sorted(core.regfile._meta):
+        def plant(fork, recorder, phys=phys):
+            fork.regfile._meta[phys].tag = TOKEN
+        yield plant
+
+
+def _dead(instr):
+    # Taint on a dead or wrong-path instruction is the ROB and decode
+    # queue clauses' alone: the pending clause counts only ACE ones.  No
+    # drawn strike was found where that decides, so a tainted store or
+    # branch is marked dead by hand; it still commits its taint.
+    instr.ace = AceClass.DYN_DEAD
+    instr.value_tag = TOKEN
+
+
+def _rob_store(core):
+    for tid, thread in enumerate(core.threads):
+        for i, instr in enumerate(thread.rob):
+            if instr.is_store and instr.is_ace:
+                def plant(fork, recorder, tid=tid, i=i):
+                    _dead(list(fork.threads[tid].rob)[i])
+                yield plant
+
+
+def _decoded_store_or_branch(core):
+    for tid, thread in enumerate(core.threads):
+        for i, (_ready, instr) in enumerate(thread.decode_queue):
+            if (instr.is_store or instr.is_control) and instr.is_ace:
+                def plant(fork, recorder, tid=tid, i=i):
+                    _dead(fork.threads[tid].decode_queue[i][1])
+                yield plant
+
+
+def _stranded_instruction(core):
+    """A tainted trace instruction outside the pipeline that finalize
+    counts as pending: fetched, not committed, never refetched (the last
+    of its trace, past where the shared budget ends the run)."""
+    def plant(fork, recorder):
+        instr = fork.threads[0].trace.instrs[-1]
+        instr.fetched_at, instr.committed_at = fork.cycle, -1
+        instr.squashed = False
+        instr.value_tag = TOKEN
+    yield plant
+
+
+CLAUSE_CASES = {
+    "_arch_taint": _arch_register,
+    "_memory_taint": _memory_word,
+    "_rob_taint": _rob_store,
+    "_decode_taint": _decoded_store_or_branch,
+    "_register_taint": _physical_register,
+    "_pending_taint": _stranded_instruction,
+}
+
+
+class TestLiveTaintClauses:
+    def test_every_clause_has_a_case(self):
+        assert {clause.__name__ for clause in classify.LIVE_TAINT} == set(
+            CLAUSE_CASES)
+
+    @pytest.mark.parametrize("name", sorted(CLAUSE_CASES))
+    def test_dropping_the_clause_breaks_the_exit(self, monkeypatch, name):
+        golden = _golden()
+        monkeypatch.setattr(live_module, "DECIDE_EVERY", 1)
+        clauses = classify.LIVE_TAINT
+        dropped = tuple(c for c in clauses if c.__name__ != name)
+        driver = _StrikeDriver(WORKLOAD, "ICOUNT", DEFAULT_CONFIG, SIM,
+                               golden, LIVE)
+
+        def outcome(base, taint_only, live_taint=clauses):
+            monkeypatch.setattr(classify, "LIVE_TAINT", live_taint)
+            return driver.finish(base.fork(), taint_only)[0]
+
+        for cycle in range(1, golden.cycles, 7):
+            driver.advance(cycle)
+            for plant in CLAUSE_CASES[name](driver.core):
+                base = driver.core.fork()
+                plant(base, live_module._digest_recorder(base))
+                end = outcome(base, taint_only=False)
+                assert outcome(base, taint_only=True) is end, cycle
+                if (end is InjectionOutcome.SDC
+                        and outcome(base, True, dropped)
+                        is InjectionOutcome.MASKED):
+                    return
+        pytest.fail(f"no case where only {name} finds the taint")
+
+
+# -- faulty runs carry no ledger ------------------------------------------------------
+
+
+class TestLedgerFreeDriver:
+    def test_only_the_golden_run_keeps_a_ledger(self, monkeypatch):
+        sessions = []
+
+        class Recorded(SimSession):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sessions.append(self)
+
+        monkeypatch.setattr(live_module, "SimSession", Recorded)
+        monkeypatch.setattr(live_module, "_GOLDEN_MEMO", OrderedDict())
+        golden = _golden()
+        (golden_session,) = sessions
+        assert any(isinstance(sub, AvfEngine)
+                   for sub in golden_session.bus.subscribers)
+        assert golden.avf[Structure.IQ] > 0
+
+        driver = _StrikeDriver(WORKLOAD, "ICOUNT", DEFAULT_CONFIG, SIM,
+                               golden, LIVE)
+        driver.advance(golden.cycles // 2)
+        fork = driver.core.fork()
+        for core in (driver.core, fork):
+            assert core.engine is None
+            assert not any(isinstance(sub, AvfEngine)
+                           for sub in core.instruments.bus.subscribers)
+
+    @pytest.mark.parametrize("observed", [{"check_invariants": 50},
+                                          {"record_intervals": True},
+                                          {"phase_window_cycles": 100}],
+                             ids=lambda kw: next(iter(kw)))
+    def test_campaign_under_ledger_observers(self, observed):
+        # The golden run subscribes (and so audits, records, tracks) what
+        # the SimConfig asks for; the strike driver subscribes none of it,
+        # so its forks need not copy what cannot be copied.
+        kw = dict(injections=8, structures=INJECTABLE, seed=21)
+        plain = run_live_campaign(list(WORKLOAD), sim=SIM, **kw)
+        watched = run_live_campaign(list(WORKLOAD),
+                                    sim=replace(SIM, **observed), **kw)
+        assert ([r.to_payload() for r in watched.records]
+                == [r.to_payload() for r in plain.records])
+        assert watched.summary() == plain.summary()

@@ -7,7 +7,7 @@ from repro.avf.structures import Structure
 from repro.config import MachineConfig
 from repro.errors import StructureError
 from repro.isa.instruction import DynInstr
-from repro.isa.opcodes import FUType, OpClass
+from repro.isa.opcodes import FUType, OpClass, execution_latency
 from repro.structures.functional_units import FunctionalUnitPool
 from repro.structures.issue_queue import SharedIssueQueue
 from repro.structures.lsq import LoadStoreQueue
@@ -208,6 +208,12 @@ class TestFuPool:
         latency = pool.issue(i, cycle=1)
         assert latency == MachineConfig().int_div_latency
         assert pool.available(FUType.INT_MULDIV) == 3
+
+    def test_latency_table_matches_execution_latency(self, engine):
+        config = MachineConfig(int_div_latency=31, fp_alu_latency=5)
+        pool = FunctionalUnitPool(config, engine)
+        for op in OpClass:
+            assert pool.latency_of(op) == execution_latency(op, config), op
 
     def test_single_cycle_units_release_after_tick(self, engine):
         pool = FunctionalUnitPool(MachineConfig(), engine)
