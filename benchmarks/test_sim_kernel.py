@@ -7,7 +7,9 @@ mostly cache hits after the first run).
 
 import pytest
 
-from repro.config import MachineConfig, SimConfig
+from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
+from repro.faultinject import LiveConfig
+from repro.faultinject.live import DECIDE_EVERY, _StrikeDriver, golden_run
 from repro.sim.session import SimSession, functional_warmup
 from repro.sim.simulator import build_traces, simulate
 from repro.workload.generator import generate_trace
@@ -58,6 +60,32 @@ def test_kernel_cycle_throughput(benchmark, backend):
     cycles = benchmark.pedantic(lambda core: core.run(), setup=fresh_core,
                                 rounds=7, iterations=1)
     assert cycles > 0
+
+
+def test_core_fork(benchmark):
+    """One strike's fork: fork a live campaign's driver, then step it.
+
+    The driver is the ``injection_validation`` campaign's (2-MIX-A, 500
+    instructions per thread, taint on, no ledger), paused mid-run.  Each
+    round forks it and runs the fork for one ``DECIDE_EVERY`` slice, so
+    the state a fork copies on first write is timed along with the fork.
+    """
+    mix = get_mix("2-MIX-A")
+    sim = SimConfig(max_instructions=500 * mix.num_threads, seed=1)
+    golden = golden_run(mix, "ICOUNT", DEFAULT_CONFIG, sim)
+    driver = _StrikeDriver(mix, "ICOUNT", DEFAULT_CONFIG, sim, golden,
+                           LiveConfig())
+    paused = golden.cycles // 2
+    driver.advance(paused)
+
+    def fork_and_step():
+        fork = driver.core.fork()
+        fork.run(paused + DECIDE_EVERY)
+        return fork
+
+    fork = benchmark.pedantic(fork_and_step, rounds=50, iterations=1)
+    assert fork.cycle == paused + DECIDE_EVERY
+    assert driver.core.cycle == paused
 
 
 def test_flush_policy_simulation(benchmark):

@@ -168,20 +168,24 @@ clone_instrs = _compile_cloner()
 
 
 class InstrRemap:
-    """Maps a core's instructions to their copies in a fork of that core.
+    """Maps a core's instructions to their counterparts in a fork of it.
 
     Correct-path instructions resolve by (thread, seq) into the fork's
-    copied traces — a trace's ``seq`` is its index.  Wrong-path
-    instructions (negative ``seq``, never in a trace) are copied on first
-    sight and memoized, so every structure holding one gets the same copy.
+    trace lists — a trace's ``seq`` is its index — which hold a copy
+    inside each thread's cloned ``window`` (``lo, hi``) and the very same
+    object outside it.  Wrong-path instructions (negative ``seq``, never
+    in a trace) are copied on first sight and memoized, so every
+    structure holding one gets the same copy.
     """
 
-    __slots__ = ("_old", "_new", "_wrong", "_ids")
+    __slots__ = ("_old", "_new", "_windows", "_wrong", "_ids")
 
     def __init__(self, old: Sequence[List[DynInstr]],
-                 new: Sequence[List[DynInstr]]) -> None:
+                 new: Sequence[List[DynInstr]],
+                 windows: Sequence[Tuple[int, int]]) -> None:
         self._old = old
         self._new = new
+        self._windows = windows
         self._wrong: Dict[int, DynInstr] = {}
         self._ids: Optional[Dict[int, DynInstr]] = None
 
@@ -198,11 +202,14 @@ class InstrRemap:
 
         Call after every structure is copied, so wrong-path instructions
         the structures hold are already memoized.  An id that names no
-        known instruction is returned unchanged.
+        copied instruction (one both cores share, or none at all) is
+        returned unchanged.
         """
         if self._ids is None:
-            self._ids = {id(o): n for old, new in zip(self._old, self._new)
-                         for o, n in zip(old, new)}
+            self._ids = {id(o): n
+                         for old, new, (lo, hi) in zip(self._old, self._new,
+                                                       self._windows)
+                         for o, n in zip(old[lo:hi], new[lo:hi])}
         copy = self._wrong.get(old_id) or self._ids.get(old_id)
         return id(copy) if copy is not None else old_id
 

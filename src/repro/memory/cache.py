@@ -87,6 +87,10 @@ class Cache:
         self._observer = observer or NullObserver()
         # Each set: {tag: CacheLine}, insertion order == LRU order.
         self._sets: List[Dict[int, CacheLine]] = [dict() for _ in range(self._num_sets)]
+        # _owned[i]: set i is this cache's alone.  A fork shares every set
+        # with its parent and clears the flags on both sides; the first
+        # write to a shared set copies it (_own).
+        self._owned = bytearray(b"\x01") * self._num_sets
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -129,7 +133,10 @@ class Cache:
         caller can model its writeback.
         """
         line_addr = self.line_address(addr)
-        entries = self._sets[self._set_index(line_addr)]
+        index = self._set_index(line_addr)
+        if not self._owned[index]:
+            self._own(index)
+        entries = self._sets[index]
         line = entries.get(line_addr)
         evicted: Optional[CacheLine] = None
         hit = line is not None
@@ -168,15 +175,26 @@ class Cache:
         else:
             line.word_last_read[w] = cycle
 
+    def _own(self, index: int) -> None:
+        """Copy shared set ``index`` before its first write (LRU order is
+        insertion order, so the dict is rebuilt in it)."""
+        self._sets[index] = {tag: line.clone()
+                             for tag, line in self._sets[index].items()}
+        self._owned[index] = 1
+
     def fork(self, observer: Optional[CacheObserver] = None) -> "Cache":
         """An independent copy of contents and counters, reporting
-        evictions to ``observer`` (as the constructor would)."""
+        evictions to ``observer`` (as the constructor would).
+
+        Copy-on-write: both caches share every set until one of them
+        writes it (an access hit or miss); reads (``probe``,
+        ``resident_lines``) use the shared set in place."""
         clone = Cache.__new__(Cache)
         clone.__dict__.update(self.__dict__)
         clone._observer = observer or NullObserver()
-        # Insertion order is LRU order, so the set dicts are rebuilt in it.
-        clone._sets = [{tag: line.clone() for tag, line in entries.items()}
-                       if entries else {} for entries in self._sets]
+        clone._sets = self._sets[:]
+        self._owned = bytearray(self._num_sets)
+        clone._owned = bytearray(self._num_sets)
         return clone
 
     def drain(self, cycle: int) -> None:
@@ -184,7 +202,9 @@ class Cache:
         for entries in self._sets:
             for line in entries.values():
                 self._observer.on_evict(line, cycle)
-            entries.clear()
+        # Fresh sets rather than clear(): a fork may still hold these.
+        self._sets = [dict() for _ in range(self._num_sets)]
+        self._owned = bytearray(b"\x01") * self._num_sets
 
     # -- statistics --------------------------------------------------------------
 

@@ -52,6 +52,8 @@ class Tlb:
         self._assoc = config.assoc
         self._observer = observer
         self._sets: List[Dict[int, TlbEntry]] = [dict() for _ in range(self._num_sets)]
+        # Copy-on-write flags, as in Cache: set i is this TLB's alone.
+        self._owned = bytearray(b"\x01") * self._num_sets
         self.hits = 0
         self.misses = 0
 
@@ -71,7 +73,10 @@ class Tlb:
         charged by the hierarchy, not here).
         """
         vpn = self.vpn_of(addr)
-        entries = self._sets[self._set_index(vpn)]
+        index = self._set_index(vpn)
+        if not self._owned[index]:
+            self._own(index)
+        entries = self._sets[index]
         entry = entries.get(vpn)
         hit = entry is not None
         if hit:
@@ -90,23 +95,35 @@ class Tlb:
         entry.uses += 1
         return hit
 
+    def _own(self, index: int) -> None:
+        """Copy shared set ``index`` before its first write."""
+        self._sets[index] = {vpn: entry.clone()
+                             for vpn, entry in self._sets[index].items()}
+        self._owned[index] = 1
+
     def fork(self, observer: Optional[TlbObserver] = None) -> "Tlb":
         """An independent copy of contents and counters, reporting
-        evictions to ``observer`` (as the constructor would)."""
+        evictions to ``observer`` (as the constructor would).
+
+        Copy-on-write, as :meth:`Cache.fork`: both TLBs share every set
+        until one of them accesses it."""
         clone = Tlb.__new__(Tlb)
         clone.__dict__.update(self.__dict__)
         clone._observer = observer
-        clone._sets = [{vpn: entry.clone() for vpn, entry in entries.items()}
-                       for entries in self._sets]
+        clone._sets = self._sets[:]
+        self._owned = bytearray(self._num_sets)
+        clone._owned = bytearray(self._num_sets)
         return clone
 
     def drain(self, cycle: int) -> None:
         """Evict all entries (end-of-simulation accounting)."""
-        for entries in self._sets:
-            if self._observer is not None:
+        if self._observer is not None:
+            for entries in self._sets:
                 for entry in entries.values():
                     self._observer.on_evict(entry, cycle)
-            entries.clear()
+        # Fresh sets rather than clear(): a fork may still hold these.
+        self._sets = [dict() for _ in range(self._num_sets)]
+        self._owned = bytearray(b"\x01") * self._num_sets
 
     @property
     def miss_rate(self) -> float:

@@ -561,19 +561,26 @@ class SMTCore:
         Take it between cycles — after a cycle's hooks, e.g. once
         ``run(until=c)`` has returned.  Running the fork to the end gives
         exactly what running this core to the end would, and neither run
-        disturbs the other: every piece of mutable state is copied — the
-        traces' instructions (the pipeline annotates them in place), every
-        structure, the memory hierarchy, predictors, the fetch policy,
-        the wrong-path generators' random streams, and each probe-bus
-        subscriber (see :meth:`Instrumentation.fork`).  Only immutable
-        configuration and lookup tables are shared.
+        disturbs the other, in either order.  Mutable state is copied or
+        copied on write: each thread's in-flight trace window (see
+        :meth:`ThreadContext.fork`; the committed prefix is shared and the
+        unfetched suffix borrowed), the cache and TLB sets either core
+        writes (see :meth:`Cache.fork`), every structure, predictors, the
+        fetch policy, the wrong-path generators' random streams, and each
+        probe-bus subscriber (see :meth:`Instrumentation.fork`).
+        Otherwise only immutable configuration and lookup tables are
+        shared.
         """
         cls = type(self)
         clone = cls.__new__(cls)
         clone.__dict__.update(self.__dict__)
+        # Commit is in order, so [0, committed) is every committed trace
+        # instruction and [committed, fetch_high) everything in flight.
+        windows = [(t.committed, t.fetch_high) for t in self.threads]
         old = [t.trace.instrs for t in self.threads]
-        new = [clone_instrs(instrs) for instrs in old]
-        remap = InstrRemap(old, new)
+        new = [instrs[:lo] + clone_instrs(instrs[lo:hi]) + instrs[hi:]
+               for instrs, (lo, hi) in zip(old, windows)]
+        remap = InstrRemap(old, new, windows)
         instruments = self.instruments.fork()
         probe = instruments.probe
         clone.instruments = instruments

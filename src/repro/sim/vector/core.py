@@ -97,6 +97,10 @@ class VectorCore(SMTCore):
             return False
         if any(self._fu_pool._busy.values()):
             return False
+        # The fast fetch writes trace instructions in place: none may be
+        # borrowed from another core (SMTCore.fork).
+        if any(t.borrowed_from < len(t.trace) for t in self.threads):
+            return False
         return True
 
     # Set by the fast loop (a closure over its local state) so reentrant
@@ -747,6 +751,8 @@ class VectorCore(SMTCore):
                             instr.pending_srcs = 0
                             instr.value_tag = 0
                             t.fetch_index = fetch_index + 1
+                            if fetch_index >= t.fetch_high:
+                                t.fetch_high = fetch_index + 1
                         instr.fetch_stamp = t.next_fetch_stamp
                         t.next_fetch_stamp += 1
                         t.fetched += 1

@@ -140,3 +140,92 @@ class TestSetIndexHash:
         sets = {cache._set_index(cache.line_address((1 << 32) + i * 64))
                 for i in range(256)}
         assert len(sets) > 128  # sequential lines do not pile up
+
+
+# -- copy-on-write forks ---------------------------------------------------------
+#
+# A fork shares every set with its parent until one side writes it.  Each
+# case warms a cache, forks it, writes through one side, and requires the
+# other side to be untouched — resident lines, LRU order, per-word
+# metadata and counters — and the writing side to equal a cache that did
+# the same without forking.
+
+
+def _lines_in_set(cache, index, count):
+    """``count`` distinct line-aligned addresses that map to set ``index``."""
+    found = []
+    addr = 0
+    while len(found) < count:
+        if cache._set_index(cache.line_address(addr)) == index:
+            found.append(addr)
+        addr += 64
+    return found
+
+
+def _warm(cache):
+    """Fill sets 0 and 1 (clean and dirty lines); returns their addresses."""
+    ways = {index: _lines_in_set(cache, index, 3) for index in (0, 1)}
+    cycle = 1
+    for index, addrs in ways.items():
+        for addr in addrs[:2]:
+            cache.access(addr + 8, cycle, index, is_write=index == 1)
+            cycle += 1
+    return ways
+
+
+def _state(cache):
+    """Everything a write could change, per set in LRU order."""
+    sets = [[(tag, line.set_index, line.thread_id, line.fill_cycle,
+              line.last_access_cycle, tuple(line.word_last_read),
+              tuple(line.word_last_write), tuple(line.word_dirty),
+              line.accesses)
+             for tag, line in entries.items()]
+            for entries in cache._sets]
+    return sets, (cache.hits, cache.misses, cache.evictions,
+                  cache.writebacks)
+
+
+_WRITES = {
+    # An LRU refresh plus a read touch of set 0's older line.
+    "hit": lambda cache, ways: cache.access(ways[0][0], 50, 0, False),
+    # A third line in the full set 1 evicts its (dirty) LRU line.
+    "miss_and_eviction": lambda cache, ways: cache.access(
+        ways[1][2], 50, 1, False),
+    # A write hit dirties a clean word of set 0.
+    "dirty_write": lambda cache, ways: cache.access(ways[0][1] + 16, 50, 0,
+                                                    True),
+    "drain": lambda cache, ways: cache.drain(60),
+}
+
+
+class TestCopyOnWriteFork:
+    @pytest.mark.parametrize("writer", ["parent", "fork"])
+    @pytest.mark.parametrize("write", sorted(_WRITES))
+    def test_a_write_leaves_the_other_side_alone(self, write, writer):
+        config = CacheConfig("test", 512, 2, 64, hit_latency=1)
+        parent = Cache(config, track_words=True, observer=_Recorder())
+        ways = _warm(parent)
+        before = _state(parent)
+        fork = parent.fork(_Recorder())
+        sides = {"parent": parent, "fork": fork}
+        other = sides["fork" if writer == "parent" else "parent"]
+
+        _WRITES[write](sides[writer], ways)
+        assert _state(other) == before
+
+        reference = Cache(config, track_words=True, observer=_Recorder())
+        _warm(reference)
+        _WRITES[write](reference, ways)
+        assert _state(sides[writer]) == _state(reference)
+        assert _state(sides[writer]) != before
+
+    def test_reads_share_the_set(self, small_cache):
+        ways = _warm(small_cache)
+        fork = small_cache.fork()
+        assert fork.probe(ways[0][0])
+        assert list(fork.resident_lines()) == list(
+            small_cache.resident_lines())
+        assert fork._sets[0] is small_cache._sets[0]
+        fork.access(ways[0][0], 50, 0, False)
+        assert fork._sets[0] is not small_cache._sets[0]
+        assert fork._sets[1] is small_cache._sets[1]

@@ -37,7 +37,7 @@ from repro.faultinject.live import (
     run_live_campaign,
     run_one_strike,
 )
-from repro.isa.instruction import AceClass
+from repro.isa.instruction import AceClass, DynInstr
 from repro.pipeline.core import SMTCore
 from repro.protection import ProtectionConfig, ProtectionScheme
 from repro.sim import session as session_module
@@ -120,16 +120,19 @@ class TestFork:
         golden = _golden()
         cycle = {"first": 1, "middle": golden.cycles // 2,
                  "last": golden.cycles - 1}[where]
-        session = _session()
-        session.core.run(until=cycle)
-        fork = session.core.fork()
-        assert fork.cycle == cycle
-        assert _finish(session, fork) == reference
-        # The fork's run left the driver exactly where it was: its own run
-        # to the end is still the golden run.
-        payload, digest = _finish(session, session.core)
-        assert (payload, digest) == reference
-        assert digest == golden.digest
+        for fork_first in (True, False):
+            session = _session()
+            session.core.run(until=cycle)
+            fork = session.core.fork()
+            assert fork.cycle == cycle
+            # Whichever runs first leaves the other exactly where it was:
+            # the fork's run is the unforked run, and the driver's own run
+            # to the end is still the golden run.
+            runs = ((fork, session.core) if fork_first
+                    else (session.core, fork))
+            for core in runs:
+                assert _finish(session, core) == reference, fork_first
+        assert reference[1] == golden.digest
 
     @pytest.mark.parametrize("policy", ["FLUSH", "FLUSHP", "PDG"])
     def test_stateful_policies_fork_exactly(self, policy):
@@ -156,7 +159,16 @@ class TestFork:
                 continue
             assert vars(fork)[name] is not value, name
         for ours, theirs in zip(session.core.threads, fork.threads):
-            assert theirs.trace.instrs[0] is not ours.trace.instrs[0]
+            lo, hi = ours.committed, ours.fetch_high
+            assert 0 < lo < hi < len(ours.trace)
+            mine, its = ours.trace.instrs, theirs.trace.instrs
+            assert its is not mine
+            # The committed prefix is shared, the in-flight window copied,
+            # and the unfetched suffix borrowed by both cores.
+            assert all(a is b for a, b in zip(mine[:lo], its[:lo]))
+            assert all(a is not b for a, b in zip(mine[lo:hi], its[lo:hi]))
+            assert all(a is b for a, b in zip(mine[hi:], its[hi:]))
+            assert ours.borrowed_from == theirs.borrowed_from == hi
             assert theirs.rob is not ours.rob
             assert theirs.branch_unit.gshare is not ours.branch_unit.gshare
 
@@ -167,6 +179,99 @@ class TestFork:
         reference = SimSession(WORKLOAD, sim=SIM, backend="python")
         expected = reference.core.run()
         assert session.core.run() == expected
+
+
+# -- what a fork shares, nobody writes ----------------------------------------------
+#
+# A fork shares its parent's committed trace prefix for good, borrows the
+# never-fetched suffix, and shares every cache and TLB set until one side
+# writes it.  Sharing is safe only if neither run writes any of that:
+# snapshot it at the fork, run both cores to the end in either order, and
+# the snapshot must still hold.
+
+
+def _slot_values(instr):
+    return tuple(getattr(instr, name) for name in DynInstr.__slots__)
+
+
+def _shared_instrs(core):
+    """(instruction, its slot values) for every trace instruction a fork
+    taken now shares with ``core``: the committed prefix and the suffix
+    nothing has fetched."""
+    return [(instr, _slot_values(instr))
+            for t in core.threads
+            for instr in (t.trace.instrs[:t.committed]
+                          + t.trace.instrs[t.fetch_high:])]
+
+
+def _memory_contents(core):
+    """Every resident cache line and TLB entry, per set in LRU order."""
+    mem = core.mem
+    caches = [[[(tag, line.fill_cycle, line.last_access_cycle,
+                 tuple(line.word_last_read), tuple(line.word_last_write),
+                 tuple(line.word_dirty), line.accesses)
+                for tag, line in entries.items()]
+               for entries in cache._sets]
+              for cache in (mem.il1, mem.dl1, mem.l2)]
+    tlbs = [[[(vpn, e.fill_cycle, e.last_use_cycle, e.uses)
+              for vpn, e in entries.items()]
+             for entries in tlb._sets]
+            for tlb in (mem.itlb, mem.dtlb)]
+    return caches, tlbs
+
+
+def _strike_lsq_address(core):
+    """Flip an address bit of an in-flight LSQ entry (a structural strike
+    on a trace-owned field), as the strike driver does; (receipt, the
+    struck instruction)."""
+    for tid, thread in enumerate(core.threads):
+        for index, instr in enumerate(thread.lsq._entries):
+            if instr.issued_at < 0 and not instr.wrong_path:
+                slot = tid * DEFAULT_CONFIG.lsq_entries + index
+                return core.inject_bit(Structure.LSQ_TAG, slot, 13), instr
+    raise AssertionError("no unissued LSQ entry to strike")
+
+
+class TestSharedStateOwnership:
+    @pytest.mark.parametrize("fork_first", [True, False],
+                             ids=["fork_first", "parent_first"])
+    @pytest.mark.parametrize("case", ["ICOUNT", "FLUSH", "FLUSHP", "PDG",
+                                      "LSQ_address_strike"])
+    def test_shared_state_is_never_written(self, case, fork_first):
+        policy = "ICOUNT" if case == "LSQ_address_strike" else case
+        sim = SimConfig(max_instructions=600, seed=2)
+        session = _session(policy, sim)
+        reference = _finish(session, session.core)
+        session = _session(policy, sim)
+        core = session.core
+        core.run(until=reference[0]["cycles"] // 2)
+        shared = _shared_instrs(core)
+        memory = _memory_contents(core)
+        if case == "LSQ_address_strike":
+            receipt, struck = _strike_lsq_address(core)
+            try:
+                fork = core.fork()
+            finally:
+                receipt.undo()
+            copy = fork.threads[struck.thread_id].trace.instrs[struck.seq]
+            assert copy is not struck and copy.mem_addr != struck.mem_addr
+        else:
+            fork = core.fork()
+        assert _memory_contents(fork) == memory
+
+        first, second = (fork, core) if fork_first else (core, fork)
+        first_result = _finish(session, first)
+        # The first run wrote only sets it owns: the other core's caches
+        # and TLBs are still as the fork left them.
+        assert _memory_contents(second) == memory
+        second_result = _finish(session, second)
+        for instr, values in shared:
+            assert _slot_values(instr) == values, instr
+        parent_result = second_result if fork_first else first_result
+        assert parent_result == reference
+        fork_result = first_result if fork_first else second_result
+        if case != "LSQ_address_strike":
+            assert fork_result == reference
 
 
 # -- forked batch == batch of one ---------------------------------------------------
@@ -623,9 +728,12 @@ def _decoded_store_or_branch(core):
 def _stranded_instruction(core):
     """A tainted trace instruction outside the pipeline that finalize
     counts as pending: fetched, not committed, never refetched (the last
-    of its trace, past where the shared budget ends the run)."""
+    of its trace, past where the shared budget ends the run).  The fork
+    borrows that instruction from the driver, so the plant takes its own
+    copy first, as fetch would."""
     def plant(fork, recorder):
-        instr = fork.threads[0].trace.instrs[-1]
+        thread = fork.threads[0]
+        instr = thread.own(len(thread.trace) - 1)
         instr.fetched_at, instr.committed_at = fork.cycle, -1
         instr.squashed = False
         instr.value_tag = TOKEN
@@ -672,6 +780,23 @@ class TestLiveTaintClauses:
                         is InjectionOutcome.MASKED):
                     return
         pytest.fail(f"no case where only {name} finds the taint")
+
+    def test_the_stranded_plant_leaves_the_driver_alone(self):
+        golden = _golden()
+        driver = _StrikeDriver(WORKLOAD, "ICOUNT", DEFAULT_CONFIG, SIM,
+                               golden, LIVE)
+        driver.advance(golden.cycles // 2)
+        fork = driver.core.fork()
+        lent = driver.core.threads[0].trace.instrs[-1]
+        assert fork.threads[0].trace.instrs[-1] is lent  # borrowed
+        before = _slot_values(lent)
+        (plant,) = _stranded_instruction(driver.core)
+        plant(fork, live_module._digest_recorder(fork))
+        assert fork.threads[0].trace.instrs[-1] is not lent
+        assert driver.finish(fork, taint_only=False)[0] is (
+            InjectionOutcome.SDC)
+        assert _slot_values(lent) == before
+        assert driver.finish(driver.core)[0] is InjectionOutcome.MASKED
 
 
 # -- faulty runs carry no ledger ------------------------------------------------------

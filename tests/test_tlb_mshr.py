@@ -103,3 +103,60 @@ class TestMshr:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ConfigError):
             MshrFile(0)
+
+
+def _vpns_in_set(tlb, index, count):
+    """``count`` distinct page addresses that map to set ``index``."""
+    found = []
+    addr = 0
+    while len(found) < count:
+        if tlb._set_index(tlb.vpn_of(addr)) == index:
+            found.append(addr)
+        addr += 4096
+    return found
+
+
+def _tlb_state(tlb):
+    sets = [[(vpn, e.thread_id, e.fill_cycle, e.last_use_cycle, e.uses)
+             for vpn, e in entries.items()]
+            for entries in tlb._sets]
+    return sets, (tlb.hits, tlb.misses)
+
+
+_TLB_WRITES = {
+    "hit": lambda tlb, pages: tlb.access(pages[0], 50, 0),
+    "miss_and_eviction": lambda tlb, pages: tlb.access(pages[2], 50, 0),
+    "drain": lambda tlb, pages: tlb.drain(60),
+}
+
+
+class TestTlbCopyOnWriteFork:
+    """A fork shares every TLB set until one side accesses it: a write
+    through either side must leave the other's entries, LRU order and
+    counters untouched, and match a TLB that never forked."""
+
+    @pytest.mark.parametrize("writer", ["parent", "fork"])
+    @pytest.mark.parametrize("write", sorted(_TLB_WRITES))
+    def test_a_write_leaves_the_other_side_alone(self, write, writer):
+        config = TlbConfig("t", 8, 2, miss_latency=100)
+
+        def warmed():
+            tlb = Tlb(config, observer=_Recorder())
+            for cycle, addr in enumerate(pages[:2], start=1):
+                tlb.access(addr, cycle, 0)
+            return tlb
+
+        pages = _vpns_in_set(Tlb(config), 0, 3)
+        parent = warmed()
+        before = _tlb_state(parent)
+        fork = parent.fork(_Recorder())
+        sides = {"parent": parent, "fork": fork}
+        other = sides["fork" if writer == "parent" else "parent"]
+
+        _TLB_WRITES[write](sides[writer], pages)
+        assert _tlb_state(other) == before
+
+        reference = warmed()
+        _TLB_WRITES[write](reference, pages)
+        assert _tlb_state(sides[writer]) == _tlb_state(reference)
+        assert _tlb_state(sides[writer]) != before
