@@ -40,8 +40,7 @@ bench-kernel:
 # benchmark (which exercises no simulator code).  Two candidate runs are
 # taken and the checker keeps the per-benchmark best, so a one-off
 # scheduler spike in either run cannot fail the gate while a sustained
-# regression still does.  The --max-ratio clause additionally holds the
-# vector backend to a fraction of the committed Python-kernel baseline.
+# regression still does.
 bench-kernel-check: bench-kernel
 	PYTHONPATH=src PYTHONHASHSEED=0 $(PYTHON) -m pytest \
 		benchmarks/test_sim_kernel.py --benchmark-only \
@@ -50,9 +49,7 @@ bench-kernel-check: bench-kernel
 	$(PYTHON) tools/check_bench_regression.py BENCH_kernel.json \
 		benchmarks/out/kernel.json benchmarks/out/kernel-rerun.json \
 		--threshold 0.15 \
-		--control test_trace_generation_throughput \
-		--max-ratio \
-		'test_kernel_cycle_throughput[vector]/test_kernel_cycle_throughput[python]=0.2'
+		--control test_trace_generation_throughput
 
 # End-to-end benchmark (benchmarks/e2e, declared in BENCHMARK.json): every
 # workload, each in its own fresh process, outputs checked byte for byte.

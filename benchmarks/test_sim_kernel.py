@@ -35,17 +35,14 @@ def test_smt_simulation_throughput(benchmark, workload):
     assert result.committed >= sim.max_instructions
 
 
-@pytest.mark.parametrize("backend", ["python", "vector"])
-def test_kernel_cycle_throughput(benchmark, backend):
-    """Cycle-loop-only timing of both backends on one workload.
+def test_kernel_cycle_throughput(benchmark):
+    """Cycle-loop-only timing on one workload.
 
     Times ``core.run()`` alone — traces are prebuilt and the functional
-    warmup happens in setup — so the vector/python ratio measures the
-    kernels themselves, not trace generation or report assembly.  The
-    scenario (one memory-bound thread, elevated memory latency) is the
-    paper's single-thread stall regime, where the cycle loop dominates:
-    the ``--max-ratio`` gate in ``make bench-kernel-check`` holds the
-    vector kernel to a fraction of the Python baseline here.
+    warmup happens in setup — so it measures the kernel itself, not trace
+    generation or report assembly.  The scenario (one memory-bound thread,
+    elevated memory latency) is the paper's single-thread stall regime,
+    where the cycle loop dominates.
     """
     sim = SimConfig(max_instructions=3000, seed=11)
     machine = MachineConfig(memory_latency=800)
@@ -53,7 +50,7 @@ def test_kernel_cycle_throughput(benchmark, backend):
 
     def fresh_core():
         session = SimSession(["lucas"], config=machine, sim=sim,
-                             traces=list(traces), backend=backend)
+                             traces=list(traces))
         functional_warmup(session.core, session.traces)
         return (session.core,), {}
 

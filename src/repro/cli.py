@@ -21,7 +21,6 @@ from repro.avf.fit import DEFAULT_RAW_FIT_PER_BIT, fit_estimate
 from repro.config import SimConfig
 from repro.errors import MissingResultError, ReproError
 from repro.fetch.registry import EXTENSION_POLICY_NAMES, POLICY_NAMES
-from repro.sim.backends import BACKEND_NAMES, apply_backend_env
 from repro.sim.simulator import simulate
 from repro.workload.mixes import TABLE2_MIXES, get_mix
 from repro.workload.spec2000 import PROFILES
@@ -119,7 +118,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    apply_backend_env(args.backend)
     workload = _resolve_workload(args.workload)
     threads = (workload.num_threads if hasattr(workload, "num_threads")
                else len(workload))
@@ -128,7 +126,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     phase_window_cycles=args.phase_window,
                     check_invariants=args.check_invariants)
     result = simulate(workload, policy=args.policy, sim=sim,
-                      trace_out=args.trace_out, backend=args.backend)
+                      trace_out=args.trace_out)
     print(result.summary())
     if result.audit is not None:
         checks = result.audit["invariant_checks"]
@@ -235,7 +233,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if args.scale is not None:
         os.environ["REPRO_SCALE"] = str(args.scale)
     _apply_audit_env(args)
-    apply_backend_env(args.backend)
     from repro import experiments
     from repro.experiments.parallel import prewarm_artefacts
     from repro.experiments.reproduce import ARTEFACTS
@@ -275,7 +272,6 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     from repro.faultinject import INJECTABLE, LiveConfig, run_live_campaign
     from repro.structures.strike import MbuConfig
 
-    apply_backend_env(args.backend)
     workload = _resolve_workload(args.workload)
     threads = (workload.num_threads if hasattr(workload, "num_threads")
                else len(workload))
@@ -327,7 +323,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     if args.scale is not None:
         os.environ["REPRO_SCALE"] = str(args.scale)
     _apply_audit_env(args)
-    apply_backend_env(args.backend)
     from repro.experiments.reproduce import ARTEFACTS, run_all
 
     only = args.only.split(",") if args.only else None
@@ -629,18 +624,6 @@ def _cmd_cancel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_backend_option(parser: argparse.ArgumentParser) -> None:
-    """The cycle-kernel selector: ``--backend {python,vector}``.
-
-    Exported as ``REPRO_BACKEND`` so ``--jobs`` worker processes run the
-    same kernel; both kernels produce byte-identical results.
-    """
-    parser.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                        help="cycle-kernel implementation (default python; "
-                             "vector is the numpy-accelerated kernel with "
-                             "identical results)")
-
-
 def _add_invariant_option(parser: argparse.ArgumentParser) -> None:
     """The runtime-audit knob: ``--check-invariants`` (optionally =N)."""
     parser.add_argument("--check-invariants", type=int, nargs="?",
@@ -670,7 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace-out", default=None, metavar="PATH",
                      help="write a JSONL observability trace (occupancy "
                           "samples, stage counters, audit events)")
-    _add_backend_option(run)
     _add_invariant_option(run)
 
     fig = sub.add_parser("figure", help="regenerate a paper figure")
@@ -680,7 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_options(fig)
     _add_resilience_options(fig)
     _add_invariant_option(fig)
-    _add_backend_option(fig)
 
     inject = sub.add_parser(
         "inject", help="live fault injection: flip real bits mid-run and "
@@ -720,7 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "driver")
     _add_cache_options(inject)
     _add_resilience_options(inject)
-    _add_backend_option(inject)
 
     rmt = sub.add_parser("rmt", help="redundant-multithreading trade-off")
     rmt.add_argument("program")
@@ -739,7 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_options(repro)
     _add_resilience_options(repro)
     _add_invariant_option(repro)
-    _add_backend_option(repro)
 
     serve = sub.add_parser("serve",
                            help="run the asyncio campaign service")

@@ -50,7 +50,7 @@ class DynInstr:
         # --- pipeline state ---
         "fetched_at", "renamed_at", "issued_at", "completed_at", "committed_at",
         "phys_dest", "old_phys_dest", "phys_srcs",
-        "rob_index", "lsq_index", "iq_slot",
+        "rob_index", "lsq_index",
         "squashed", "mispredicted", "dl1_missed", "l2_missed",
         "mem_ready_at", "fetch_stamp", "prediction", "pending_srcs",
         "value_tag",
@@ -94,7 +94,6 @@ class DynInstr:
         self.phys_srcs: Tuple[int, ...] = ()
         self.rob_index = -1
         self.lsq_index = -1
-        self.iq_slot = -1
         self.squashed = False
         self.mispredicted = False
         self.dl1_missed = False

@@ -40,7 +40,6 @@ execution is byte-identical to inline execution when no faults fire.
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -165,17 +164,6 @@ class _TaskState:
     last_error: str = ""
 
 
-def _apply_worker_env(env: Optional[Dict[str, str]]) -> None:
-    """Pool initializer: apply a supervisor's per-worker environment.
-
-    The campaign service runs several campaigns' pools concurrently in
-    one process; per-pool env (e.g. ``REPRO_BACKEND`` from a campaign
-    spec) must not race through the service's own ``os.environ``.
-    """
-    if env:
-        os.environ.update(env)
-
-
 def _run_task(task, attempt: int):
     """Worker entry point: run one task attempt, chaos permitting."""
     label = task.label
@@ -203,7 +191,6 @@ class Supervisor:
     def __init__(self, max_workers: int = 1,
                  policy: Optional[RetryPolicy] = None,
                  journal=None,
-                 worker_env: Optional[Dict[str, str]] = None,
                  on_failure: Optional[Callable[[JobFailure], None]] = None
                  ) -> None:
         if max_workers < 1:
@@ -211,7 +198,6 @@ class Supervisor:
         self.max_workers = max_workers
         self.policy = policy or RetryPolicy()
         self.journal = journal
-        self.worker_env = dict(worker_env) if worker_env else None
         self.on_failure = on_failure
         self.report = FailureReport()
         self.pool_rebuilds = 0
@@ -515,12 +501,8 @@ class Supervisor:
     # -- pool lifecycle ------------------------------------------------------------
 
     def _new_pool(self, jobs: int) -> ProcessPoolExecutor:
-        workers = max(1, min(self.max_workers, jobs))
-        if self.worker_env is None:
-            return ProcessPoolExecutor(max_workers=workers)
-        return ProcessPoolExecutor(max_workers=workers,
-                                   initializer=_apply_worker_env,
-                                   initargs=(self.worker_env,))
+        return ProcessPoolExecutor(
+            max_workers=max(1, min(self.max_workers, jobs)))
 
     def _replace_pool(self, pool: ProcessPoolExecutor,
                       jobs: int) -> ProcessPoolExecutor:

@@ -570,15 +570,10 @@ class CampaignScheduler:
             self._lock.notify_all()
 
     def _supervisor(self, campaign: _Campaign) -> Supervisor:
-        from repro.sim.backends import BACKEND_ENV_VAR
-
         spec = campaign.spec
         policy = RetryPolicy(retries=spec.budget.retries,
                              max_failures=spec.budget.max_failures,
                              job_timeout=spec.budget.job_timeout)
-        env = ({BACKEND_ENV_VAR: spec.backend}
-               if spec.backend is not None else None)
-
         def record(failure) -> None:
             # Stream permanent failures into the live status payload —
             # clients see *which* job died while the campaign grinds on.
@@ -586,7 +581,7 @@ class CampaignScheduler:
                        lambda c: c.failures.append(failure.to_payload()))
 
         return Supervisor(max_workers=self.workers, policy=policy,
-                          worker_env=env, on_failure=record)
+                          on_failure=record)
 
     def _maybe_fleet(self, campaign: _Campaign, supervisor: Supervisor):
         """Route a campaign through the worker fleet when one is live.

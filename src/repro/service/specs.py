@@ -15,15 +15,14 @@ Validation is two-layered: a structural pass through
 :func:`validate_schema` (a deliberately small JSON-schema subset, also
 used by the contract tests to check *response* payloads against golden
 schemas), then semantic checks against the real registries (workloads,
-policies, structures, artefacts, backends).  Every error names the
-offending field — a 400 must tell the client what to fix.
+policies, structures, artefacts).  Every error names the offending
+field — a 400 must tell the client what to fix.
 
 Identity: :meth:`CampaignSpec.digest` hashes the *canonical* spec —
 every field that can change the campaign's result and nothing that
-cannot.  ``backend`` (changes speed, never results — see
-:mod:`repro.sim.backends`) and the resilience ``budget`` are excluded,
-so two clients asking the same scientific question dedup to one
-computation even if they disagree about how to schedule it.
+cannot.  Scheduling fields such as the resilience ``budget`` are
+excluded, so two clients asking the same scientific question dedup to
+one computation even if they disagree about how to schedule it.
 """
 
 from __future__ import annotations
@@ -51,6 +50,11 @@ MAX_INSTRUCTIONS = 10_000_000
 
 #: Scheduling priority range (higher admits first; FIFO within a level).
 MAX_PRIORITY = 9
+
+#: Values of the legacy ``backend`` field, once a cycle-kernel selector.
+#: Journals written before its removal carry it, so it is still accepted
+#: (stripped, case-insensitive) and then ignored; any other value is a 400.
+LEGACY_BACKENDS = ("python", "vector")
 
 
 class SpecError(ReproError):
@@ -146,6 +150,7 @@ SPEC_SCHEMA: Dict[str, object] = {
         "strike_batch": {"type": "integer", "minimum": 1},
         "artefacts": {"type": "array", "items": {"type": "string"},
                       "minItems": 1},
+        # Legacy: once a cycle-kernel selector; see LEGACY_BACKENDS.
         "backend": {"type": "string"},
         "priority": {"type": "integer", "minimum": 0,
                      "maximum": MAX_PRIORITY},
@@ -231,19 +236,18 @@ class CampaignSpec:
     mbu_len: int = 1
     strike_batch: Optional[int] = None
     artefacts: Tuple[str, ...] = ()
-    backend: Optional[str] = None
     priority: int = 0
     budget: CampaignBudget = field(default_factory=CampaignBudget)
 
     def canonical(self) -> Dict[str, object]:
         """The digestable identity: result-affecting fields only.
 
-        ``backend``, ``budget``, ``strike_batch`` and ``priority`` shape
-        *how* the campaign executes (kernel choice, retry policy, batch
-        size, queue order), not what it computes — live-strike draws are
-        keyed by (seed, structure, index) substreams, so batching cannot
-        move a result.  Excluding them is what makes dedup hit across
-        clients that only disagree about scheduling.
+        ``budget``, ``strike_batch`` and ``priority`` shape *how* the
+        campaign executes (retry policy, batch size, queue order), not
+        what it computes — live-strike draws are keyed by (seed,
+        structure, index) substreams, so batching cannot move a result.
+        Excluding them is what makes dedup hit across clients that only
+        disagree about scheduling.
         """
         return {
             "spec_schema": SPEC_SCHEMA_VERSION,
@@ -271,7 +275,9 @@ class CampaignSpec:
     def to_payload(self) -> Dict[str, object]:
         """The spec as echoed in status payloads (canonical + scheduling)."""
         payload = self.canonical()
-        payload["backend"] = self.backend
+        # Always null since the kernel selector went; kept because result
+        # artifacts embed this payload and must stay byte-identical.
+        payload["backend"] = None
         payload["strike_batch"] = self.strike_batch
         payload["priority"] = self.priority
         payload["budget"] = {"retries": self.budget.retries,
@@ -311,8 +317,6 @@ class CampaignSpec:
                 request["structures"] = list(self.structures)
         if self.strike_batch is not None:
             request["strike_batch"] = self.strike_batch
-        if self.backend is not None:
-            request["backend"] = self.backend
         if self.priority:
             request["priority"] = self.priority
         request["budget"] = {"retries": self.budget.retries,
@@ -382,13 +386,10 @@ def parse_spec(payload: object) -> CampaignSpec:
                         f"known: {', '.join(known_policies)}")
 
     backend = payload.get("backend")
-    if backend is not None:
-        from repro.sim.backends import resolve_backend
-
-        try:
-            backend = resolve_backend(backend)
-        except ReproError as exc:
-            raise SpecError(f"spec.backend: {exc}") from None
+    if backend is not None and backend.strip().lower() not in LEGACY_BACKENDS:
+        raise SpecError(f"spec.backend: unknown value {backend!r}; the field "
+                        f"is accepted only as one of "
+                        f"{', '.join(LEGACY_BACKENDS)}, and ignored")
 
     structures: Tuple[str, ...] = ()
     if "structures" in payload:
@@ -469,7 +470,6 @@ def parse_spec(payload: object) -> CampaignSpec:
         mbu_len=mbu_len,
         strike_batch=payload.get("strike_batch"),
         artefacts=artefacts,
-        backend=backend,
         priority=int(payload.get("priority", 0)),
         budget=budget,
     )

@@ -6,13 +6,6 @@ AVF report; :func:`repro.sim.simulate_single_thread` runs one program alone
 for the paper's SMT-vs-superscalar comparisons.
 """
 
-from repro.sim.backends import (
-    BACKEND_ENV_VAR,
-    BACKEND_NAMES,
-    apply_backend_env,
-    core_class,
-    resolve_backend,
-)
 from repro.sim.session import SimSession, build_core
 from repro.sim.simulator import simulate, simulate_single_thread, build_traces
 from repro.sim.results import SimResult, ThreadResult
@@ -23,11 +16,6 @@ __all__ = [
     "simulate",
     "simulate_single_thread",
     "build_traces",
-    "BACKEND_ENV_VAR",
-    "BACKEND_NAMES",
-    "apply_backend_env",
-    "core_class",
-    "resolve_backend",
     "SimSession",
     "build_core",
     "SimResult",

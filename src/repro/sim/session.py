@@ -25,7 +25,6 @@ from repro.fetch.registry import create_policy
 from repro.instrument import IntervalRecorder, ProbeBus
 from repro.isa.opcodes import OpClass
 from repro.pipeline.core import SMTCore
-from repro.sim.backends import core_class, resolve_backend
 from repro.sim.results import SimResult, ThreadResult
 from repro.workload.address_stream import is_non_temporal
 from repro.workload.generator import ThreadTrace, generate_trace
@@ -126,10 +125,8 @@ class SimSession:
                  trace_out: Optional[str] = None,
                  observers: Sequence[object] = (),
                  taint: bool = False,
-                 backend: Optional[str] = None,
                  *, ledger: bool = True) -> None:
         self.config = config or DEFAULT_CONFIG
-        self.backend = resolve_backend(backend)
         self.sim = sim or SimConfig()
         self.workload = workload
         self.names = _program_names(workload)
@@ -155,9 +152,7 @@ class SimSession:
         for observer in observers:
             self.bus.subscribe(observer)
 
-        # Backend seam: both kernels take the same constructor arguments
-        # and produce byte-identical results (see repro.sim.backends).
-        self.core = core_class(self.backend)(
+        self.core = SMTCore(
             traces, self.config, self.policy, self.sim,
             self.bus.attach(ledger=self.engine,
                             recorder=self.recorder,

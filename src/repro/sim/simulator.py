@@ -41,8 +41,7 @@ def simulate(workload: WorkloadSpec,
              config: Optional[MachineConfig] = None,
              sim: Optional[SimConfig] = None,
              traces: Optional[List[ThreadTrace]] = None,
-             trace_out: Optional[str] = None,
-             backend: Optional[str] = None) -> SimResult:
+             trace_out: Optional[str] = None) -> SimResult:
     """Run one SMT workload to its instruction budget and report results.
 
     Parameters
@@ -65,15 +64,9 @@ def simulate(workload: WorkloadSpec,
     trace_out:
         Path for a JSONL observability trace (occupancy samples, stage
         counters, audit events); None disables tracing.
-    backend:
-        Cycle-kernel backend: ``"python"`` (reference) or ``"vector"``
-        (numpy-accelerated, byte-identical results).  ``None`` reads the
-        ``REPRO_BACKEND`` environment variable and defaults to
-        ``"python"``; see :mod:`repro.sim.backends`.
     """
     return SimSession(workload, policy=policy, config=config, sim=sim,
-                      traces=traces, trace_out=trace_out,
-                      backend=backend).run()
+                      traces=traces, trace_out=trace_out).run()
 
 
 def simulate_single_thread(program: str, instructions: int,

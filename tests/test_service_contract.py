@@ -204,6 +204,15 @@ class TestResponseSchemas:
         assert "'live'" in message
         assert service.request("GET", "/stats")[1]["executions"] == 0
 
+    def test_unknown_legacy_backend_is_refused(self, service):
+        status, payload, _ = service.request(
+            "POST", "/campaigns", body=dict(TINY_LIVE, backend="fortran"))
+        assert status == 400
+        check(payload, "error")
+        assert "spec.backend" in payload["error"]
+        assert "'fortran'" in payload["error"]
+        assert service.request("GET", "/stats")[1]["executions"] == 0
+
     def test_error_schemas(self, service):
         cases = [
             ("POST", "/campaigns", {"kind": "nope"}, 400),

@@ -257,6 +257,30 @@ class TestSchedulerRecovery:
         # a second restart owes no work.
         assert journal.interrupted() == {}
 
+    def test_recover_accepts_a_legacy_backend_field(self, tmp_path):
+        # A journal written before the kernel selector was removed: its
+        # requests carry "backend", which is accepted and ignored.
+        baseline = CampaignScheduler(ArtifactStore(tmp_path / "baseline"),
+                                     workers=2)
+        status, _ = baseline.submit(TINY_LIVE)
+        cid = status["id"]
+        assert baseline.wait(cid, timeout=120)["state"] == "done"
+
+        legacy = {"kind": "live", "policy": "ICOUNT", "instructions": 80,
+                  "seed": 1, "workload": ["gcc"], "strikes": 4,
+                  "protection": "none", "structures": ["iq"],
+                  "backend": "vector",
+                  "budget": {"retries": 1, "max_failures": 0,
+                             "job_timeout": None}}
+        root = tmp_path / "recovered"
+        store = ArtifactStore(root)
+        journal = _dead_process_journal(root, cid, legacy)
+        scheduler = CampaignScheduler(store, workers=2, journal=journal)
+        assert scheduler.recover() == 1
+        final = scheduler.wait(cid, timeout=120)
+        assert final["state"] == "done"
+        assert scheduler.result_bytes(cid) == baseline.result_bytes(cid)
+
     def test_recover_skips_requests_this_build_rejects(self, tmp_path):
         root = tmp_path / "store"
         store = ArtifactStore(root)

@@ -172,14 +172,6 @@ class TestFork:
             assert theirs.rob is not ours.rob
             assert theirs.branch_unit.gshare is not ours.branch_unit.gshare
 
-    def test_vector_backend_forwards_until(self):
-        session = SimSession(WORKLOAD, sim=SIM, backend="vector")
-        assert session.core.run(until=25) is None
-        assert session.core.cycle == 25
-        reference = SimSession(WORKLOAD, sim=SIM, backend="python")
-        expected = reference.core.run()
-        assert session.core.run() == expected
-
 
 # -- what a fork shares, nobody writes ----------------------------------------------
 #

@@ -32,7 +32,6 @@ from repro.faultinject.live import (
 )
 from repro.fetch.registry import POLICY_NAMES
 from repro.protection import ProtectionConfig, ProtectionScheme
-from repro.sim.backends import BACKEND_ENV_VAR, BACKEND_NAMES
 from repro.sim.session import SimSession, build_traces
 from repro.sim.simulator import simulate
 from repro.structures.strike import entry_bits, locate_field
@@ -96,9 +95,7 @@ def builds(monkeypatch):
 
 
 class TestGroupedEqualsIsolated:
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_fetch_policies_and_rob_sizes(self, backend, builds, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+    def test_fetch_policies_and_rob_sizes(self, builds):
         jobs = _policy_and_rob_jobs()
         cache = ResultCache()
         assert run_jobs(jobs, cache) == len({job.digest() for job in jobs})
@@ -112,11 +109,10 @@ class TestGroupedEqualsIsolated:
 
 
 class TestTraceFieldsAreReadOnly:
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_plain_run(self, backend):
+    def test_plain_run(self):
         traces = build_traces(WORKLOAD, SIM)
         before = _snapshot(traces)
-        simulate(WORKLOAD, sim=SIM, traces=traces, backend=backend)
+        simulate(WORKLOAD, sim=SIM, traces=traces)
         assert _snapshot(traces) == before
 
     def test_taint_run(self):
