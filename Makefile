@@ -78,7 +78,9 @@ reproduce:
 # Parallel-runner + result-cache smoke test with runtime auditing: every
 # simulation checks its conservation invariants every 64 cycles, the second
 # run must simulate nothing (served from the warm cache) and render
-# byte-identical output.
+# byte-identical output, and a third run into the second's directory must
+# leave its unchanged artefacts untouched (REPORT.md carries timings, so
+# only the .txt files are checked).
 SMOKE_ARTEFACTS = fig1_avf_profile,injection_validation
 
 reproduce-smoke:
@@ -94,6 +96,13 @@ reproduce-smoke:
 	cmp $(SMOKE_DIR)/run1/fig1_avf_profile.txt $(SMOKE_DIR)/run2/fig1_avf_profile.txt
 	cmp $(SMOKE_DIR)/run1/injection_validation.txt \
 		$(SMOKE_DIR)/run2/injection_validation.txt
+	touch -d @0 $(SMOKE_DIR)/run2/*.txt
+	PYTHONPATH=src $(PYTHON) -m repro.cli reproduce --only $(SMOKE_ARTEFACTS) \
+		--scale 300 --jobs 2 --check-invariants=64 \
+		--cache-dir $(SMOKE_DIR)/cache --out $(SMOKE_DIR)/run2 \
+		> $(SMOKE_DIR)/third.log
+	if find $(SMOKE_DIR)/run2 -name '*.txt' -newermt @1 | grep .; then \
+		echo "reproduce rewrote unchanged artefacts"; exit 1; fi
 	rm -rf $(SMOKE_DIR)
 
 # Live fault-injection smoke test: a tiny campaign plus one forced hang,

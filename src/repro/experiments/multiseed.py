@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from repro.avf.structures import Structure
 from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
 from repro.errors import ConfigError
-from repro.experiments.runner import ResultCache
+from repro.experiments.runner import ResultCache, job_digest
 from repro.sim.results import SimResult
 from repro.sim.simulator import simulate
 from repro.workload.mixes import WorkloadMix
@@ -104,15 +104,13 @@ def run_multiseed(workload: Union[WorkloadMix, Sequence[str]],
         # WorkloadMix a SimJob cannot reconstruct (digest would not match
         # the read below) stays on the inline path.
         from repro.experiments.parallel import SimJob, run_jobs
-        from repro.experiments.runner import job_key, stable_digest
 
         cache = cache or ResultCache(config)
         fan_out = []
         for sim in sims:
             job = SimJob(workload_name=name, programs=programs,
                          policy=policy, config=config, sim=sim)
-            if job.digest() == stable_digest(
-                    job_key(config, sim, workload, policy)):
+            if job.digest() == job_digest(config, sim, workload, policy):
                 fan_out.append(job)
         run_jobs(fan_out, cache, max_workers=jobs, supervisor=supervisor)
     out = MultiSeedResult(workload=name, policy=policy, seeds=tuple(seeds),

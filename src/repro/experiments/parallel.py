@@ -48,8 +48,7 @@ from repro.experiments.runner import (
     MIX_TYPES,
     ExperimentScale,
     ResultCache,
-    job_key,
-    stable_digest,
+    job_digest,
 )
 from repro.experiments.protection_frontier import (
     FRONTIER_BUDGET_CAP, FRONTIER_WORKLOAD)
@@ -98,8 +97,7 @@ class SimJob:
         return list(self.programs)
 
     def digest(self) -> str:
-        return stable_digest(
-            job_key(self.config, self.sim, self.workload(), self.policy))
+        return job_digest(self.config, self.sim, self.workload(), self.policy)
 
     # -- supervised-task protocol (see repro.resilience.supervisor) --------------
 

@@ -84,6 +84,25 @@ def _degraded_text(name: str, exc: MissingResultError) -> str:
             f"see failures.json)")
 
 
+def _write_if_changed(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` unless the file already holds exactly
+    those bytes.
+
+    On ext4 (default ``auto_da_alloc``) truncating and rewriting an
+    existing file flushes it: 30-47 ms for a 3 KB artefact, against
+    0.01 ms to read it back and compare.  An unchanged file also keeps its
+    mtime, so make-style tools see no change.  The write itself is a plain
+    one, not write-then-rename: a rename over an existing file flushes too.
+    """
+    data = text.encode("utf-8")
+    try:
+        if path.read_bytes() == data:
+            return
+    except FileNotFoundError:
+        pass
+    path.write_bytes(data)
+
+
 def run_all(out_dir: Path, scale: Optional[ExperimentScale] = None,
             only: Optional[List[str]] = None,
             progress: Optional[Callable[[str, float], None]] = None,
@@ -131,7 +150,7 @@ def run_all(out_dir: Path, scale: Optional[ExperimentScale] = None,
             text = _degraded_text(name, exc)
             degraded.append(name)
         elapsed = time.perf_counter() - started
-        (out_dir / f"{name}.txt").write_text(text + "\n")
+        _write_if_changed(out_dir / f"{name}.txt", text + "\n")
         report += [f"## {name}", "", "```", text, "```",
                    f"_({elapsed:.1f}s)_", ""]
         if progress is not None:
@@ -147,8 +166,10 @@ def run_all(out_dir: Path, scale: Optional[ExperimentScale] = None,
         report += ["", f"Degraded artefacts: "
                        f"{', '.join(degraded) if degraded else 'none'}", ""]
     if failures is not None and (failures or failures_out is not None):
-        failures.write(Path(failures_out) if failures_out is not None
-                       else out_dir / "failures.json")
+        failures_path = (Path(failures_out) if failures_out is not None
+                         else out_dir / "failures.json")
+        failures_path.parent.mkdir(parents=True, exist_ok=True)
+        _write_if_changed(failures_path, failures.to_json())
     report_path = out_dir / "REPORT.md"
-    report_path.write_text("\n".join(report))
+    _write_if_changed(report_path, "\n".join(report))
     return report_path

@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -125,9 +126,15 @@ def job_key(config: MachineConfig, sim: SimConfig,
     configuration, the complete sim configuration (including the seed), the
     workload label and program list, and the fetch policy.
     """
+    return _job_key(config, sim, workload_label(workload),
+                    workload_programs(workload), policy)
+
+
+def _job_key(config: MachineConfig, sim: SimConfig, label: str,
+             programs: Tuple[str, ...], policy: str) -> Dict[str, object]:
     return {
-        "workload": workload_label(workload),
-        "programs": list(workload_programs(workload)),
+        "workload": label,
+        "programs": list(programs),
         "policy": policy,
         "machine": asdict(config),
         "sim": asdict(sim),
@@ -138,6 +145,44 @@ def stable_digest(payload: Dict[str, object]) -> str:
     """Content hash of a JSON-safe dict, stable across processes/sessions."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+class _ByRepr:
+    """A frozen config keyed by its ``repr`` rather than by equality.
+
+    ``SimConfig(seed=True) == SimConfig(seed=1)`` and the two hash alike,
+    yet their JSON (and so their digest) differs; likewise a float and an
+    int field of equal value.  Every config field is in its ``repr``
+    (none is declared ``repr=False``), so equal reprs serialise alike.
+    """
+
+    __slots__ = ("obj", "key")
+
+    def __init__(self, obj: object) -> None:
+        self.obj = obj
+        self.key = (type(obj), repr(obj))
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _ByRepr) and self.key == other.key
+
+
+# Bounded: the campaign server is a long-lived process.
+@lru_cache(maxsize=1024)
+def _job_digest(config: _ByRepr, sim: _ByRepr, label: str,
+                programs: Tuple[str, ...], policy: str) -> str:
+    return stable_digest(_job_key(config.obj, sim.obj, label, programs, policy))
+
+
+def job_digest(config: MachineConfig, sim: SimConfig,
+               workload: WorkloadLike, policy: str) -> str:
+    """``stable_digest(job_key(...))``, memoised: the cache file name of one
+    simulation.  The two ``asdict`` calls inside ``job_key`` dominate a
+    warm reproduce, which asks for each job's digest several times."""
+    return _job_digest(_ByRepr(config), _ByRepr(sim), workload_label(workload),
+                       workload_programs(workload), policy)
 
 
 def atomic_write_json(path: Path, entry: Dict[str, object]) -> None:
@@ -217,7 +262,7 @@ class ResultCache:
         sim = sim or SimConfig()
         if traces is not None:
             check_traces(workload, sim, traces)
-        digest = stable_digest(job_key(config, sim, workload, policy))
+        digest = job_digest(config, sim, workload, policy)
         hit = self.get(digest)
         if hit is not None:
             return hit

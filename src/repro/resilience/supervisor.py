@@ -132,16 +132,20 @@ class FailureReport:
         return {"schema": 1,
                 "failures": [f.to_payload() for f in self.failures]}
 
+    def to_json(self) -> str:
+        """The text of ``failures.json``."""
+        import json
+
+        return json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n"
+
     def write(self, path) -> None:
         """Write ``failures.json`` (written even when empty, so automation
         can distinguish 'no failures' from 'no report')."""
-        import json
         from pathlib import Path
 
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_payload(), indent=2,
-                                   sort_keys=True) + "\n")
+        path.write_text(self.to_json())
 
 
 @dataclass

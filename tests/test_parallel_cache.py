@@ -1,9 +1,11 @@
 """The parallel experiment runner and the persistent on-disk result cache."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.config import MachineConfig, SimConfig
 from repro.errors import ConfigError
 from repro.experiments.parallel import (
     SimJob,
@@ -17,6 +19,7 @@ from repro.experiments.runner import (
     CACHE_SCHEMA_VERSION,
     ExperimentScale,
     ResultCache,
+    job_digest,
     job_key,
     stable_digest,
 )
@@ -193,6 +196,81 @@ class TestArtefactPlanning:
     def test_prewarm_rejects_bad_jobs(self):
         with pytest.raises(ConfigError):
             prewarm_artefacts(["fig1_avf_profile"], TINY, ResultCache(), jobs=0)
+
+
+#: The artefacts served from the result cache (the live-injection ones are not).
+CACHED_ARTEFACTS = ["fig1_avf_profile", "fig2_efficiency", "fig3_smt_vs_st",
+                    "fig4_smt_vs_st_efficiency", "fig5_context_scaling",
+                    "fig6_fetch_policies", "fig7_policy_efficiency",
+                    "fig8_fairness", "smt_vs_superscalar", "resource_scaling"]
+
+
+@pytest.fixture(scope="module")
+def planned_jobs():
+    """Every job prewarm plans for the cached artefacts at scale 300, seed 1."""
+    planned = []
+
+    def recording(jobs, cache, **kwargs):
+        jobs = list(jobs)
+        planned.extend(jobs)
+        return run_jobs(jobs, cache, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.experiments.parallel.run_jobs", recording)
+        prewarm_artefacts(CACHED_ARTEFACTS, ExperimentScale(300, seed=1),
+                          ResultCache(), jobs=2)
+    return planned
+
+
+def _uncached(config, sim, workload, policy):
+    return stable_digest(job_key(config, sim, workload, policy))
+
+
+class TestJobDigest:
+    def test_every_planned_job_digest_is_exact(self, planned_jobs):
+        digests = set()
+        for job in planned_jobs:
+            expected = _uncached(job.config, job.sim, job.workload(),
+                                 job.policy)
+            assert job_digest(job.config, job.sim, job.workload(),
+                              job.policy) == expected
+            assert job.digest() == expected
+            digests.add(expected)
+        assert len(digests) == 138
+
+    @pytest.mark.parametrize("first", ["loose", "exact"])
+    def test_equal_configs_keep_their_own_digests(self, first):
+        # Each order uses values no other test has seen, so neither digest
+        # can come from the memo of an earlier call.
+        fresh = SimConfig(max_cycles=1001 if first == "loose" else 1002)
+        pairs = [
+            (MachineConfig(), dataclasses.replace(fresh, seed=True),
+             MachineConfig(), dataclasses.replace(fresh, seed=1)),
+            (MachineConfig(memory_latency=200.0), fresh,
+             MachineConfig(memory_latency=200), fresh),
+        ]
+        mix = get_mix("2-CPU-A")
+        for loose_cfg, loose_sim, exact_cfg, exact_sim in pairs:
+            assert (loose_cfg, loose_sim) == (exact_cfg, exact_sim)
+            order = [(loose_cfg, loose_sim), (exact_cfg, exact_sim)]
+            if first == "exact":
+                order.reverse()
+            got = [job_digest(cfg, sim, mix, "ICOUNT") for cfg, sim in order]
+            assert got == [_uncached(cfg, sim, mix, "ICOUNT")
+                           for cfg, sim in order]
+            assert got[0] != got[1]
+
+    def test_every_config_field_is_in_its_repr(self):
+        # job_digest keys its memo on repr: a repr=False field would let
+        # two configs that serialise differently share a digest.
+        todo = [MachineConfig(), SimConfig()]
+        while todo:
+            obj = todo.pop()
+            for f in dataclasses.fields(obj):
+                assert f.repr, f"{type(obj).__name__}.{f.name}"
+                value = getattr(obj, f.name)
+                if dataclasses.is_dataclass(value):
+                    todo.append(value)
 
 
 class TestRunAllParallel:

@@ -1,11 +1,12 @@
 """The one-shot reproduction driver."""
 
+import os
 from pathlib import Path
 
 import pytest
 
 from repro.experiments.reproduce import ARTEFACTS, run_all
-from repro.experiments.runner import ExperimentScale
+from repro.experiments.runner import ExperimentScale, ResultCache
 
 TINY = ExperimentScale(instructions_per_thread=200)
 
@@ -45,3 +46,70 @@ class TestRunAll:
         out = tmp_path / "nested" / "dir"
         run_all(out, scale=TINY, only=["fig1_avf_profile"])
         assert Path(out).is_dir()
+
+
+WARM = ["fig1_avf_profile", "fig2_efficiency"]
+
+
+@pytest.fixture
+def warm(tmp_path):
+    """A warm result cache and a first reproduce into ``out``."""
+    cache_dir = tmp_path / "cache"
+    out = tmp_path / "out"
+    run_all(out, scale=TINY, only=WARM, cache_dir=cache_dir)
+    return cache_dir, out
+
+
+def _rerun(out, cache_dir, scale=TINY):
+    cache = ResultCache(cache_dir=cache_dir)
+    run_all(out, scale=scale, only=WARM, cache=cache)
+    return cache
+
+
+def _artefacts(out):
+    return {name: (out / f"{name}.txt").read_bytes() for name in WARM}
+
+
+class TestUnchangedOutputs:
+    """A reproduce leaves a file whose bytes would not change untouched."""
+
+    def test_warm_rerun_leaves_artefacts_untouched(self, warm):
+        cache_dir, out = warm
+        before = {}
+        for name in WARM:
+            path = out / f"{name}.txt"
+            # Backdate, so a rewrite shows even within one timestamp tick.
+            os.utime(path, ns=(10**9, 10**9))
+            before[name] = (path.stat().st_ino, path.stat().st_mtime_ns)
+        cache = _rerun(out, cache_dir)
+        assert cache.simulated == 0
+        for name in WARM:
+            st = (out / f"{name}.txt").stat()
+            assert (st.st_ino, st.st_mtime_ns) == before[name], name
+
+    @pytest.mark.parametrize("damage", ["edited", "truncated", "missing"])
+    def test_damaged_artefact_is_rewritten(self, warm, damage):
+        cache_dir, out = warm
+        expected = _artefacts(out)
+        path = out / "fig1_avf_profile.txt"
+        if damage == "edited":
+            path.write_bytes(expected["fig1_avf_profile"].replace(b"0", b"9"))
+        elif damage == "truncated":
+            path.write_bytes(expected["fig1_avf_profile"][:40])
+        else:
+            path.unlink()
+        _rerun(out, cache_dir)
+        assert _artefacts(out) == expected
+
+    def test_artefacts_from_another_scale_are_rewritten(self, warm, tmp_path):
+        cache_dir, out = warm
+        expected = _artefacts(out)
+        _rerun(out, tmp_path / "other", scale=ExperimentScale(150))
+        assert _artefacts(out) != expected
+        _rerun(out, cache_dir)
+        assert _artefacts(out) == expected
+
+    def test_directory_in_place_of_artefact_raises(self, tmp_path):
+        (tmp_path / "fig1_avf_profile.txt").mkdir()
+        with pytest.raises(IsADirectoryError):
+            run_all(tmp_path, scale=TINY, only=["fig1_avf_profile"])
