@@ -83,6 +83,19 @@ reproduce:
 # only the .txt files are checked).
 SMOKE_ARTEFACTS = fig1_avf_profile,injection_validation
 
+# The corruption drill at the end of reproduce-smoke: a small live campaign
+# puts live-<digest>.json batch entries beside the result entries, then one
+# of each gets a digit changed inside its result (FLIP_DIGIT: the file still
+# parses, only its checksum can tell).  Both must be recomputed, not served,
+# and rewritten to their original bytes.
+SMOKE_INJECT = PYTHONPATH=src $(PYTHON) -m repro.cli inject gcc mcf \
+	--strikes 4 --structures iq rob --strike-batch 2 --seed 11 \
+	--cache-dir $(SMOKE_DIR)/cache
+FLIP_DIGIT = $(PYTHON) -c 'import re, sys; p = sys.argv[1]; \
+	d = open(p, "rb").read(); \
+	i = re.compile(rb": ?[0-9]").search(d, d.index(b"\"result\":") + 9).end() - 1; \
+	open(p, "wb").write(d[:i] + (b"8" if d[i] == 57 else bytes([d[i] + 1])) + d[i + 1:])'
+
 reproduce-smoke:
 	rm -rf $(SMOKE_DIR)
 	PYTHONPATH=src $(PYTHON) -m repro.cli reproduce --only $(SMOKE_ARTEFACTS) \
@@ -103,6 +116,19 @@ reproduce-smoke:
 		> $(SMOKE_DIR)/third.log
 	if find $(SMOKE_DIR)/run2 -name '*.txt' -newermt @1 | grep .; then \
 		echo "reproduce rewrote unchanged artefacts"; exit 1; fi
+	$(SMOKE_INJECT) > $(SMOKE_DIR)/inject1.log
+	set -e; entry=$$(ls $(SMOKE_DIR)/cache/[0-9a-f]*.json | head -n 1); \
+	live=$$(ls $(SMOKE_DIR)/cache/live-*.json | head -n 1); \
+	cp $$entry $(SMOKE_DIR)/entry.orig; cp $$live $(SMOKE_DIR)/live.orig; \
+	$(FLIP_DIGIT) $$entry; $(FLIP_DIGIT) $$live; \
+	PYTHONPATH=src $(PYTHON) -m repro.cli reproduce --only $(SMOKE_ARTEFACTS) \
+		--scale 300 --jobs 2 --check-invariants=64 \
+		--cache-dir $(SMOKE_DIR)/cache --out $(SMOKE_DIR)/run2 \
+		> $(SMOKE_DIR)/fourth.log; \
+	grep -q "simulated 1 runs" $(SMOKE_DIR)/fourth.log; \
+	$(SMOKE_INJECT) > $(SMOKE_DIR)/inject2.log; \
+	cmp $(SMOKE_DIR)/inject1.log $(SMOKE_DIR)/inject2.log; \
+	cmp $$entry $(SMOKE_DIR)/entry.orig; cmp $$live $(SMOKE_DIR)/live.orig
 	rm -rf $(SMOKE_DIR)
 
 # Live fault-injection smoke test: a tiny campaign plus one forced hang,

@@ -104,8 +104,9 @@ class ArtifactIntegrityError(ReproError):
     """A stored artifact's bytes no longer re-hash to their recorded
     checksum (bit rot, truncation, or tampering on disk).
 
-    Raised by :class:`repro.service.store.ArtifactStore` when asked to
-    *serve* such an artifact — a result endpoint must fail loudly (HTTP
+    Raised by :meth:`repro.content_store.ContentStore.verified_bytes`
+    when the service's artifact store is asked to *serve* such an
+    artifact — a result endpoint must fail loudly (HTTP
     500 naming the digest) rather than hand a client corrupt science.
     """
 

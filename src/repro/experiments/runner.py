@@ -5,15 +5,14 @@ simulations go through.  It memoises in memory (so figures sharing runs —
 1↔2, 6↔7↔8 — never repeat them within a process) and, when given a
 ``cache_dir``, persists every :class:`SimResult` to disk keyed by a stable
 content hash of the full (machine config, sim config, workload, policy)
-tuple, so repeated CLI invocations skip simulation entirely.  Entries carry
-a schema version; stale or corrupt files are invalidated (deleted and
+tuple, so repeated CLI invocations skip simulation entirely.  Entries go
+through the :class:`~repro.content_store.ContentStore`: checksummed on
+every read, so stale or corrupt files are invalidated (deleted and
 recomputed), never misread.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
@@ -22,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.avf.structures import Structure
 from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
+from repro.content_store import ContentStore, stable_digest
 from repro.errors import ConfigError, MissingResultError
 from repro.sim.results import SimResult
 from repro.sim.session import check_traces
@@ -39,13 +39,6 @@ SCALE_ENV_VAR = "REPRO_SCALE"
 AUDIT_ENV_VAR = "REPRO_CHECK_INVARIANTS"
 
 MIX_TYPES = ("CPU", "MIX", "MEM")
-
-#: Version of the on-disk cache entry layout.  Bump whenever the
-#: :meth:`SimResult.to_payload` schema (or anything the simulator measures)
-#: changes: readers drop entries whose recorded schema differs, so stale
-#: results are re-simulated instead of misread.
-CACHE_SCHEMA_VERSION = 1
-
 
 @dataclass(frozen=True)
 class ExperimentScale:
@@ -141,12 +134,6 @@ def _job_key(config: MachineConfig, sim: SimConfig, label: str,
     }
 
 
-def stable_digest(payload: Dict[str, object]) -> str:
-    """Content hash of a JSON-safe dict, stable across processes/sessions."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 class _ByRepr:
     """A frozen config keyed by its ``repr`` rather than by equality.
 
@@ -185,40 +172,6 @@ def job_digest(config: MachineConfig, sim: SimConfig,
                        workload_programs(workload), policy)
 
 
-def atomic_write_json(path: Path, entry: Dict[str, object]) -> None:
-    """Write-then-rename so concurrent writers (parallel runs sharing a
-    cache dir) never expose a half-written entry.
-
-    The temporary file is removed even when the write or rename is
-    interrupted (disk full, kill signal escaping as an exception) — a
-    crashed run must not litter the cache with ``.tmp<pid>`` orphans.
-    """
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    try:
-        tmp.write_text(json.dumps(entry, sort_keys=True))
-        os.replace(tmp, path)
-    finally:
-        try:
-            tmp.unlink()  # gone already after a successful replace
-        except OSError:
-            pass
-
-
-def sweep_tmp_orphans(cache_dir: Path) -> int:
-    """Delete ``*.tmp*`` orphans a crashed writer left behind; returns the
-    count.  Called when a cache directory is opened: any temp file present
-    then belongs to a writer that died between write and rename (live
-    writers hold theirs for milliseconds during an atomic publish)."""
-    removed = 0
-    for orphan in cache_dir.glob("*.tmp*"):
-        try:
-            orphan.unlink()
-            removed += 1
-        except OSError:
-            pass
-    return removed
-
-
 class ResultCache:
     """Memoises simulations in memory and, optionally, on disk.
 
@@ -236,9 +189,8 @@ class ResultCache:
                  cache_dir: Optional[Union[str, Path]] = None) -> None:
         self.config = config or DEFAULT_CONFIG
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        if self.cache_dir is not None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            sweep_tmp_orphans(self.cache_dir)
+        self._disk = (ContentStore(self.cache_dir)
+                      if self.cache_dir is not None else None)
         self._mem: Dict[str, SimResult] = {}
         self.failed: Dict[str, str] = {}
         self.simulated = 0
@@ -296,7 +248,9 @@ class ResultCache:
         if hit is not None:
             self.mem_hits += 1
             return hit
-        result = self._load(digest)
+        if self._disk is None:
+            return None
+        result = self._disk.get(digest, decode=SimResult.from_payload)
         if result is not None:
             self.disk_hits += 1
             self._mem[digest] = result
@@ -309,8 +263,8 @@ class ResultCache:
         part of the serialization schema (see ``SimResult.to_payload``).
         """
         self._mem[digest] = result
-        if self.cache_dir is not None and result.phase_series is None:
-            self._store(digest, result)
+        if self._disk is not None and result.phase_series is None:
+            self._disk.put(digest, result.to_payload())
 
     def mark_failed(self, digest: str, label: str) -> None:
         """Record that a supervised job failed permanently.
@@ -326,44 +280,6 @@ class ResultCache:
     def clear(self) -> None:
         """Drop the in-memory memo (on-disk entries are left alone)."""
         self._mem.clear()
-
-    # -- disk layer ----------------------------------------------------------------
-
-    def _path(self, digest: str) -> Path:
-        return self.cache_dir / f"{digest}.json"
-
-    def _load(self, digest: str) -> Optional[SimResult]:
-        if self.cache_dir is None:
-            return None
-        path = self._path(digest)
-        try:
-            entry = json.loads(path.read_text())
-        except OSError:
-            return None
-        except ValueError:
-            self._invalidate(path)
-            return None
-        if not isinstance(entry, dict) or entry.get("schema") != CACHE_SCHEMA_VERSION:
-            self._invalidate(path)
-            return None
-        try:
-            return SimResult.from_payload(entry["result"])
-        except (KeyError, TypeError, ValueError):
-            self._invalidate(path)
-            return None
-
-    def _store(self, digest: str, result: SimResult) -> None:
-        path = self._path(digest)
-        entry = {"schema": CACHE_SCHEMA_VERSION, "result": result.to_payload()}
-        atomic_write_json(path, entry)
-
-    @staticmethod
-    def _invalidate(path: Path) -> None:
-        """Delete a stale/corrupt entry so it cannot be misread later."""
-        try:
-            path.unlink()
-        except OSError:
-            pass
 
 
 #: Process-wide cache shared by all figure modules (and hence by the

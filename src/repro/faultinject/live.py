@@ -47,8 +47,6 @@ misses even clusters, SECDED corrects 1 / detects 2 / misses 3.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum, auto
@@ -60,6 +58,7 @@ import numpy as np
 from repro.avf.bits import structure_capacity
 from repro.avf.structures import PRIVATE_STRUCTURES, Structure
 from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
+from repro.content_store import ContentStore, stable_digest
 from repro.errors import HangDetected, ReproError
 from repro.faultinject.classify import DigestRecorder, Watchdog, taint_live
 from repro.metrics.reliability import wilson_interval
@@ -91,10 +90,10 @@ MASKED_OUTCOMES = frozenset({
     InjectionOutcome.CORRECTED,
 })
 
-#: Version of the on-disk batch-record layout, hashed into every
-#: :meth:`LiveBatchJob.key`; entries recorded under a different schema are
-#: re-run rather than misread.  v2: the MASKED/DUE/HANG/CORRECTED outcome
-#: classes.
+#: Version of the batch-record layout, hashed into every
+#: :meth:`LiveBatchJob.key`: a new layout moves every batch digest (and
+#: cache file name), so records of another layout are re-run rather than
+#: misread.  v2: the MASKED/DUE/HANG/CORRECTED outcome classes.
 CAMPAIGN_SCHEMA_VERSION = 2
 
 
@@ -244,10 +243,8 @@ _GOLDEN_MEMO_CAP = 4
 
 def _golden_key(programs: Sequence[str], policy: str, config: MachineConfig,
                 sim: SimConfig) -> str:
-    blob = json.dumps({"programs": list(programs), "policy": policy,
-                       "machine": asdict(config), "sim": asdict(sim)},
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return stable_digest({"programs": list(programs), "policy": policy,
+                          "machine": asdict(config), "sim": asdict(sim)})
 
 
 def golden_run(workload: Union[WorkloadMix, Sequence[str]], policy: str,
@@ -737,8 +734,7 @@ class LiveBatchJob:
         return key
 
     def digest(self) -> str:
-        blob = json.dumps(self.key(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return stable_digest(self.key())
 
     def run(self) -> Dict[str, object]:
         """Strike every index of the batch; records in index order.
@@ -750,13 +746,14 @@ class LiveBatchJob:
         (_, payload), = run_batches([self])
         return payload
 
-    def validate(self, payload: Dict[str, object]) -> None:
-        """Reject a payload that is not exactly this batch's records.
+    def validate(self, payload: Dict[str, object]) -> Dict[str, object]:
+        """Return ``payload`` if it is exactly this batch's records.
 
         A result from a cache entry or a fleet commit must carry one
         record per index, in ``indices`` order, for this structure, with
         an outcome this version knows — otherwise the structure's outcome
-        counts would stop summing to its injections.
+        counts would stop summing to its injections.  Raises
+        ``ValueError`` if not.
         """
         records = payload["records"]
         if len(records) != len(self.indices):
@@ -774,6 +771,7 @@ class LiveBatchJob:
             if record.structure is not self.structure:
                 raise ValueError(f"record for {record.structure.value}, "
                                  f"expected {self.structure.value}")
+        return payload
 
 
 def run_batches(jobs: Sequence[LiveBatchJob]
@@ -948,52 +946,7 @@ def run_live_campaign(workload: Union[WorkloadMix, Sequence[str]],
                                   config=config, sim=base_sim, seed=seed,
                                   protection=protection, live=live, mbu=mbu)
 
-    cache_root: Optional[Path] = None
-    if cache_dir is not None:
-        from repro.experiments.runner import sweep_tmp_orphans
-
-        cache_root = Path(cache_dir)
-        cache_root.mkdir(parents=True, exist_ok=True)
-        # Crashed writers' .tmp<pid> orphans, as in the result cache.
-        sweep_tmp_orphans(cache_root)
-
-    def cache_path(job: LiveBatchJob) -> Optional[Path]:
-        if cache_root is None:
-            return None
-        return cache_root / f"live-{job.digest()}.json"
-
-    def load_cached(job: LiveBatchJob) -> Optional[Dict[str, object]]:
-        path = cache_path(job)
-        if path is None:
-            return None
-        try:
-            entry = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        try:
-            if (not isinstance(entry, dict)
-                    or entry.get("schema") != CAMPAIGN_SCHEMA_VERSION):
-                raise ValueError("stale cache schema")
-            job.validate(entry)
-        except Exception:
-            # Stale or invalid: drop it so the batch recomputes and the
-            # rewrite replaces it.
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        return entry
-
-    def store_cached(job: LiveBatchJob, payload: Dict[str, object]) -> None:
-        path = cache_path(job)
-        if path is None:
-            return
-        from repro.experiments.runner import atomic_write_json
-
-        entry = {"schema": CAMPAIGN_SCHEMA_VERSION,
-                 "records": payload["records"]}
-        atomic_write_json(path, entry)
+    store = ContentStore(cache_dir) if cache_dir is not None else None
 
     by_key: Dict[Tuple[int, int], LiveStrikeRecord] = {}
     order = {s: i for i, s in enumerate(structures)}
@@ -1002,12 +955,15 @@ def run_live_campaign(workload: Union[WorkloadMix, Sequence[str]],
         for entry in payload["records"]:
             record = LiveStrikeRecord.from_payload(entry)
             by_key[(order[record.structure], record.index)] = record
-        store_cached(job, payload)
+        if store is not None:
+            store.put(f"live-{job.digest()}",
+                      {"records": payload["records"]})
         if on_batch is not None:
             on_batch(job, payload)
 
     def already_done(job: LiveBatchJob) -> bool:
-        entry = load_cached(job)
+        entry = (store.get(f"live-{job.digest()}", decode=job.validate)
+                 if store is not None else None)
         if entry is None:
             return False
         for raw in entry["records"]:

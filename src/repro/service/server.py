@@ -42,6 +42,7 @@ import signal
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from repro.content_store import canonical_json_bytes
 from repro.errors import ArtifactIntegrityError
 from repro.service.fleet import (
     DEFAULT_HEDGE_AFTER,
@@ -57,7 +58,7 @@ from repro.service.scheduler import (
     QueueFull,
 )
 from repro.service.specs import FLEET_SCHEMAS, SpecError, validate_schema
-from repro.service.store import ArtifactStore, canonical_json_bytes
+from repro.service.store import ArtifactStore
 
 #: Version of the REST/JSON wire contract.  v2 added admission control
 #: (429 + Retry-After + ``queue_position``), DELETE cancellation and the

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.content_store import stable_digest
 from repro.errors import ReproError
 from repro.workload.mixes import TABLE2_MIXES
 from repro.workload.spec2000 import PROFILES
@@ -265,8 +266,6 @@ class CampaignSpec:
         }
 
     def digest(self) -> str:
-        from repro.experiments.runner import stable_digest
-
         return stable_digest(self.canonical())
 
     def campaign_id(self) -> str:

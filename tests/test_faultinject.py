@@ -16,13 +16,10 @@ import pytest
 from repro.avf.account import VulnerabilityAccount
 from repro.avf.structures import Structure
 from repro.config import DEFAULT_CONFIG, SimConfig
+from repro.content_store import STORE_SCHEMA_VERSION
 from repro.errors import ReproError
 from repro.faultinject import InjectionOutcome, LiveConfig, run_live_campaign
-from repro.faultinject.live import (
-    CAMPAIGN_SCHEMA_VERSION,
-    _StrikeDriver,
-    golden_run,
-)
+from repro.faultinject.live import _StrikeDriver, golden_run
 from repro.workload.mixes import get_mix
 
 
@@ -171,10 +168,33 @@ class TestCampaignCacheAndJobs:
         run_live_campaign(get_mix("2-CPU-A"), cache_dir=tmp_path, **self.KW)
         path = sorted(tmp_path.glob("live-*.json"))[0]
         entry = json.loads(path.read_text())
-        entry["schema"] = CAMPAIGN_SCHEMA_VERSION + 1
+        entry["schema"] = STORE_SCHEMA_VERSION + 1
         path.write_text(json.dumps(entry))
         again = run_live_campaign(get_mix("2-CPU-A"), cache_dir=tmp_path,
                                   **self.KW)
-        assert json.loads(path.read_text())["schema"] == CAMPAIGN_SCHEMA_VERSION
+        assert json.loads(path.read_text())["schema"] == STORE_SCHEMA_VERSION
         assert (again.batches_cached, again.batches_executed) == (3, 1)
         assert sum(again.structures[Structure.IQ].outcomes.values()) == 4
+
+    @pytest.mark.parametrize("damage", ["flip", "reindent", "parent_format"])
+    def test_damaged_entry_reruns(self, tmp_path, damage, flip_digit):
+        """A batch entry with a flipped digit that still parses (and still
+        validates), a re-indented one, or one in the checksum-less format
+        of earlier versions is re-run, never served."""
+        first = run_live_campaign(get_mix("2-CPU-A"), cache_dir=tmp_path,
+                                  **self.KW)
+        path = sorted(tmp_path.glob("live-*.json"))[0]
+        original = path.read_bytes()
+        entry = json.loads(original)
+        if damage == "flip":
+            flip_digit(path, "cycle")
+        elif damage == "reindent":
+            path.write_text(json.dumps(entry, indent=2))
+        else:
+            path.write_text(json.dumps({"schema": 2,
+                                        **entry["result"]}, sort_keys=True))
+        again = run_live_campaign(get_mix("2-CPU-A"), cache_dir=tmp_path,
+                                  **self.KW)
+        assert (again.batches_cached, again.batches_executed) == (3, 1)
+        assert again.records == first.records
+        assert path.read_bytes() == original

@@ -19,9 +19,9 @@ import json
 import pytest
 
 from repro.config import SimConfig
+from repro.content_store import STORE_SCHEMA_VERSION
 from repro.errors import ReproError
 from repro.faultinject import run_live_campaign
-from repro.faultinject.live import CAMPAIGN_SCHEMA_VERSION
 from repro.resilience import RetryPolicy, Supervisor
 from repro.resilience.journal import JOURNAL_SCHEMA_VERSION, CheckpointJournal
 
@@ -122,7 +122,7 @@ class TestCacheSchemaMismatch:
         assert stale, "campaign must have cached its batches"
         for entry_path in stale:
             entry = json.loads(entry_path.read_text())
-            entry["schema"] = CAMPAIGN_SCHEMA_VERSION + 1
+            entry["schema"] = STORE_SCHEMA_VERSION + 1
             entry_path.write_text(json.dumps(entry))
 
         # Resume: the loader invalidates each stale entry as a unit and
@@ -136,7 +136,7 @@ class TestCacheSchemaMismatch:
         assert not supervisor.report
         for entry_path in stale:
             entry = json.loads(entry_path.read_text())
-            assert entry["schema"] == CAMPAIGN_SCHEMA_VERSION
+            assert entry["schema"] == STORE_SCHEMA_VERSION
 
     def test_corrupt_cache_entry_recomputes_not_mixes(self, tmp_path):
         _, fresh_payload = _campaign(tmp_path)
@@ -148,4 +148,4 @@ class TestCacheSchemaMismatch:
         assert resumed_payload == fresh_payload
         # The corrupt entry was replaced by the recomputed batch.
         assert json.loads(victim.read_text())["schema"] == \
-            CAMPAIGN_SCHEMA_VERSION
+            STORE_SCHEMA_VERSION

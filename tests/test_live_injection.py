@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.avf.bits import entry_bits as ledger_entry_bits
 from repro.avf.structures import Structure
 from repro.config import DEFAULT_CONFIG, SimConfig
+from repro.content_store import ContentStore
 from repro.errors import ReproError, StructureError
 from repro.faultinject import (
     InjectionOutcome,
@@ -412,10 +413,11 @@ class TestBatchValidation:
         first = run_live_campaign(**kwargs)
         [entry] = tmp_path.glob("live-*.json")
         good = entry.read_text()
-        tampered = json.loads(good)
+        tampered = json.loads(good)["result"]
         # Right count, wrong indices: counts would no longer sum right.
+        # Stored with a valid checksum, so the batch check must catch it.
         tampered["records"][1] = dict(tampered["records"][0])
-        entry.write_text(json.dumps(tampered))
+        ContentStore(tmp_path).put(entry.stem, tampered)
 
         second = run_live_campaign(**kwargs)
         assert second.batches_cached == 0 and second.batches_executed == 1
@@ -431,8 +433,7 @@ class TestBatchValidation:
                       live=LiveConfig(strike_batch=4), cache_dir=tmp_path)
         run_live_campaign(**kwargs)
         [entry] = tmp_path.glob("live-*.json")
-        entry.write_text(json.dumps({"schema": json.loads(
-            entry.read_text())["schema"], "records": []}))
+        ContentStore(tmp_path).put(entry.stem, {"records": []})
 
         def refuse(jobs):
             raise RuntimeError("no recompute")

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.config import MachineConfig, SimConfig
+from repro.content_store import STORE_SCHEMA_VERSION
 from repro.errors import ConfigError
 from repro.experiments.parallel import (
     SimJob,
@@ -16,7 +17,6 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.reproduce import run_all
 from repro.experiments.runner import (
-    CACHE_SCHEMA_VERSION,
     ExperimentScale,
     ResultCache,
     job_digest,
@@ -46,7 +46,7 @@ class TestDiskCache:
         entries = list(tmp_path.glob("*.json"))
         assert len(entries) == 2
         for entry in entries:
-            assert json.loads(entry.read_text())["schema"] == CACHE_SCHEMA_VERSION
+            assert json.loads(entry.read_text())["schema"] == STORE_SCHEMA_VERSION
 
     def test_cross_process_reuse(self, tmp_path):
         """A fresh cache instance (fresh process) answers from disk."""
@@ -75,14 +75,14 @@ class TestDiskCache:
         cache.smt(get_mix("2-CPU-A"), "ICOUNT", TINY)
         (path,) = tmp_path.glob("*.json")
         entry = json.loads(path.read_text())
-        entry["schema"] = CACHE_SCHEMA_VERSION + 1
+        entry["schema"] = STORE_SCHEMA_VERSION + 1
         path.write_text(json.dumps(entry))
 
         cold = ResultCache(cache_dir=tmp_path)
         cold.smt(get_mix("2-CPU-A"), "ICOUNT", TINY)
         assert cold.simulated == 1  # stale entry re-simulated, not misread
         assert cold.disk_hits == 0
-        assert json.loads(path.read_text())["schema"] == CACHE_SCHEMA_VERSION
+        assert json.loads(path.read_text())["schema"] == STORE_SCHEMA_VERSION
 
     def test_corrupt_entry_invalidated(self, tmp_path):
         cache = ResultCache(cache_dir=tmp_path)
@@ -93,7 +93,33 @@ class TestDiskCache:
         cold = ResultCache(cache_dir=tmp_path)
         cold.smt(get_mix("2-CPU-A"), "ICOUNT", TINY)
         assert cold.simulated == 1
-        assert json.loads(path.read_text())["schema"] == CACHE_SCHEMA_VERSION
+        assert json.loads(path.read_text())["schema"] == STORE_SCHEMA_VERSION
+
+    @pytest.mark.parametrize("damage", ["flip", "reindent", "parent_format"])
+    def test_damaged_entry_resimulated_and_rewritten(self, tmp_path, damage,
+                                                     flip_digit):
+        """A flipped digit that still parses, a re-indented entry whose
+        checksum still holds, and an entry in the checksum-less format of
+        earlier versions are all recomputed, never served."""
+        warm = ResultCache(cache_dir=tmp_path)
+        fresh = warm.smt(get_mix("2-CPU-A"), "ICOUNT", TINY)
+        (path,) = tmp_path.glob("*.json")
+        original = path.read_bytes()
+        entry = json.loads(original)
+        if damage == "flip":
+            flip_digit(path, "cycles")
+        elif damage == "reindent":
+            path.write_text(json.dumps(entry, indent=2))
+        else:
+            path.write_text(json.dumps({"schema": 1,
+                                        "result": entry["result"]},
+                                       sort_keys=True))
+
+        cold = ResultCache(cache_dir=tmp_path)
+        again = cold.smt(get_mix("2-CPU-A"), "ICOUNT", TINY)
+        assert (cold.simulated, cold.disk_hits) == (1, 0)
+        assert again.to_payload() == fresh.to_payload()
+        assert path.read_bytes() == original
 
     def test_memory_only_without_cache_dir(self):
         cache = ResultCache()

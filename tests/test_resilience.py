@@ -10,6 +10,11 @@ import os
 
 import pytest
 
+from repro.content_store import (
+    atomic_write,
+    canonical_json_bytes,
+    sweep_tmp_orphans,
+)
 from repro.errors import ConfigError, ExecutionFailed, MissingResultError
 from repro.experiments.parallel import (
     KNOWN_ARTEFACTS,
@@ -18,12 +23,7 @@ from repro.experiments.parallel import (
     run_jobs,
 )
 from repro.experiments.reproduce import ARTEFACTS, run_all
-from repro.experiments.runner import (
-    ExperimentScale,
-    ResultCache,
-    atomic_write_json,
-    sweep_tmp_orphans,
-)
+from repro.experiments.runner import ExperimentScale, ResultCache
 from repro.resilience import (
     CHAOS_ENV_VAR,
     ChaosInjectedError,
@@ -458,12 +458,12 @@ class TestTmpFileHygiene:
 
         monkeypatch.setattr(os, "replace", explode)
         with pytest.raises(OSError):
-            atomic_write_json(target, {"k": 1})
+            atomic_write(target, canonical_json_bytes({"k": 1}))
         assert not target.exists()
         assert list(tmp_path.glob("*.tmp*")) == []  # no leaked temp file
 
     def test_atomic_write_round_trips(self, tmp_path):
         target = tmp_path / "entry.json"
-        atomic_write_json(target, {"b": 2, "a": 1})
+        atomic_write(target, canonical_json_bytes({"b": 2, "a": 1}))
         assert json.loads(target.read_text()) == {"a": 1, "b": 2}
         assert list(tmp_path.glob("*.tmp*")) == []
