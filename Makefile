@@ -137,10 +137,16 @@ reproduce-smoke:
 # simulator into a classified DUE instead of a campaign abort.  The same
 # campaign runs inline (--jobs 1: every batch struck on one shared driver)
 # and pooled (--jobs 2: one driver per batch); the two summaries must be
-# byte-identical.
+# byte-identical.  So must those of an all-structure campaign of 3-bit
+# bursts under parity: its taint-only strikes (seed 1: two SDC, two
+# MASKED) are replayed over the golden run's dataflow log, which each pool
+# worker records for itself.
 INJECT_SMOKE = PYTHONPATH=src $(PYTHON) -m repro.cli inject gcc mcf \
 	--strikes 6 --structures iq rob --strike-batch 2 \
 	--force hang --force crash --force due --seed 11 --no-cache
+INJECT_SMOKE_MBU = PYTHONPATH=src $(PYTHON) -m repro.cli inject gcc mcf \
+	--strikes 8 --mbu-len 3 --protect parity --strike-batch 4 \
+	--seed 1 --no-cache
 
 inject-smoke:
 	mkdir -p $(SMOKE_DIR)
@@ -148,7 +154,12 @@ inject-smoke:
 	cat $(SMOKE_DIR)/inject-jobs1.txt
 	$(INJECT_SMOKE) --jobs 2 > $(SMOKE_DIR)/inject-jobs2.txt
 	cmp $(SMOKE_DIR)/inject-jobs1.txt $(SMOKE_DIR)/inject-jobs2.txt
-	rm -f $(SMOKE_DIR)/inject-jobs1.txt $(SMOKE_DIR)/inject-jobs2.txt
+	$(INJECT_SMOKE_MBU) --jobs 1 > $(SMOKE_DIR)/inject-mbu-jobs1.txt
+	cat $(SMOKE_DIR)/inject-mbu-jobs1.txt
+	$(INJECT_SMOKE_MBU) --jobs 2 > $(SMOKE_DIR)/inject-mbu-jobs2.txt
+	cmp $(SMOKE_DIR)/inject-mbu-jobs1.txt $(SMOKE_DIR)/inject-mbu-jobs2.txt
+	rm -f $(SMOKE_DIR)/inject-jobs1.txt $(SMOKE_DIR)/inject-jobs2.txt \
+		$(SMOKE_DIR)/inject-mbu-jobs1.txt $(SMOKE_DIR)/inject-mbu-jobs2.txt
 
 # Protection-frontier smoke test: regenerate the protection_frontier
 # artefact at the committed golden's scale and diff it against the

@@ -9,7 +9,7 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
 from repro.faultinject import LiveConfig
-from repro.faultinject.live import DECIDE_EVERY, _StrikeDriver, golden_run
+from repro.faultinject.live import _StrikeDriver, golden_run
 from repro.sim.session import SimSession, functional_warmup
 from repro.sim.simulator import build_traces, simulate
 from repro.workload.generator import generate_trace
@@ -64,8 +64,8 @@ def test_core_fork(benchmark):
 
     The driver is the ``injection_validation`` campaign's (2-MIX-A, 500
     instructions per thread, taint on, no ledger), paused mid-run.  Each
-    round forks it and runs the fork for one ``DECIDE_EVERY`` slice, so
-    the state a fork copies on first write is timed along with the fork.
+    round forks it and runs the fork for 8 cycles, so the state a fork
+    copies on first write is timed along with the fork.
     """
     mix = get_mix("2-MIX-A")
     sim = SimConfig(max_instructions=500 * mix.num_threads, seed=1)
@@ -77,11 +77,11 @@ def test_core_fork(benchmark):
 
     def fork_and_step():
         fork = driver.core.fork()
-        fork.run(paused + DECIDE_EVERY)
+        fork.run(paused + 8)
         return fork
 
     fork = benchmark.pedantic(fork_and_step, rounds=50, iterations=1)
-    assert fork.cycle == paused + DECIDE_EVERY
+    assert fork.cycle == paused + 8
     assert driver.core.cycle == paused
 
 

@@ -23,15 +23,24 @@ golden (fault-free) run of the same workload:
   ``progress_window`` cycles).  Either trip raises
   :class:`~repro.errors.HangDetected`, which the strike runner converts to
   the **hang** outcome; no strike can wedge a campaign.
+
+* :class:`DataflowLog` and :class:`TaintReplay` — the golden run's
+  dataflow, and the replay of one taint-only strike's taint over it,
+  which decides SDC or MASKED exactly as the digest of its faulty run
+  would, without running one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Tuple
+from bisect import bisect_right
+from itertools import islice
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import HangDetected
+from repro.pipeline.core import (FLOW_COMMIT, FLOW_FORWARD, FLOW_ISSUE,
+                                 FLOW_SQUASH, FLOW_WRITEBACK)
 
 
 class DigestRecorder:
@@ -84,7 +93,7 @@ class DigestRecorder:
             1
             for thread in core.threads
             for instr in thread.trace.instrs
-            if _pending(instr))
+            if instr.value_tag and _awaits_commit(instr))
         self.finalized = True
 
     def fork(self) -> "DigestRecorder":
@@ -117,71 +126,142 @@ class DigestRecorder:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _pending(instr) -> bool:
-    """Would :meth:`DigestRecorder.on_finalize` count ``instr``'s taint as
-    pending: tainted, ACE, fetched by this run and not committed?"""
-    return bool(instr.value_tag and instr.is_ace
-                and instr.fetched_at >= 0 and instr.committed_at < 0)
+def _awaits_commit(instr) -> bool:
+    """ACE, fetched by this run and not committed: the instructions whose
+    taint :meth:`DigestRecorder.on_finalize` counts as pending."""
+    return instr.is_ace and instr.fetched_at >= 0 and instr.committed_at < 0
 
 
-# -- live taint ------------------------------------------------------------------
+# -- taint-only strikes: replay the golden run's dataflow ------------------------
 #
-# Where taint can still be found, either by the digest at the end of the run
-# or by a later read that would carry it on.  Each clause is one place; a
-# run none of them finds taint in can never taint anything again, because
-# taint only spreads from taint.
+# A strike that wrote only taint changes no kernel decision (no stage reads a
+# tag), so its run is the golden run cycle for cycle: the same instances
+# issue, forward, write back, commit and squash in the same order.  Only
+# where the taint goes differs, and the golden run's dataflow log says where
+# it can go.
 
 
-def _arch_taint(core, recorder: DigestRecorder) -> bool:
-    """A committed register value the digest holds as tainted."""
-    return bool(recorder._arch)
+class DataflowLog:
+    """The golden run's dataflow: its ``SMTCore.flow_log`` events, in cycle
+    and stage order, and the instances whose taint finalize would count as
+    pending (:func:`_awaits_commit`), each ``(thread, fetch_stamp)``."""
+
+    __slots__ = ("events", "pending", "_cycles")
+
+    def __init__(self, events: List[tuple], pending: FrozenSet) -> None:
+        self.events = events
+        self.pending = pending
+        self._cycles = [event[0] for event in events]
+
+    @classmethod
+    def of(cls, core) -> "DataflowLog":
+        """The log ``core`` recorded, once its run has finished."""
+        return cls(core.flow_log, frozenset(
+            (thread.id, instr.fetch_stamp)
+            for thread in core.threads
+            for instr in thread.trace.instrs if _awaits_commit(instr)))
+
+    def corrupts(self, cycle: int, victim) -> bool:
+        """Does a taint-only strike on ``victim`` — an instance or a
+        physical register, struck after cycle ``cycle``'s hooks — end SDC
+        (True) or MASKED (False)?"""
+        return TaintReplay(victim).run(self, cycle)
+
+    def after(self, cycle: int) -> Iterator[tuple]:
+        """Every event of the cycles after ``cycle``."""
+        return islice(self.events, bisect_right(self._cycles, cycle), None)
 
 
-def _memory_taint(core, recorder: DigestRecorder) -> bool:
-    """A committed memory word: a later load reads it, the digest hashes it."""
-    return bool(core.mem_tags)
+class TaintReplay:
+    """Where one strike's taint is, event by event.
 
-
-def _rob_taint(core, recorder: DigestRecorder) -> bool:
-    """An in-flight instruction, wrong-path or dead ones included (the IQ,
-    LSQ, functional units and event queue hold only ROB instructions)."""
-    return any(instr.value_tag for thread in core.threads
-               for instr in thread.rob)
-
-
-def _decode_taint(core, recorder: DigestRecorder) -> bool:
-    """A fetched instruction waiting for rename."""
-    return any(instr.value_tag for thread in core.threads
-               for _ready, instr in thread.decode_queue)
-
-
-def _register_taint(core, recorder: DigestRecorder) -> bool:
-    """An allocated physical register a later consumer may read."""
-    return core.regfile.holds_taint()
-
-
-def _pending_taint(core, recorder: DigestRecorder) -> bool:
-    """A trace instruction :meth:`DigestRecorder.on_finalize` would count
-    as pending if the run ended now."""
-    return any(_pending(instr) for thread in core.threads
-               for instr in thread.trace.instrs)
-
-
-#: Every place live taint can sit, cheapest check first.
-LIVE_TAINT = (_arch_taint, _memory_taint, _rob_taint, _decode_taint,
-              _register_taint, _pending_taint)
-
-
-def taint_live(core, recorder: DigestRecorder) -> bool:
-    """True while ``core`` (observed by ``recorder``) holds taint anywhere
-    the digest or a later read can find it (:data:`LIVE_TAINT`).
-
-    Once it holds none, the rest of a run whose kernel decisions match
-    the fault-free run's commits exactly what that run commits, untainted.
-    The recorder's tainted-control and tainted-store counts are not live
-    taint: they only grow, and either one nonzero already decides SDC.
+    Each rule takes one event and returns True (SDC), False (MASKED: no
+    instance, register or architectural register holds taint any more,
+    and taint only spreads from taint) or None (undecided).  Memory is
+    not tracked: with one strike, a tainted memory word can only come from
+    a tainted store commit, which already decided SDC.
     """
-    return any(clause(core, recorder) for clause in LIVE_TAINT)
+
+    def __init__(self, victim) -> None:
+        self.instances: Set[Tuple[int, int]] = set()
+        self.registers: Set[int] = set()
+        self.arch: Set[Tuple[int, int]] = set()
+        if isinstance(victim, int):
+            self.registers.add(victim)
+        else:
+            self.instances.add(victim)
+        self._rules = {FLOW_ISSUE: self.issue, FLOW_FORWARD: self.forward,
+                       FLOW_WRITEBACK: self.writeback,
+                       FLOW_COMMIT: self.commit, FLOW_SQUASH: self.squash}
+
+    def run(self, log: DataflowLog, cycle: int) -> bool:
+        rules = self._rules
+        for event in log.after(cycle):
+            verdict = rules[event[1]](event)
+            if verdict is not None:
+                return verdict
+        return self.at_end(log.pending)
+
+    def _masked(self) -> Optional[bool]:
+        if self.instances or self.registers or self.arch:
+            return None
+        return False
+
+    def issue(self, event: tuple) -> Optional[bool]:
+        """An instruction reads a tainted source register."""
+        _, _, instance, sources = event
+        if self.registers and not self.registers.isdisjoint(sources):
+            self.instances.add(instance)
+        return None
+
+    def forward(self, event: tuple) -> Optional[bool]:
+        """A load reads a tainted store's data."""
+        _, _, load, store = event
+        if store in self.instances:
+            self.instances.add(load)
+        return None
+
+    def writeback(self, event: tuple) -> Optional[bool]:
+        """The result replaces the register's contents, taint and all."""
+        _, _, instance, phys = event
+        if instance in self.instances:
+            self.registers.add(phys)
+            return None
+        self.registers.discard(phys)
+        return self._masked()
+
+    def commit(self, event: tuple) -> Optional[bool]:
+        """Tainted control flow or store data is SDC; otherwise the
+        instruction leaves the pipeline, its result becomes architectural
+        and its destination's previous register is freed."""
+        _, _, instance, thread, dest, control, store, old_phys = event
+        if instance in self.instances:
+            if control or store:
+                return True
+            self.instances.discard(instance)
+            if dest is not None:
+                self.arch.add((thread, dest))
+        elif dest is not None:
+            self.overwrite(thread, dest)
+        if old_phys is not None:
+            self.registers.discard(old_phys)
+        return self._masked()
+
+    def overwrite(self, thread: int, dest: int) -> None:
+        """A clean commit replaces a tainted architectural value."""
+        self.arch.discard((thread, dest))
+
+    def squash(self, event: tuple) -> Optional[bool]:
+        """Squashed instances and the registers they held are gone."""
+        _, _, instances, registers = event
+        self.instances.difference_update(instances)
+        self.registers.difference_update(registers)
+        return self._masked()
+
+    def at_end(self, pending: FrozenSet) -> bool:
+        """The final digest: a tainted architectural register, or taint on
+        an instance still bound for architectural state."""
+        return bool(self.arch) or not self.instances.isdisjoint(pending)
 
 
 class Watchdog:

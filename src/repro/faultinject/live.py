@@ -14,14 +14,21 @@ extra observers on the probe bus:
 
 The driver advances to each strike's cycle in turn (every pending batch's
 strikes merged in cycle order, :func:`run_batches`) and calls the struck
-structure's ``inject_bit`` hook there; only a strike that lands on live
-state its protection does not resolve gets a faulty run of its own, on a
-fork of the driver (:class:`_StrikeDriver`, :meth:`SMTCore.fork`).  The
-driver, and so every faulty run, is ledger-free (``SimSession(ledger=False)``):
-reported AVF comes from the golden run alone.  A faulty run whose strike
-wrote only taint (``StrikeReceipt.taint_only``) is the golden run cycle
-for cycle, so it stops as soon as its outcome is decided
-(:func:`_run_faulty`); a structural strike runs to the end.
+structure's ``inject_bit`` hook there; a strike that lands on live state
+its protection does not resolve is then decided one of two ways
+(:class:`_StrikeDriver`):
+
+* a strike that wrote only taint (``StrikeReceipt.taint_only``) changes no
+  kernel decision, so its faulty run would be the golden run cycle for
+  cycle.  It is undone at once and decided by replaying its victim's
+  taint over the golden run's dataflow log
+  (:class:`~repro.faultinject.classify.DataflowLog`): no fork, no cycle;
+* a structural strike gets a faulty run of its own, to the end, on a fork
+  of the driver (:meth:`SMTCore.fork`).
+
+The driver, and so every faulty run, is ledger-free
+(``SimSession(ledger=False)``): reported AVF comes from the golden run
+alone, which is also the only run that records a dataflow log.
 
 Outcomes (:class:`InjectionOutcome`):
 ``MASKED_IDLE`` (struck slot empty), ``MASKED`` (digest identical),
@@ -51,7 +58,8 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum, auto
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -60,7 +68,7 @@ from repro.avf.structures import PRIVATE_STRUCTURES, Structure
 from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
 from repro.content_store import ContentStore, stable_digest
 from repro.errors import HangDetected, ReproError
-from repro.faultinject.classify import DigestRecorder, Watchdog, taint_live
+from repro.faultinject.classify import DataflowLog, DigestRecorder, Watchdog
 from repro.metrics.reliability import wilson_interval
 from repro.protection import ProtectionConfig, ProtectionScheme
 from repro.protection.config import CoercibleProtection
@@ -233,6 +241,7 @@ class GoldenRun:
     names: List[str]
     traces: List[object]
     avf: Dict[Structure, float]
+    flow: DataflowLog      # what taint-only strikes are replayed over
 
 
 # -- golden-run memo ---------------------------------------------------------------
@@ -254,7 +263,9 @@ def golden_run(workload: Union[WorkloadMix, Sequence[str]], policy: str,
     The run executes with taint propagation *enabled* so its timing and
     observer wiring are identical to the faulty runs'; a fault-free run
     must end taint-clean, which is asserted — a dirty golden run means the
-    taint model leaked and every classification would be garbage.
+    taint model leaked and every classification would be garbage.  It
+    records its dataflow log (``SMTCore.flow_log``) for taint-only strikes
+    to be replayed over.
     """
     programs = (workload.programs if isinstance(workload, WorkloadMix)
                 else list(workload))
@@ -269,6 +280,7 @@ def golden_run(workload: Union[WorkloadMix, Sequence[str]], policy: str,
                          observers=(recorder,), taint=True)
     if sim.functional_warmup:
         functional_warmup(session.core, session.traces)
+    session.core.flow_log = []
     measured = session.core.run()
     if not recorder.clean:
         raise ReproError("golden run is not taint-clean: the taint model "
@@ -277,7 +289,8 @@ def golden_run(workload: Union[WorkloadMix, Sequence[str]], policy: str,
                        measured_cycles=measured,
                        committed=session.core.total_committed,
                        names=list(session.names), traces=session.traces,
-                       avf=dict(session.engine.report(measured).avf))
+                       avf=dict(session.engine.report(measured).avf),
+                       flow=DataflowLog.of(session.core))
     _GOLDEN_MEMO[key] = golden
     while len(_GOLDEN_MEMO) > _GOLDEN_MEMO_CAP:
         _GOLDEN_MEMO.popitem(last=False)
@@ -381,21 +394,17 @@ class _ForcedCrash:
 #: A decided strike: (outcome, detail).
 _Verdict = Tuple[InjectionOutcome, str]
 
-#: Cycles a taint-only faulty run advances between checks of whether its
-#: outcome is decided.
-DECIDE_EVERY = 8
-
 
 def _contained(run, *args) -> Optional[_Verdict]:
-    """Call ``run(*args)`` and return what it returns — a verdict, or None
-    while the strike is undecided; map whatever a struck simulator raises
-    to its outcome.
+    """Call ``run(*args)``: None if it returned, or the outcome whatever a
+    struck simulator raised maps to.
 
     Nothing a strike does — hang, raise, corrupt — escapes this function,
     so no strike can abort a campaign.
     """
     try:
-        return run(*args)
+        run(*args)
+        return None
     except HangDetected as exc:
         return InjectionOutcome.HANG, str(exc)
     except (KeyboardInterrupt, SystemExit, MemoryError):
@@ -405,35 +414,6 @@ def _contained(run, *args) -> Optional[_Verdict]:
         # IndexError in a perturbed queue, ...): the hardware analogue of
         # a machine-check — detected, unrecoverable, contained.
         return InjectionOutcome.DUE, f"contained {type(exc).__name__}: {exc}"
-
-
-def _digest_recorder(core) -> DigestRecorder:
-    return next(sub for sub in core.instruments.bus.subscribers
-                if isinstance(sub, DigestRecorder))
-
-
-def _run_faulty(core, taint_only: bool) -> Optional[_Verdict]:
-    """Run a struck ``core`` until its outcome is decided; None when it
-    ran to the end, to be classified by its digest.
-
-    A structural strike runs to the end.  A taint-only one cannot change
-    any kernel decision — no stage reads a tag — so its run is the golden
-    run cycle for cycle and can end only MASKED or SDC, never HANG or
-    DUE.  Every :data:`DECIDE_EVERY` cycles it stops as SDC once a
-    tainted control-flow instruction or store has committed (those counts
-    only grow, and the golden digest has none), or as MASKED once no taint
-    is live (:func:`~repro.faultinject.classify.taint_live`).
-    """
-    if not taint_only:
-        core.run()
-        return None
-    recorder = _digest_recorder(core)
-    while core.run(core.cycle + DECIDE_EVERY) is None:
-        if recorder.tainted_control or recorder.tainted_stores:
-            return InjectionOutcome.SDC, ""
-        if not taint_live(core, recorder):
-            return InjectionOutcome.MASKED, ""
-    return None
 
 
 class _StrikeDriver:
@@ -447,8 +427,9 @@ class _StrikeDriver:
     which cannot be forked — is subscribed, whatever ``sim`` asks for).
     Until something is injected it *is* the golden run, so it is advanced
     from strike to strike (``run(until=cycle)``) and only an applied,
-    unresolved strike needs a run of its own: a fork of the driver
-    (:meth:`SMTCore.fork`) or, for a batch of one, the driver itself.
+    unresolved, structural strike needs a run of its own: a fork of the
+    driver (:meth:`SMTCore.fork`) or, for a batch of one, the driver
+    itself.
     """
 
     def __init__(self, workload: Union[WorkloadMix, Sequence[str]],
@@ -475,19 +456,21 @@ class _StrikeDriver:
     def advance(self, cycle: int) -> None:
         """Run the driver up to and including cycle ``cycle``'s hooks.
 
-        The driver is the golden run and strikes fall within it, so the
-        run pauses (returns None) rather than finishing."""
+        The driver is the golden run and strikes fall within it
+        (:func:`run_one_strike` checks), so the run pauses rather than
+        finishing; only a verdict (the driver itself failing) is kept."""
         if self.failure is None:
             self.failure = _contained(self.core.run, cycle)
 
-    def finish(self, core, taint_only: bool = False) -> _Verdict:
-        """Run ``core`` (the driver or a fork of it), contained, until its
-        outcome is decided (:func:`_run_faulty`); a run that reached the
-        end is classified by its architectural digest."""
-        verdict = _contained(_run_faulty, core, taint_only)
+    def finish(self, core) -> _Verdict:
+        """Run ``core`` (the driver or a fork of it), contained, to the
+        end and classify it by its architectural digest."""
+        verdict = _contained(core.run)
         if verdict is not None:
             return verdict
-        if _digest_recorder(core).digest() == self.golden.digest:
+        recorder = next(sub for sub in core.instruments.bus.subscribers
+                        if isinstance(sub, DigestRecorder))
+        if recorder.digest() == self.golden.digest:
             return InjectionOutcome.MASKED, ""
         return InjectionOutcome.SDC, ""
 
@@ -496,11 +479,13 @@ class _StrikeDriver:
         """Inject ``spec`` at the driver's current cycle and classify it.
 
         The strike first probes the driver: an empty slot is masked by
-        idleness and a burst the protection scheme resolves is undone —
-        both decided without simulating a cycle.  Otherwise the strike
-        runs until its outcome is decided (:meth:`finish`) on a fork
-        (``fork=True``; the driver is restored and stays golden) or on the
-        driver itself.  Returns (outcome, detail, target).
+        idleness, a burst the protection scheme resolves is undone, and a
+        taint-only strike is undone and replayed over the golden run's
+        dataflow log (a receipt that tainted nothing is MASKED) — all
+        decided without simulating a cycle.  A structural strike runs to
+        the end (:meth:`finish`) on a fork (``fork=True``; the driver is
+        restored and stays golden) or on the driver itself.  Returns
+        (outcome, detail, target).
         """
         if self.failure is not None:
             return (*self.failure, "")
@@ -514,19 +499,24 @@ class _StrikeDriver:
             outcome = (InjectionOutcome.DUE if resolution == "due"
                        else InjectionOutcome.CORRECTED)
             return outcome, f"protection: {resolution}", receipt.target
+        if receipt.taint_only:
+            receipt.undo()
+            if receipt.victim is not None and self.golden.flow.corrupts(
+                    self.core.cycle, receipt.victim):
+                return InjectionOutcome.SDC, "", receipt.target
+            return InjectionOutcome.MASKED, "", receipt.target
         if not fork:
             try:
-                return (*self.finish(self.core, receipt.taint_only),
-                        receipt.target)
+                return (*self.finish(self.core), receipt.target)
             finally:
                 # Trace objects outlive this run: restore any struck
                 # trace-owned field (e.g. a flipped mem_addr).
                 receipt.undo()
         try:
-            victim = self.core.fork()
+            faulty = self.core.fork()
         finally:
             receipt.undo()
-        return (*self.finish(victim, receipt.taint_only), receipt.target)
+        return (*self.finish(faulty), receipt.target)
 
 
 # -- strikes -----------------------------------------------------------------------
@@ -542,8 +532,12 @@ def run_one_strike(spec: StrikeSpec,
 
     ``driver`` is a campaign's shared driver, not yet past ``spec.cycle``;
     the strike forks it.  Without one the strike is a batch of one: it
-    builds its own driver and strikes it in place.
+    builds its own driver and strikes it in place.  Raises
+    :class:`ReproError` unless ``spec.cycle`` falls within the golden run.
     """
+    if not 1 <= spec.cycle <= golden.cycles:
+        raise ReproError(f"strike cycle {spec.cycle} is outside the golden "
+                         f"run's cycles [1, {golden.cycles}]")
     in_place = driver is None
     if in_place:
         driver = _StrikeDriver(workload, policy, config, sim, golden, live)
@@ -833,6 +827,56 @@ def _batched(indices: Sequence[int], batch: int) -> List[Tuple[int, ...]]:
             for i in range(0, len(indices), batch)]
 
 
+class _Campaign(NamedTuple):
+    """A live campaign's arguments, defaulted and validated."""
+
+    name: str
+    programs: Tuple[str, ...]
+    policy: str
+    config: MachineConfig
+    sim: SimConfig
+    protection: ProtectionConfig
+    live: LiveConfig
+    mbu: MbuConfig
+
+
+def _campaign(workload: Union[WorkloadMix, Sequence[str]], injections: int,
+              structures: Sequence[Structure], policy: str,
+              config: Optional[MachineConfig], sim: Optional[SimConfig],
+              protection: CoercibleProtection, live: Optional[LiveConfig],
+              mbu: Optional[MbuConfig]) -> _Campaign:
+    """Default and validate the arguments :func:`plan_live_batches` and
+    :func:`run_live_campaign` share."""
+    unsupported = [s for s in structures if s not in INJECTABLE]
+    if unsupported:
+        raise ReproError(f"cannot inject into {unsupported}; "
+                         f"supported: {list(INJECTABLE)}")
+    if injections < 0:
+        raise ReproError("injections must be >= 0")
+    mix = isinstance(workload, WorkloadMix)
+    return _Campaign(
+        name=workload.name if mix else "+".join(workload),
+        programs=tuple(workload.programs if mix else workload),
+        policy=policy if isinstance(policy, str) else policy.name,
+        config=config or DEFAULT_CONFIG,
+        sim=sim or SimConfig(max_instructions=600),
+        protection=ProtectionConfig.coerce(protection),
+        live=live or LiveConfig(), mbu=mbu or MbuConfig())
+
+
+def _plan(campaign: _Campaign, injections: int,
+          structures: Sequence[Structure], seed: int) -> List[LiveBatchJob]:
+    return [
+        LiveBatchJob(workload_name=campaign.name, programs=campaign.programs,
+                     policy=campaign.policy, config=campaign.config,
+                     sim=campaign.sim, seed=seed,
+                     protection=campaign.protection, live=campaign.live,
+                     structure=structure, indices=batch, mbu=campaign.mbu)
+        for structure in structures
+        for batch in _batched(range(injections), campaign.live.strike_batch)
+    ]
+
+
 def plan_live_batches(workload: Union[WorkloadMix, Sequence[str]],
                       injections: int = 24,
                       structures: Sequence[Structure] = INJECTABLE,
@@ -850,33 +894,12 @@ def plan_live_batches(workload: Union[WorkloadMix, Sequence[str]],
     batching with *no* execution, so a caller that schedules work itself
     (the campaign service) can plan a campaign, count its batches, and
     feed the jobs to its own supervisor.  :func:`run_live_campaign` plans
-    through here, so both paths shard identically — same digests, same
+    the same way, so both paths shard identically — same digests, same
     per-batch cache entries.
     """
-    config = config or DEFAULT_CONFIG
-    base_sim = sim or SimConfig(max_instructions=600)
-    live = live or LiveConfig()
-    protection = ProtectionConfig.coerce(protection)
-    mbu = mbu or MbuConfig()
-    policy_name = policy if isinstance(policy, str) else policy.name
-    unsupported = [s for s in structures if s not in INJECTABLE]
-    if unsupported:
-        raise ReproError(f"cannot inject into {unsupported}; "
-                         f"supported: {list(INJECTABLE)}")
-    if injections < 0:
-        raise ReproError("injections must be >= 0")
-    name = (workload.name if isinstance(workload, WorkloadMix)
-            else "+".join(workload))
-    programs = tuple(workload.programs if isinstance(workload, WorkloadMix)
-                     else workload)
-    return [
-        LiveBatchJob(workload_name=name, programs=programs,
-                     policy=policy_name, config=config, sim=base_sim,
-                     seed=seed, protection=protection, live=live,
-                     structure=structure, indices=batch, mbu=mbu)
-        for structure in structures
-        for batch in _batched(range(injections), live.strike_batch)
-    ]
+    return _plan(_campaign(workload, injections, structures, policy, config,
+                           sim, protection, live, mbu),
+                 injections, structures, seed)
 
 
 def run_live_campaign(workload: Union[WorkloadMix, Sequence[str]],
@@ -916,18 +939,8 @@ def run_live_campaign(workload: Union[WorkloadMix, Sequence[str]],
     in completion order (inline: by last strike cycle, not plan order).
     The campaign service streams partial Wilson intervals from it.
     """
-    config = config or DEFAULT_CONFIG
-    base_sim = sim or SimConfig(max_instructions=600)
-    live = live or LiveConfig()
-    protection = ProtectionConfig.coerce(protection)
-    mbu = mbu or MbuConfig()
-    policy_name = policy if isinstance(policy, str) else policy.name
-    unsupported = [s for s in structures if s not in INJECTABLE]
-    if unsupported:
-        raise ReproError(f"cannot inject into {unsupported}; "
-                         f"supported: {list(INJECTABLE)}")
-    if injections < 0:
-        raise ReproError("injections must be >= 0")
+    campaign = _campaign(workload, injections, structures, policy, config,
+                         sim, protection, live, mbu)
     if jobs < 1:
         raise ReproError("jobs must be >= 1")
     unknown = [k for k in forced if k not in FORCED_KINDS]
@@ -935,16 +948,9 @@ def run_live_campaign(workload: Union[WorkloadMix, Sequence[str]],
         raise ReproError(f"unknown forced kinds {unknown}; "
                          f"known: {list(FORCED_KINDS)}")
 
-    name = (workload.name if isinstance(workload, WorkloadMix)
-            else "+".join(workload))
-    programs = tuple(workload.programs if isinstance(workload, WorkloadMix)
-                     else workload)
-    golden = golden_run(workload, policy_name, config, base_sim)
-
-    jobs_list = plan_live_batches(workload, injections=injections,
-                                  structures=structures, policy=policy_name,
-                                  config=config, sim=base_sim, seed=seed,
-                                  protection=protection, live=live, mbu=mbu)
+    golden = golden_run(workload, campaign.policy, campaign.config,
+                        campaign.sim)
+    jobs_list = _plan(campaign, injections, structures, seed)
 
     store = ContentStore(cache_dir) if cache_dir is not None else None
 
@@ -993,23 +999,25 @@ def run_live_campaign(workload: Union[WorkloadMix, Sequence[str]],
         cached = outcome.skipped
         executed = outcome.executed
 
-    result = LiveCampaignResult(workload=name, cycles=golden.cycles,
+    result = LiveCampaignResult(workload=campaign.name, cycles=golden.cycles,
                                 injections_per_structure=injections,
-                                protection=protection, mbu=mbu,
+                                protection=campaign.protection,
+                                mbu=campaign.mbu,
                                 batches_cached=cached,
                                 batches_executed=executed)
     result.records = [by_key[key] for key in sorted(by_key)]
     for structure in structures:
-        campaign = StructureCampaign(
+        counts = StructureCampaign(
             structure=structure, injections=injections,
             reported_avf=float(golden.avf[structure]))
         for record in result.records:
             if record.structure is structure:
-                campaign.outcomes[record.outcome] = (
-                    campaign.outcomes.get(record.outcome, 0) + 1)
-        result.structures[structure] = campaign
+                counts.outcomes[record.outcome] = (
+                    counts.outcomes.get(record.outcome, 0) + 1)
+        result.structures[structure] = counts
 
     for kind in forced:
         result.forced[kind] = run_forced_strike(
-            kind, workload, policy_name, config, base_sim, golden, live)
+            kind, workload, campaign.policy, campaign.config, campaign.sim,
+            golden, campaign.live)
     return result

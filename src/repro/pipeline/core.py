@@ -32,6 +32,22 @@ from repro.workload.generator import ThreadTrace
 #: Completion event: (instr, fetch_stamp at schedule time, dl1 miss, l2 miss).
 _Event = Tuple[DynInstr, int, bool, bool]
 
+# Dataflow log event kinds (see ``SMTCore.flow_log``).  An instance is
+# ``(thread, fetch_stamp)``: a squashed-and-refetched instruction, and every
+# wrong-path one, is an instance of its own.
+#: ``(cycle, FLOW_ISSUE, instance, source phys regs)``, ``None`` ones left out.
+FLOW_ISSUE = 0
+#: ``(cycle, FLOW_FORWARD, load instance, forwarding store instance)``,
+#: logged just before that load's issue event.
+FLOW_FORWARD = 1
+#: ``(cycle, FLOW_WRITEBACK, instance, phys_dest)``.
+FLOW_WRITEBACK = 2
+#: ``(cycle, FLOW_COMMIT, instance, thread, dest_reg, is_control, is_store,
+#: old_phys_dest)``.
+FLOW_COMMIT = 3
+#: ``(cycle, FLOW_SQUASH, squashed ROB instances, phys regs they free)``.
+FLOW_SQUASH = 4
+
 
 class SMTCore:
     """One simulated SMT processor executing a set of thread traces.
@@ -92,6 +108,10 @@ class SMTCore:
         # Taint of committed memory words (8-byte aligned); empty while the
         # run is clean, so golden runs allocate nothing here.
         self.mem_tags: Dict[int, int] = {}
+        #: The dataflow log: a list a taint-mode run appends its ``FLOW_*``
+        #: events to, in cycle and stage order, while it is set.  Only the
+        #: live-injection golden run sets it; every other run leaves it None.
+        self.flow_log: Optional[List[tuple]] = None
         if self._taint:
             # Traces are shared across a campaign's runs and fetch-time
             # resets only cover instructions this run actually fetches: a
@@ -231,13 +251,19 @@ class SMTCore:
                     t.lsq.remove_committed(head, self.cycle)
                 self._regfile.on_commit(head, self.cycle)
                 head.committed_at = self.cycle
-                if self._taint and head.is_store and not head.wrong_path:
-                    addr = head.mem_addr & ~0x7
-                    if head.value_tag:
-                        self.mem_tags[addr] = head.value_tag
-                    else:
-                        # A clean store overwrites tainted memory: masked.
-                        self.mem_tags.pop(addr, None)
+                if self._taint:
+                    if head.is_store and not head.wrong_path:
+                        addr = head.mem_addr & ~0x7
+                        if head.value_tag:
+                            self.mem_tags[addr] = head.value_tag
+                        else:
+                            # A clean store overwrites tainted memory: masked.
+                            self.mem_tags.pop(addr, None)
+                    if self.flow_log is not None:
+                        self.flow_log.append((
+                            self.cycle, FLOW_COMMIT, (tid, head.fetch_stamp),
+                            tid, head.dest_reg, head.is_control,
+                            head.is_store, head.old_phys_dest))
                 if self._commit_hooks:
                     for hook in self._commit_hooks:
                         hook.on_commit(self, head)
@@ -272,9 +298,16 @@ class SMTCore:
                 self.policy.on_load_resolved(self, instr)
             instr.completed_at = self.cycle
             if instr.phys_dest is not None:
-                self._regfile.mark_written(
-                    instr.phys_dest, self.cycle,
-                    instr.value_tag if self._taint else 0)
+                if self._taint:
+                    self._regfile.mark_written(instr.phys_dest, self.cycle,
+                                               instr.value_tag)
+                    if self.flow_log is not None:
+                        self.flow_log.append((
+                            self.cycle, FLOW_WRITEBACK,
+                            (instr.thread_id, instr.fetch_stamp),
+                            instr.phys_dest))
+                else:
+                    self._regfile.mark_written(instr.phys_dest, self.cycle)
                 self._wake_waiters(instr.phys_dest)
             if instr.is_control:
                 self._resolve_control(t, instr)
@@ -313,7 +346,14 @@ class SMTCore:
             self.policy.on_squash(self, dropped)
         self._iq.squash_thread(t.id, stamp, self.cycle)
         t.lsq.squash_younger_than(stamp, self.cycle)
-        for squashed in t.rob.squash_younger_than(stamp, self.cycle):
+        squashed_rob = t.rob.squash_younger_than(stamp, self.cycle)
+        if self.flow_log is not None:
+            self.flow_log.append((
+                self.cycle, FLOW_SQUASH,
+                tuple((t.id, i.fetch_stamp) for i in squashed_rob),
+                tuple(i.phys_dest for i in squashed_rob
+                      if i.phys_dest is not None)))
+        for squashed in squashed_rob:
             self._regfile.on_squash(squashed, self.cycle)
             self.policy.on_squash(self, squashed)
         t.fetch_index = boundary.seq + 1
@@ -347,6 +387,11 @@ class SMTCore:
                 for phys in instr.phys_srcs:
                     if phys is not None:
                         instr.value_tag |= self._regfile.tag_of(phys)
+                if self.flow_log is not None:
+                    self.flow_log.append((
+                        self.cycle, FLOW_ISSUE,
+                        (instr.thread_id, instr.fetch_stamp),
+                        tuple(p for p in instr.phys_srcs if p is not None)))
             instr.issued_at = self.cycle
             self._iq.remove_issued(instr, self.cycle)
             budget -= 1
@@ -361,6 +406,11 @@ class SMTCore:
             t.lsq.forwards += 1
             if self._taint:
                 instr.value_tag |= store.value_tag
+                if self.flow_log is not None:
+                    self.flow_log.append((
+                        self.cycle, FLOW_FORWARD,
+                        (instr.thread_id, instr.fetch_stamp),
+                        (store.thread_id, store.fetch_stamp)))
             self._schedule(instr, self.config.agen_latency + 1, False, False)
             return True
         if not self.mem.claim_dl1_port():
@@ -603,6 +653,7 @@ class SMTCore:
             phys: [(remap(instr), stamp) for instr, stamp in waiting]
             for phys, waiting in self._waiters.items()}
         clone.mem_tags = dict(self.mem_tags)
+        clone.flow_log = None  # the log is its own run's alone
         clone._committed_at_measure_start = list(
             self._committed_at_measure_start)
         # Last: policies key some state by id(), which resolves only once

@@ -115,8 +115,7 @@ class FunctionalUnitPool:
             receipt = StrikeReceipt(
                 True, f"FU[{fu.name}#{remaining}]=t{instr.thread_id}#{instr.seq}",
                 "value")
-            receipt.record(instr, "value_tag")
-            burst = burst_bits(Structure.FU, bit, length)
-            instr.value_tag ^= cluster_token(Structure.FU, burst)
+            receipt.taint(instr, cluster_token(
+                Structure.FU, burst_bits(Structure.FU, bit, length)))
             return receipt
         return StrikeReceipt.idle(f"FU[{slot}]")

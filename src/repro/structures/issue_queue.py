@@ -125,6 +125,5 @@ class SharedIssueQueue:
                 flips ^= 1 + ((offset + i) & 1)
             instr.pending_srcs ^= flips or 1 + (offset & 1)
         else:
-            receipt.record(instr, "value_tag")
-            instr.value_tag ^= cluster_token(Structure.IQ, burst)
+            receipt.taint(instr, cluster_token(Structure.IQ, burst))
         return receipt

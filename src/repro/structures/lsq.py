@@ -133,6 +133,5 @@ class LoadStoreQueue:
             receipt.record(instr, "mem_addr")
             for i in range(len(burst)):
                 instr.mem_addr ^= 1 << (offset + i)
-        receipt.record(instr, "value_tag")
-        instr.value_tag ^= cluster_token(structure, burst)
+        receipt.taint(instr, cluster_token(structure, burst))
         return receipt

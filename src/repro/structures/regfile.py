@@ -127,10 +127,6 @@ class PhysicalRegisterFile:
         meta = self._meta.get(phys)
         return meta.tag if meta is not None else 0
 
-    def holds_taint(self) -> bool:
-        """True when any allocated register carries taint (live injection)."""
-        return any(meta.tag for meta in self._meta.values())
-
     def note_read(self, phys: Optional[int], cycle: int, ace_reader: bool) -> None:
         """A consumer issued and read this register."""
         if phys is None:
@@ -206,4 +202,5 @@ class PhysicalRegisterFile:
         receipt.record(meta, "tag")
         burst = burst_bits(Structure.REG, bit, length)
         meta.tag ^= cluster_token(Structure.REG, burst)
+        receipt.victim = phys
         return receipt

@@ -120,7 +120,6 @@ class ReorderBuffer:
             receipt.record(instr, "completed_at")
             instr.completed_at = -1 if instr.completed_at >= 0 else cycle
         else:
-            receipt.record(instr, "value_tag")
-            burst = burst_bits(Structure.ROB, bit, length)
-            instr.value_tag ^= cluster_token(Structure.ROB, burst)
+            receipt.taint(instr, cluster_token(
+                Structure.ROB, burst_bits(Structure.ROB, bit, length)))
         return receipt

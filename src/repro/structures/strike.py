@@ -26,7 +26,7 @@ architecturally required state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 from repro.errors import ConfigError, StructureError
 from repro.instrument.structures import Structure
@@ -235,15 +235,21 @@ class StrikeReceipt:
     :data:`TAINT_ATTRS`; a strike that also wrote a scheduling, status or
     address field (``pending_srcs``, ``completed_at``, ``mem_addr``) is
     *structural*.  It keeps its value after ``undo()``.
+
+    ``victim`` names what the strike tainted: an in-flight instance
+    ``(thread, fetch_stamp)`` or a physical register number; None when it
+    tainted nothing.
     """
 
-    __slots__ = ("applied", "target", "field", "taint_only", "_undo")
+    __slots__ = ("applied", "target", "field", "taint_only", "victim",
+                 "_undo")
 
     def __init__(self, applied: bool, target: str, field: str = "") -> None:
         self.applied = applied
         self.target = target
         self.field = field
         self.taint_only = True
+        self.victim: Union[Tuple[int, int], int, None] = None
         self._undo: List[Tuple[object, str, object]] = []
 
     @classmethod
@@ -255,6 +261,13 @@ class StrikeReceipt:
         self._undo.append((obj, attr, getattr(obj, attr)))
         if attr not in TAINT_ATTRS:
             self.taint_only = False
+
+    def taint(self, instr, token: int) -> None:
+        """XOR ``token`` into ``instr.value_tag`` (recorded for undo) and
+        name that instance the victim."""
+        self.record(instr, "value_tag")
+        instr.value_tag ^= token
+        self.victim = (instr.thread_id, instr.fetch_stamp)
 
     def undo(self) -> None:
         for obj, attr, value in reversed(self._undo):

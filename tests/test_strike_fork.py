@@ -7,8 +7,9 @@ end is the unforked run, the driver is untouched by its forks, every
 strike of a forked batch gets exactly the record it gets as a batch of
 one (its own driver, struck in place, never forked), and every batch of
 a campaign struck on one shared driver gets exactly the payload it gets
-run alone.  So must the early exit of a taint-only faulty run: every
-strike gets the record it gets when its run goes to the end.
+run alone.  So must the replay that decides a taint-only strike without a
+faulty run: every strike gets the record it gets when it is forked and its
+run goes to the end.
 """
 
 import json
@@ -22,8 +23,10 @@ from repro.config import DEFAULT_CONFIG, SimConfig
 from repro.faultinject import InjectionOutcome, LiveConfig
 from repro.faultinject import live as live_module
 from repro.avf.engine import AvfEngine
-from repro.faultinject import classify
-from repro.faultinject.classify import DigestRecorder
+from repro.errors import ReproError
+from repro.experiments.validate_injection import (VALIDATION_BUDGET_CAP,
+                                                  VALIDATION_WORKLOAD)
+from repro.faultinject.classify import DataflowLog, DigestRecorder, TaintReplay
 from repro.faultinject.live import (
     INJECTABLE,
     LiveBatchJob,
@@ -37,13 +40,14 @@ from repro.faultinject.live import (
     run_live_campaign,
     run_one_strike,
 )
-from repro.isa.instruction import AceClass, DynInstr
-from repro.pipeline.core import SMTCore
+from repro.isa.instruction import DynInstr
+from repro.pipeline.core import (FLOW_COMMIT, FLOW_FORWARD, FLOW_ISSUE,
+                                 FLOW_SQUASH, FLOW_WRITEBACK, SMTCore)
 from repro.protection import ProtectionConfig, ProtectionScheme
 from repro.sim import session as session_module
 from repro.sim.session import SimSession, functional_warmup, package_result
-from repro.structures.strike import MbuConfig, entry_bits
-from repro.workload.generator import NUM_ARCH_REGS
+from repro.structures.strike import MbuConfig, entry_bits, locate_field
+from repro.workload.mixes import get_mix
 
 WORKLOAD = ("gcc", "mcf")
 SIM = SimConfig(max_instructions=400, seed=5)
@@ -107,6 +111,29 @@ class TestPausedRun:
         assert session.core.run(until=golden.cycles + 500) == (
             golden.measured_cycles)
         assert session.core.cycle == golden.cycles
+
+
+class TestStrikeRange:
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_a_strike_outside_the_golden_run_is_refused(self, where):
+        golden = _golden()
+        driver = _StrikeDriver(WORKLOAD, "ICOUNT", DEFAULT_CONFIG, SIM,
+                               golden, LIVE)
+        cycle = 0 if where == "before" else golden.cycles + 5
+        spec = StrikeSpec(Structure.IQ, index=0, cycle=cycle, slot=0, bit=0)
+        for shared in (driver, None):
+            with pytest.raises(ReproError,
+                               match=rf"cycle {cycle} .*\[1, {golden.cycles}\]"):
+                run_one_strike(spec, WORKLOAD, "ICOUNT", DEFAULT_CONFIG, SIM,
+                               golden, ProtectionScheme.NONE, LIVE, shared)
+
+    def test_advancing_past_the_end_is_no_verdict(self):
+        golden = _golden()
+        driver = _StrikeDriver(WORKLOAD, "ICOUNT", DEFAULT_CONFIG, SIM,
+                               golden, LIVE)
+        driver.advance(golden.cycles + 5)
+        assert driver.core.cycle == golden.cycles
+        assert driver.failure is None
 
 
 class TestFork:
@@ -539,47 +566,99 @@ class TestShortCircuits:
         assert fork_calls == []
 
     def test_only_applied_unresolved_strikes_fork(self, fork_calls):
-        payload = _job(Structure.IQ, range(16), seed=3).run()
+        # ... and of those only the structural ones: an IQ strike is
+        # structural when it hits the scheduler bits (seed 6 draws two).
+        payload = _job(Structure.IQ, range(16), seed=6).run()
         applied = [r for r in payload["records"]
                    if r["outcome"] != "MASKED_IDLE"]
-        assert applied and len(fork_calls) == len(applied)
+        structural = [r for r in applied
+                      if locate_field(Structure.IQ, r["bit"])[0] == "sched"]
+        assert structural and len(structural) < len(applied)
+        assert len(fork_calls) == len(structural)
         assert fork_calls == sorted(fork_calls)  # one pass, cycle order
+
+    def test_taint_only_strikes_neither_fork_nor_simulate(self, fork_calls):
+        golden = _golden()
+        driver = _StrikeDriver(WORKLOAD, "ICOUNT", DEFAULT_CONFIG, SIM,
+                               golden, LIVE)
+        cycle = golden.cycles // 2
+        driver.advance(cycle)
+        none = ProtectionConfig.coerce(ProtectionScheme.NONE)
+        outcomes = set()
+        for slot in range(8):
+            spec = StrikeSpec(Structure.IQ, index=slot, cycle=cycle,
+                              slot=slot, bit=slot)
+            outcome, _, target = driver.strike(spec, none, fork=True)
+            assert outcome in (InjectionOutcome.SDC, InjectionOutcome.MASKED)
+            outcomes.add(outcome)
+            assert driver.core.cycle == cycle and target
+        assert fork_calls == [] and len(outcomes) == 2
 
     def test_batch_of_one_never_forks(self, fork_calls):
         golden = _golden()
         spec = StrikeSpec(Structure.IQ, index=0, cycle=golden.cycles // 2,
-                          slot=0, bit=0)
+                          slot=0, bit=60)  # a structural scheduler bit
         record = _alone(spec, ProtectionScheme.NONE)
         assert record.outcome is not InjectionOutcome.MASKED_IDLE
         assert fork_calls == []
 
 
-# -- the early exit of taint-only faulty runs ------------------------------------------
+# -- taint-only strikes: the dataflow replay ------------------------------------------
+#
+# A taint-only strike is decided by replaying its victim's taint over the
+# golden run's dataflow log.  The oracle is what the replay replaced: a fork
+# of the driver, struck the same way and run to the end.  These helpers
+# build that fork; nothing in the library can be switched back to it.
 
-#: A decision interval past any run's end: every faulty run goes to the end.
-TO_THE_END = 10 ** 9
+
+def _fork_to_the_end(monkeypatch, ends=None, memo=None):
+    """Make :meth:`_StrikeDriver.strike` decide every applied, unresolved,
+    taint-only strike on a fork run to the end instead of by replay.
+
+    ``ends`` collects each such fork's (final cycle, commits); ``memo``
+    caches outcomes by strike point, which decides a strike on its own."""
+    original = _StrikeDriver.strike
+
+    def strike(self, spec, protection, fork):
+        if (self.failure is not None or protection.resolve(
+                spec.structure, spec.effective_length) is not None):
+            return original(self, spec, protection, fork)
+        point = (spec.structure, spec.cycle, spec.slot, spec.bit,
+                 spec.length)
+        if memo is not None and point in memo:
+            return memo[point]
+        receipt = self.core.inject_bit(spec.structure, spec.slot, spec.bit,
+                                       spec.length)
+        if not (receipt.applied and receipt.taint_only):
+            receipt.undo()
+            return original(self, spec, protection, fork)
+        try:
+            run = self.core.fork()
+        finally:
+            receipt.undo()
+        decided = (*self.finish(run), receipt.target)
+        if ends is not None:
+            ends.append((run.cycle, run.total_committed))
+        if memo is not None:
+            memo[point] = decided
+        return decided
+
+    monkeypatch.setattr(_StrikeDriver, "strike", strike)
 
 
-class _Exits:
-    """Spy on :func:`live._run_faulty`: how each faulty run ended."""
+class _Replays:
+    """Spy on :meth:`DataflowLog.corrupts`: every replay and its result."""
 
     def __init__(self, monkeypatch):
-        self.early = []       # outcomes of taint-only runs stopped early
-        self.taint_only = []  # (final cycle, commits) of taint-only runs
-        self.structural = 0
-        original = live_module._run_faulty
+        self.calls = []
+        original = DataflowLog.corrupts
 
-        def spy(core, taint_only):
-            verdict = original(core, taint_only)
-            if not taint_only:
-                self.structural += 1
-            elif verdict is not None:
-                self.early.append(verdict[0].name)
-            else:
-                self.taint_only.append((core.cycle, core.total_committed))
-            return verdict
+        def spy(log, cycle, victim):
+            corrupts = original(log, cycle, victim)
+            self.calls.append((cycle, victim, corrupts))
+            return corrupts
 
-        monkeypatch.setattr(live_module, "_run_faulty", spy)
+        monkeypatch.setattr(DataflowLog, "corrupts", spy)
 
 
 def _records(jobs):
@@ -587,38 +666,39 @@ def _records(jobs):
                       sort_keys=True)
 
 
-def _assert_early_exit_exact(monkeypatch, jobs):
-    """Strike ``jobs`` with early exit and again with every faulty run
-    going to the end: the records must be byte-equal.  Returns the exits
-    of the early-exit pass and its records."""
-    exits = _Exits(monkeypatch)
-    early = _records(jobs)
-    monkeypatch.setattr(live_module, "DECIDE_EVERY", TO_THE_END)
-    assert _records(jobs) == early
-    return exits, [record for payload in json.loads(early)
-                   for record in payload["records"]]
+def _assert_replay_exact(monkeypatch, jobs, memo=None):
+    """Strike ``jobs`` as the library does, then again with every taint-only
+    strike forked and run to the end: the records must be byte-equal.
+    Returns the replays of the first pass and its records.  Undoes every
+    earlier patch of ``monkeypatch`` between the passes."""
+    replays = _Replays(monkeypatch)
+    replayed = _records(jobs)
+    monkeypatch.undo()
+    _fork_to_the_end(monkeypatch, memo=memo)
+    assert _records(jobs) == replayed
+    return replays.calls, [record for payload in json.loads(replayed)
+                           for record in payload["records"]]
 
 
 class TestEarlyExitDifferential:
     def test_all_structures_unprotected_single_bit(self, monkeypatch):
-        exits, _ = _assert_early_exit_exact(
+        replays, _ = _assert_replay_exact(
             monkeypatch, _campaign(INJECTABLE, seed=21))
-        assert {"MASKED", "SDC"} <= set(exits.early)
-        assert exits.structural > 0
+        assert {True, False} <= {corrupts for *_, corrupts in replays}
 
     @pytest.mark.parametrize("scheme", [ProtectionScheme.NONE,
                                         ProtectionScheme.PARITY,
                                         ProtectionScheme.SECDED])
     def test_multi_bit_under_protection(self, monkeypatch, scheme):
-        exits, records = _assert_early_exit_exact(
+        replays, records = _assert_replay_exact(
             monkeypatch, _campaign(INJECTABLE, seed=7, protection=scheme,
                                    mbu=MbuConfig(max_len=3), injections=24,
                                    strike_batch=8))
-        assert exits.early
+        assert replays
         assert any(r.get("cluster_len", 1) == 3 for r in records)
 
     def test_rob_hang(self, monkeypatch):
-        _, records = _assert_early_exit_exact(
+        _, records = _assert_replay_exact(
             monkeypatch, _campaign((Structure.IQ, Structure.ROB), seed=2,
                                    injections=12))
         assert any(r["outcome"] == "HANG" and r["index"] == 10
@@ -633,145 +713,300 @@ class TestEarlyExitDifferential:
             return original(seed, structure, index, *args)
 
         monkeypatch.setattr(live_module, "draw_strike", draw)
-        _, records = _assert_early_exit_exact(
-            monkeypatch, _campaign((Structure.ROB, Structure.REG), seed=3))
-        due = next(r for r in records
+        jobs = _campaign((Structure.ROB, Structure.REG), seed=3)
+        replayed = _records(jobs)
+        _fork_to_the_end(monkeypatch)
+        assert _records(jobs) == replayed
+        due = next(r for payload in json.loads(replayed)
+                   for r in payload["records"]
                    if r["structure"] == "ROB" and r["index"] == 5)
         assert due["detail"].startswith("contained StructureError")
 
     def test_taint_only_runs_are_the_golden_run(self, monkeypatch):
-        # The premise of the exit: a strike that wrote only taint changes
+        # The premise of the replay: a strike that wrote only taint changes
         # no kernel decision, so its run, taken to the end, ends exactly
         # where the golden run does, with the same number of commits.
         golden = _golden()
-        exits = _Exits(monkeypatch)
-        monkeypatch.setattr(live_module, "DECIDE_EVERY", TO_THE_END)
+        ends = []
+        _fork_to_the_end(monkeypatch, ends=ends)
+        forks = []
+        original = SMTCore.fork
+        monkeypatch.setattr(SMTCore, "fork",
+                            lambda core: forks.append(1) or original(core))
         for _ in run_batches(_campaign(INJECTABLE, seed=21, injections=16,
                                        mbu=MbuConfig(max_len=3))):
             pass
-        assert len(exits.taint_only) > 20 and exits.structural > 0
-        assert set(exits.taint_only) == {(golden.cycles, golden.committed)}
+        assert len(ends) > 20 and len(forks) > len(ends)  # and structural
+        assert set(ends) == {(golden.cycles, golden.committed)}
 
 
-# -- each live-taint clause is needed ---------------------------------------------------
+# The replay's differential runs on the injection_validation artefact's
+# configuration: unlike WORKLOAD/SIM, its golden run squashes and forwards.
+VALIDATION_MIX = get_mix(VALIDATION_WORKLOAD)
+VALIDATION_SIM = SimConfig(
+    max_instructions=VALIDATION_BUDGET_CAP * VALIDATION_MIX.num_threads,
+    seed=1)
+
+
+def _validation_golden():
+    return golden_run(VALIDATION_MIX, "ICOUNT", DEFAULT_CONFIG,
+                      VALIDATION_SIM)
+
+
+class TestReplayDifferential:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_taint_only_strike(self, monkeypatch, seed):
+        # Six structures x none/parity/SECDED x single-bit/3-bit MBU.
+        # Protection and MBU reuse the unprotected single-bit strike points,
+        # so the forks run to the end are shared by strike point.
+        memo = {}
+        replays = []
+        for mbu in (MbuConfig(), MbuConfig(max_len=3)):
+            for scheme in (ProtectionScheme.NONE, ProtectionScheme.PARITY,
+                           ProtectionScheme.SECDED):
+                jobs = plan_live_batches(
+                    VALIDATION_MIX, injections=24, sim=VALIDATION_SIM,
+                    seed=seed, protection=scheme, mbu=mbu)
+                calls, _ = _assert_replay_exact(monkeypatch, jobs, memo)
+                monkeypatch.undo()
+                replays += calls
+        assert len(replays) > 60
+        assert {True, False} <= {corrupts for *_, corrupts in replays}
+
+
+class TestDataflowLog:
+    @pytest.mark.parametrize("case", ["gcc+mcf", "validation", "FLUSH"])
+    def test_the_golden_log_is_the_drivers(self, case):
+        # The replay reads the log of the golden run, which keeps a ledger;
+        # strikes land on the ledger-free driver.  Run to the end with a log
+        # of its own, the driver must record the very same events.
+        workload, sim, policy = {
+            "gcc+mcf": (WORKLOAD, SIM, "ICOUNT"),
+            "validation": (VALIDATION_MIX, VALIDATION_SIM, "ICOUNT"),
+            "FLUSH": (WORKLOAD, SimConfig(max_instructions=600, seed=2),
+                      "FLUSH")}[case]
+        golden = golden_run(workload, policy, DEFAULT_CONFIG, sim)
+        driver = _StrikeDriver(workload, policy, DEFAULT_CONFIG, sim, golden,
+                               LIVE)
+        driver.core.flow_log = []
+        driver.core.run()
+        log = DataflowLog.of(driver.core)
+        assert log.events == golden.flow.events
+        assert log.pending == golden.flow.pending
+        kinds = {event[1] for event in log.events}
+        assert {FLOW_ISSUE, FLOW_WRITEBACK, FLOW_COMMIT} <= kinds
+        if case != "gcc+mcf":
+            assert {FLOW_FORWARD, FLOW_SQUASH} <= kinds
+
+    def test_only_the_golden_run_records(self):
+        golden = _golden()
+        driver = _StrikeDriver(WORKLOAD, "ICOUNT", DEFAULT_CONFIG, SIM,
+                               golden, LIVE)
+        driver.advance(golden.cycles // 2)
+        assert driver.core.flow_log is None
+        assert driver.core.fork().flow_log is None
+        session = SimSession(WORKLOAD, sim=SIM)
+        session.core.run()
+        assert session.core.flow_log is None
+
+
+# -- each replay rule is needed -----------------------------------------------------
 #
-# Hand-built taint, planted on a fork of the driver where only the clause
-# under test can find it.  The fork's early exit must agree with its run to
-# the end (SDC), and with the clause dropped it must stop too soon, as
-# MASKED.  The checks run every cycle here: the exit is exact at any
-# interval, and a tight one leaves the planted taint no time to spread
-# somewhere another clause finds it.
+# The replay's rules are its clauses of where taint goes: TaintReplay's
+# methods.  A case is a (cycle, victim) pair — a drawn strike of the
+# differential, or a physical register or in-flight instance of the
+# validation golden run taken just before a rule's rare events — whose
+# replay the rule takes part in: it changes the tainted sets (at_end: the
+# pending set decides).  Every case used below is checked against a fork
+# with the same taint planted, run to the end.
+
+RULES = ("issue", "forward", "writeback", "commit", "overwrite", "squash",
+         "at_end")
+
+#: Rules no single strike's outcome depends on.  A forwarding store is
+#: older than the load it feeds, stores are never dynamically dead, and
+#: taint never leaves an instance: a tainted store commits (SDC before
+#: anything the load tainted can commit), stays pending (SDC), or is
+#: squashed with everything younger.  A squashed instance never acts again
+#: and a freed register is written before it is read.  Both rules keep the
+#: replay's sets exact, and squash lets a replay stop early.
+OUTCOME_NEUTRAL = ("forward", "squash")
 
 TOKEN = (1 << 40) | 1
 
 
-# Each case yields plants: functions that taint a fork (given with its
-# digest recorder) in one place.
+def _replay_class(drop=None, fired=None, steps=None):
+    """A TaintReplay with rule ``drop`` made a no-op, recording in
+    ``fired`` the rules that changed its sets and counting in ``steps``
+    the rules it applied."""
+    namespace = {}
+    for name in RULES:
+        rule = getattr(TaintReplay, name)
+
+        def wrapped(self, *args, name=name, rule=rule):
+            if steps is not None:
+                steps.append(name)
+            if name == drop:
+                return bool(self.arch) if name == "at_end" else None
+            sizes = (len(self.instances), len(self.registers),
+                     len(self.arch))
+            result = rule(self, *args)
+            if fired is not None and (
+                    (name == "at_end" and self.instances and not self.arch)
+                    or sizes != (len(self.instances), len(self.registers),
+                                 len(self.arch))):
+                fired.add(name)
+            return result
+
+        namespace[name] = wrapped
+    return type("Replay", (TaintReplay,), namespace)
 
 
-def _arch_register(core):
-    """A committed register value the digest holds as tainted."""
-    for reg in range(NUM_ARCH_REGS):
-        def plant(fork, recorder, reg=reg):
-            recorder._arch[(0, reg)] = TOKEN
-        yield plant
+def _replay(log, cycle, victim, **kwargs):
+    return _replay_class(**kwargs)(victim).run(log, cycle)
 
 
-def _memory_word(core):
-    def plant(fork, recorder):
-        fork.mem_tags[0] = TOKEN
-    yield plant
-
-
-def _physical_register(core):
-    for phys in sorted(core.regfile._meta):
-        def plant(fork, recorder, phys=phys):
-            fork.regfile._meta[phys].tag = TOKEN
-        yield plant
-
-
-def _dead(instr):
-    # Taint on a dead or wrong-path instruction is the ROB and decode
-    # queue clauses' alone: the pending clause counts only ACE ones.  No
-    # drawn strike was found where that decides, so a tainted store or
-    # branch is marked dead by hand; it still commits its taint.
-    instr.ace = AceClass.DYN_DEAD
-    instr.value_tag = TOKEN
-
-
-def _rob_store(core):
-    for tid, thread in enumerate(core.threads):
-        for i, instr in enumerate(thread.rob):
-            if instr.is_store and instr.is_ace:
-                def plant(fork, recorder, tid=tid, i=i):
-                    _dead(list(fork.threads[tid].rob)[i])
-                yield plant
-
-
-def _decoded_store_or_branch(core):
-    for tid, thread in enumerate(core.threads):
-        for i, (_ready, instr) in enumerate(thread.decode_queue):
-            if (instr.is_store or instr.is_control) and instr.is_ace:
-                def plant(fork, recorder, tid=tid, i=i):
-                    _dead(fork.threads[tid].decode_queue[i][1])
-                yield plant
-
-
-def _stranded_instruction(core):
-    """A tainted trace instruction outside the pipeline that finalize
-    counts as pending: fetched, not committed, never refetched (the last
-    of its trace, past where the shared budget ends the run).  The fork
-    borrows that instruction from the driver, so the plant takes its own
-    copy first, as fetch would."""
-    def plant(fork, recorder):
-        thread = fork.threads[0]
-        instr = thread.own(len(thread.trace) - 1)
-        instr.fetched_at, instr.committed_at = fork.cycle, -1
-        instr.squashed = False
+def _planted(driver, victim):
+    """The oracle for a hand-made case: plant ``victim``'s taint on a fork
+    of ``driver`` and run it to the end.  (True when it ends SDC, the
+    finished fork.)"""
+    fork = driver.core.fork()
+    if isinstance(victim, int):
+        fork.regfile._meta[victim].tag = TOKEN
+    else:
+        thread, stamp = victim
+        (instr,) = [i for i in fork.threads[thread].rob
+                    if i.fetch_stamp == stamp]
         instr.value_tag = TOKEN
-    yield plant
+    outcome = driver.finish(fork)[0]
+    assert outcome in (InjectionOutcome.SDC, InjectionOutcome.MASKED)
+    return outcome is InjectionOutcome.SDC, fork
 
 
-CLAUSE_CASES = {
-    "_arch_taint": _arch_register,
-    "_memory_taint": _memory_word,
-    "_rob_taint": _rob_store,
-    "_decode_taint": _decoded_store_or_branch,
-    "_register_taint": _physical_register,
-    "_pending_taint": _stranded_instruction,
-}
+class _ToTheEnd(TaintReplay):
+    """A replay that follows the taint to the end of the log: no verdict
+    before it.  ``stored`` is set once a tainted store commits, after which
+    memory would hold taint the replay does not track."""
+
+    stored = False
+
+    def _masked(self):
+        return None
+
+    def commit(self, event):
+        _, _, instance, _, _, _, store, _ = event
+        if instance in self.instances:
+            self.stored |= store
+            event = (*event[:5], False, False, event[7])  # follow it on
+        return super().commit(event)
+
+
+@pytest.fixture(scope="module")
+def rule_cases():
+    """Hand-made cases of the validation golden run, taken at cycles just
+    before its forwards and squashes and at a few others.
+
+    Returns (cases, neutral).  ``cases`` are (cycle, victim, corrupts,
+    fired rules), each checked against its planted fork: the first case of
+    each (rule, outcome) found, and the first case where dropping a rule
+    not in :data:`OUTCOME_NEUTRAL` flips the outcome.  ``neutral`` are all
+    cases an outcome-neutral rule took part in, (cycle, victim, corrupts).
+    """
+    golden = _validation_golden()
+    log = golden.flow
+    rare = {event[0] - 1 for event in log.events
+            if event[1] in (FLOW_FORWARD, FLOW_SQUASH)}
+    driver = _StrikeDriver(VALIDATION_MIX, "ICOUNT", DEFAULT_CONFIG,
+                           VALIDATION_SIM, golden, LIVE)
+    decided = set()
+    flipped = set(OUTCOME_NEUTRAL)
+    cases, neutral = [], []
+    for cycle in sorted(rare | set(range(40, golden.cycles, 320))):
+        driver.advance(cycle)
+        core = driver.core
+        victims = sorted(core.regfile._meta) + [
+            (t.id, instr.fetch_stamp) for t in core.threads
+            for instr in t.rob]
+        for victim in victims:
+            fired = set()
+            corrupts = _replay(log, cycle, victim, fired=fired)
+            new = {(rule, corrupts) for rule in fired} - decided
+            flips = {rule for rule in fired - flipped
+                     if _replay(log, cycle, victim, drop=rule) is not corrupts}
+            if new or flips:
+                assert _planted(driver, victim)[0] is corrupts, (cycle, victim)
+                cases.append((cycle, victim, corrupts, fired))
+                decided |= new
+                flipped |= flips
+            if fired & set(OUTCOME_NEUTRAL):
+                neutral.append((cycle, victim, corrupts))
+    return cases, neutral
 
 
 class TestLiveTaintClauses:
-    def test_every_clause_has_a_case(self):
-        assert {clause.__name__ for clause in classify.LIVE_TAINT} == set(
-            CLAUSE_CASES)
+    def test_every_clause_has_a_case(self, rule_cases):
+        cases, _ = rule_cases
+        decided = {(rule, corrupts) for _, _, corrupts, fired in cases
+                   for rule in fired}
+        for rule in RULES:
+            assert (rule, True) in decided, f"{rule}: no SDC case"
+            # No forward of this golden run feeds a load that is squashed
+            # together with its store: forwarding decides SDC cases only.
+            if rule != "forward":
+                assert (rule, False) in decided, f"{rule}: no MASKED case"
 
-    @pytest.mark.parametrize("name", sorted(CLAUSE_CASES))
-    def test_dropping_the_clause_breaks_the_exit(self, monkeypatch, name):
-        golden = _golden()
-        monkeypatch.setattr(live_module, "DECIDE_EVERY", 1)
-        clauses = classify.LIVE_TAINT
-        dropped = tuple(c for c in clauses if c.__name__ != name)
-        driver = _StrikeDriver(WORKLOAD, "ICOUNT", DEFAULT_CONFIG, SIM,
-                               golden, LIVE)
+    @pytest.mark.parametrize("rule", RULES)
+    def test_dropping_the_clause_breaks_the_exit(self, rule_cases, rule):
+        log = _validation_golden().flow
+        cases, neutral = rule_cases
+        if rule not in OUTCOME_NEUTRAL:
+            assert any(
+                _replay(log, cycle, victim, drop=rule) is not corrupts
+                for cycle, victim, corrupts, fired in cases
+                if rule in fired), f"dropping {rule} flipped no outcome"
+            return
+        assert len(neutral) > 20
+        later = 0
+        for cycle, victim, corrupts in neutral:
+            kept, dropped = [], []
+            assert _replay(log, cycle, victim, drop=rule,
+                           steps=dropped) is corrupts
+            _replay(log, cycle, victim, steps=kept)
+            later += len(dropped) > len(kept)
+        if rule == "squash":
+            assert later, "dropping squash never delayed a decision"
 
-        def outcome(base, taint_only, live_taint=clauses):
-            monkeypatch.setattr(classify, "LIVE_TAINT", live_taint)
-            return driver.finish(base.fork(), taint_only)[0]
-
-        for cycle in range(1, golden.cycles, 7):
+    def test_the_clauses_keep_the_taint_exact(self, rule_cases):
+        # Followed to the end of the log, the replay's sets are exactly the
+        # taint its planted fork ends with: tainted in-flight instances,
+        # allocated registers and architectural registers.  Dropping a
+        # committed instance and the frees at commit and squash change no
+        # outcome, but they keep the sets exact and the early MASKED early.
+        golden = _validation_golden()
+        cases, neutral = rule_cases
+        sample = sorted({(cycle, victim) for cycle, victim, *_ in
+                         cases + neutral[::8]}, key=repr)
+        driver = _StrikeDriver(VALIDATION_MIX, "ICOUNT", DEFAULT_CONFIG,
+                               VALIDATION_SIM, golden, LIVE)
+        compared = 0
+        for cycle, victim in sorted(sample, key=lambda case: case[0]):
+            replay = _ToTheEnd(victim)
+            replay.run(golden.flow, cycle)
+            if replay.stored:
+                continue
             driver.advance(cycle)
-            for plant in CLAUSE_CASES[name](driver.core):
-                base = driver.core.fork()
-                plant(base, live_module._digest_recorder(base))
-                end = outcome(base, taint_only=False)
-                assert outcome(base, taint_only=True) is end, cycle
-                if (end is InjectionOutcome.SDC
-                        and outcome(base, True, dropped)
-                        is InjectionOutcome.MASKED):
-                    return
-        pytest.fail(f"no case where only {name} finds the taint")
+            _, fork = _planted(driver, victim)
+            recorder = next(s for s in fork.instruments.bus.subscribers
+                            if isinstance(s, DigestRecorder))
+            assert replay.instances == {
+                (t.id, i.fetch_stamp) for t in fork.threads for i in t.rob
+                if i.value_tag}, (cycle, victim)
+            assert replay.registers == {
+                phys for phys, meta in fork.regfile._meta.items()
+                if meta.tag}, (cycle, victim)
+            assert replay.arch == set(recorder._arch), (cycle, victim)
+            compared += 1
+        assert compared > 20
 
     def test_the_stranded_plant_leaves_the_driver_alone(self):
         golden = _golden()
@@ -782,11 +1017,18 @@ class TestLiveTaintClauses:
         lent = driver.core.threads[0].trace.instrs[-1]
         assert fork.threads[0].trace.instrs[-1] is lent  # borrowed
         before = _slot_values(lent)
-        (plant,) = _stranded_instruction(driver.core)
-        plant(fork, live_module._digest_recorder(fork))
+        # A tainted trace instruction outside the pipeline that finalize
+        # counts as pending: fetched, not committed, never refetched (the
+        # last of its trace, past where the shared budget ends the run).
+        # The fork borrows it from the driver, so the plant takes its own
+        # copy first, as fetch would.
+        thread = fork.threads[0]
+        instr = thread.own(len(thread.trace) - 1)
+        instr.fetched_at, instr.committed_at = fork.cycle, -1
+        instr.squashed = False
+        instr.value_tag = TOKEN
         assert fork.threads[0].trace.instrs[-1] is not lent
-        assert driver.finish(fork, taint_only=False)[0] is (
-            InjectionOutcome.SDC)
+        assert driver.finish(fork)[0] is InjectionOutcome.SDC
         assert _slot_values(lent) == before
         assert driver.finish(driver.core)[0] is InjectionOutcome.MASKED
 
