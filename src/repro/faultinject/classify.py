@@ -39,8 +39,7 @@ from itertools import islice
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import HangDetected
-from repro.pipeline.core import (FLOW_COMMIT, FLOW_FORWARD, FLOW_ISSUE,
-                                 FLOW_SQUASH, FLOW_WRITEBACK)
+from repro.pipeline.core import FLOW_ISSUE, FLOW_WRITEBACK
 
 
 class DigestRecorder:
@@ -128,7 +127,9 @@ class DigestRecorder:
 
 def _awaits_commit(instr) -> bool:
     """ACE, fetched by this run and not committed: the instructions whose
-    taint :meth:`DigestRecorder.on_finalize` counts as pending."""
+    taint :meth:`DigestRecorder.on_finalize` counts as pending.  A squashed
+    or wrong-path instruction is never ACE (``DynInstr.is_ace``), so one
+    squashed and not refetched by the end of the run is not pending."""
     return instr.is_ace and instr.fetched_at >= 0 and instr.committed_at < 0
 
 
@@ -136,9 +137,8 @@ def _awaits_commit(instr) -> bool:
 #
 # A strike that wrote only taint changes no kernel decision (no stage reads a
 # tag), so its run is the golden run cycle for cycle: the same instances
-# issue, forward, write back, commit and squash in the same order.  Only
-# where the taint goes differs, and the golden run's dataflow log says where
-# it can go.
+# issue, write back and commit in the same order.  Only where the taint goes
+# differs, and the golden run's dataflow log says where it can go.
 
 
 class DataflowLog:
@@ -161,12 +161,6 @@ class DataflowLog:
             for thread in core.threads
             for instr in thread.trace.instrs if _awaits_commit(instr)))
 
-    def corrupts(self, cycle: int, victim) -> bool:
-        """Does a taint-only strike on ``victim`` — an instance or a
-        physical register, struck after cycle ``cycle``'s hooks — end SDC
-        (True) or MASKED (False)?"""
-        return TaintReplay(victim).run(self, cycle)
-
     def after(self, cycle: int) -> Iterator[tuple]:
         """Every event of the cycles after ``cycle``."""
         return islice(self.events, bisect_right(self._cycles, cycle), None)
@@ -175,11 +169,26 @@ class DataflowLog:
 class TaintReplay:
     """Where one strike's taint is, event by event.
 
-    Each rule takes one event and returns True (SDC), False (MASKED: no
-    instance, register or architectural register holds taint any more,
-    and taint only spreads from taint) or None (undecided).  Memory is
-    not tracked: with one strike, a tainted memory word can only come from
-    a tainted store commit, which already decided SDC.
+    ``TaintReplay(victim).run(log, cycle)`` decides a taint-only strike on
+    ``victim`` — an instance or a physical register, struck after cycle
+    ``cycle``'s hooks — as the digest of its faulty run would: True for
+    SDC, False for MASKED.  Each rule takes one event and returns True
+    (SDC), False (MASKED: no instance, register or architectural register
+    holds taint any more, and taint only spreads from taint) or None
+    (undecided).
+
+    Three things the faulty run does to taint need no rule, because no
+    outcome depends on them:
+
+    * memory: with one strike, a tainted memory word can only come from a
+      tainted store commit, which already decided SDC;
+    * store-to-load forwarding: a correct-path store is always ACE and is
+      older than the loads it feeds, so a tainted one commits (SDC before
+      any of them can), stays pending at the end (SDC), or is squashed
+      together with them;
+    * squashes: a squashed instance never issues, writes back or commits
+      again, and is never pending (:func:`_awaits_commit`); a register it
+      frees is written again before anything reads it.
     """
 
     def __init__(self, victim) -> None:
@@ -190,14 +199,16 @@ class TaintReplay:
             self.registers.add(victim)
         else:
             self.instances.add(victim)
-        self._rules = {FLOW_ISSUE: self.issue, FLOW_FORWARD: self.forward,
-                       FLOW_WRITEBACK: self.writeback,
-                       FLOW_COMMIT: self.commit, FLOW_SQUASH: self.squash}
 
     def run(self, log: DataflowLog, cycle: int) -> bool:
-        rules = self._rules
         for event in log.after(cycle):
-            verdict = rules[event[1]](event)
+            kind = event[1]
+            if kind == FLOW_ISSUE:
+                verdict = self.issue(event)
+            elif kind == FLOW_WRITEBACK:
+                verdict = self.writeback(event)
+            else:
+                verdict = self.commit(event)
             if verdict is not None:
                 return verdict
         return self.at_end(log.pending)
@@ -214,13 +225,6 @@ class TaintReplay:
             self.instances.add(instance)
         return None
 
-    def forward(self, event: tuple) -> Optional[bool]:
-        """A load reads a tainted store's data."""
-        _, _, load, store = event
-        if store in self.instances:
-            self.instances.add(load)
-        return None
-
     def writeback(self, event: tuple) -> Optional[bool]:
         """The result replaces the register's contents, taint and all."""
         _, _, instance, phys = event
@@ -232,8 +236,9 @@ class TaintReplay:
 
     def commit(self, event: tuple) -> Optional[bool]:
         """Tainted control flow or store data is SDC; otherwise the
-        instruction leaves the pipeline, its result becomes architectural
-        and its destination's previous register is freed."""
+        instruction leaves the pipeline, its result (tainted or clean)
+        becomes architectural and its destination's previous register is
+        freed."""
         _, _, instance, thread, dest, control, store, old_phys = event
         if instance in self.instances:
             if control or store:
@@ -242,20 +247,9 @@ class TaintReplay:
             if dest is not None:
                 self.arch.add((thread, dest))
         elif dest is not None:
-            self.overwrite(thread, dest)
+            self.arch.discard((thread, dest))
         if old_phys is not None:
             self.registers.discard(old_phys)
-        return self._masked()
-
-    def overwrite(self, thread: int, dest: int) -> None:
-        """A clean commit replaces a tainted architectural value."""
-        self.arch.discard((thread, dest))
-
-    def squash(self, event: tuple) -> Optional[bool]:
-        """Squashed instances and the registers they held are gone."""
-        _, _, instances, registers = event
-        self.instances.difference_update(instances)
-        self.registers.difference_update(registers)
         return self._masked()
 
     def at_end(self, pending: FrozenSet) -> bool:

@@ -58,8 +58,7 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum, auto
 from pathlib import Path
-from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -68,7 +67,8 @@ from repro.avf.structures import PRIVATE_STRUCTURES, Structure
 from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
 from repro.content_store import ContentStore, stable_digest
 from repro.errors import HangDetected, ReproError
-from repro.faultinject.classify import DataflowLog, DigestRecorder, Watchdog
+from repro.faultinject.classify import (DataflowLog, DigestRecorder,
+                                        TaintReplay, Watchdog)
 from repro.metrics.reliability import wilson_interval
 from repro.protection import ProtectionConfig, ProtectionScheme
 from repro.protection.config import CoercibleProtection
@@ -501,8 +501,8 @@ class _StrikeDriver:
             return outcome, f"protection: {resolution}", receipt.target
         if receipt.taint_only:
             receipt.undo()
-            if receipt.victim is not None and self.golden.flow.corrupts(
-                    self.core.cycle, receipt.victim):
+            if receipt.victim is not None and TaintReplay(
+                    receipt.victim).run(self.golden.flow, self.core.cycle):
                 return InjectionOutcome.SDC, "", receipt.target
             return InjectionOutcome.MASKED, "", receipt.target
         if not fork:
@@ -513,10 +513,10 @@ class _StrikeDriver:
                 # trace-owned field (e.g. a flipped mem_addr).
                 receipt.undo()
         try:
-            faulty = self.core.fork()
+            victim = self.core.fork()
         finally:
             receipt.undo()
-        return (*self.finish(faulty), receipt.target)
+        return (*self.finish(victim), receipt.target)
 
 
 # -- strikes -----------------------------------------------------------------------
@@ -827,26 +827,14 @@ def _batched(indices: Sequence[int], batch: int) -> List[Tuple[int, ...]]:
             for i in range(0, len(indices), batch)]
 
 
-class _Campaign(NamedTuple):
-    """A live campaign's arguments, defaulted and validated."""
-
-    name: str
-    programs: Tuple[str, ...]
-    policy: str
-    config: MachineConfig
-    sim: SimConfig
-    protection: ProtectionConfig
-    live: LiveConfig
-    mbu: MbuConfig
-
-
-def _campaign(workload: Union[WorkloadMix, Sequence[str]], injections: int,
-              structures: Sequence[Structure], policy: str,
-              config: Optional[MachineConfig], sim: Optional[SimConfig],
-              protection: CoercibleProtection, live: Optional[LiveConfig],
-              mbu: Optional[MbuConfig]) -> _Campaign:
+def _normalised(workload: Union[WorkloadMix, Sequence[str]],
+                injections: int, structures: Sequence[Structure],
+                policy: str, config: Optional[MachineConfig],
+                sim: Optional[SimConfig], protection: CoercibleProtection,
+                live: Optional[LiveConfig], mbu: Optional[MbuConfig]):
     """Default and validate the arguments :func:`plan_live_batches` and
-    :func:`run_live_campaign` share."""
+    :func:`run_live_campaign` share: (name, programs, policy name, config,
+    sim, protection, live, mbu)."""
     unsupported = [s for s in structures if s not in INJECTABLE]
     if unsupported:
         raise ReproError(f"cannot inject into {unsupported}; "
@@ -854,27 +842,12 @@ def _campaign(workload: Union[WorkloadMix, Sequence[str]], injections: int,
     if injections < 0:
         raise ReproError("injections must be >= 0")
     mix = isinstance(workload, WorkloadMix)
-    return _Campaign(
-        name=workload.name if mix else "+".join(workload),
-        programs=tuple(workload.programs if mix else workload),
-        policy=policy if isinstance(policy, str) else policy.name,
-        config=config or DEFAULT_CONFIG,
-        sim=sim or SimConfig(max_instructions=600),
-        protection=ProtectionConfig.coerce(protection),
-        live=live or LiveConfig(), mbu=mbu or MbuConfig())
-
-
-def _plan(campaign: _Campaign, injections: int,
-          structures: Sequence[Structure], seed: int) -> List[LiveBatchJob]:
-    return [
-        LiveBatchJob(workload_name=campaign.name, programs=campaign.programs,
-                     policy=campaign.policy, config=campaign.config,
-                     sim=campaign.sim, seed=seed,
-                     protection=campaign.protection, live=campaign.live,
-                     structure=structure, indices=batch, mbu=campaign.mbu)
-        for structure in structures
-        for batch in _batched(range(injections), campaign.live.strike_batch)
-    ]
+    return (workload.name if mix else "+".join(workload),
+            tuple(workload.programs if mix else workload),
+            policy if isinstance(policy, str) else policy.name,
+            config or DEFAULT_CONFIG, sim or SimConfig(max_instructions=600),
+            ProtectionConfig.coerce(protection), live or LiveConfig(),
+            mbu or MbuConfig())
 
 
 def plan_live_batches(workload: Union[WorkloadMix, Sequence[str]],
@@ -894,12 +867,20 @@ def plan_live_batches(workload: Union[WorkloadMix, Sequence[str]],
     batching with *no* execution, so a caller that schedules work itself
     (the campaign service) can plan a campaign, count its batches, and
     feed the jobs to its own supervisor.  :func:`run_live_campaign` plans
-    the same way, so both paths shard identically — same digests, same
+    through here, so both paths shard identically — same digests, same
     per-batch cache entries.
     """
-    return _plan(_campaign(workload, injections, structures, policy, config,
-                           sim, protection, live, mbu),
-                 injections, structures, seed)
+    (name, programs, policy_name, config, base_sim, protection, live,
+     mbu) = _normalised(workload, injections, structures, policy, config,
+                        sim, protection, live, mbu)
+    return [
+        LiveBatchJob(workload_name=name, programs=programs,
+                     policy=policy_name, config=config, sim=base_sim,
+                     seed=seed, protection=protection, live=live,
+                     structure=structure, indices=batch, mbu=mbu)
+        for structure in structures
+        for batch in _batched(range(injections), live.strike_batch)
+    ]
 
 
 def run_live_campaign(workload: Union[WorkloadMix, Sequence[str]],
@@ -939,8 +920,9 @@ def run_live_campaign(workload: Union[WorkloadMix, Sequence[str]],
     in completion order (inline: by last strike cycle, not plan order).
     The campaign service streams partial Wilson intervals from it.
     """
-    campaign = _campaign(workload, injections, structures, policy, config,
-                         sim, protection, live, mbu)
+    (name, _, policy_name, config, base_sim, protection, live,
+     mbu) = _normalised(workload, injections, structures, policy, config,
+                        sim, protection, live, mbu)
     if jobs < 1:
         raise ReproError("jobs must be >= 1")
     unknown = [k for k in forced if k not in FORCED_KINDS]
@@ -948,9 +930,12 @@ def run_live_campaign(workload: Union[WorkloadMix, Sequence[str]],
         raise ReproError(f"unknown forced kinds {unknown}; "
                          f"known: {list(FORCED_KINDS)}")
 
-    golden = golden_run(workload, campaign.policy, campaign.config,
-                        campaign.sim)
-    jobs_list = _plan(campaign, injections, structures, seed)
+    golden = golden_run(workload, policy_name, config, base_sim)
+
+    jobs_list = plan_live_batches(workload, injections=injections,
+                                  structures=structures, policy=policy_name,
+                                  config=config, sim=base_sim, seed=seed,
+                                  protection=protection, live=live, mbu=mbu)
 
     store = ContentStore(cache_dir) if cache_dir is not None else None
 
@@ -999,25 +984,23 @@ def run_live_campaign(workload: Union[WorkloadMix, Sequence[str]],
         cached = outcome.skipped
         executed = outcome.executed
 
-    result = LiveCampaignResult(workload=campaign.name, cycles=golden.cycles,
+    result = LiveCampaignResult(workload=name, cycles=golden.cycles,
                                 injections_per_structure=injections,
-                                protection=campaign.protection,
-                                mbu=campaign.mbu,
+                                protection=protection, mbu=mbu,
                                 batches_cached=cached,
                                 batches_executed=executed)
     result.records = [by_key[key] for key in sorted(by_key)]
     for structure in structures:
-        counts = StructureCampaign(
+        campaign = StructureCampaign(
             structure=structure, injections=injections,
             reported_avf=float(golden.avf[structure]))
         for record in result.records:
             if record.structure is structure:
-                counts.outcomes[record.outcome] = (
-                    counts.outcomes.get(record.outcome, 0) + 1)
-        result.structures[structure] = counts
+                campaign.outcomes[record.outcome] = (
+                    campaign.outcomes.get(record.outcome, 0) + 1)
+        result.structures[structure] = campaign
 
     for kind in forced:
         result.forced[kind] = run_forced_strike(
-            kind, workload, campaign.policy, campaign.config, campaign.sim,
-            golden, campaign.live)
+            kind, workload, policy_name, config, base_sim, golden, live)
     return result

@@ -37,16 +37,11 @@ _Event = Tuple[DynInstr, int, bool, bool]
 # wrong-path one, is an instance of its own.
 #: ``(cycle, FLOW_ISSUE, instance, source phys regs)``, ``None`` ones left out.
 FLOW_ISSUE = 0
-#: ``(cycle, FLOW_FORWARD, load instance, forwarding store instance)``,
-#: logged just before that load's issue event.
-FLOW_FORWARD = 1
 #: ``(cycle, FLOW_WRITEBACK, instance, phys_dest)``.
-FLOW_WRITEBACK = 2
+FLOW_WRITEBACK = 1
 #: ``(cycle, FLOW_COMMIT, instance, thread, dest_reg, is_control, is_store,
 #: old_phys_dest)``.
-FLOW_COMMIT = 3
-#: ``(cycle, FLOW_SQUASH, squashed ROB instances, phys regs they free)``.
-FLOW_SQUASH = 4
+FLOW_COMMIT = 2
 
 
 class SMTCore:
@@ -346,14 +341,7 @@ class SMTCore:
             self.policy.on_squash(self, dropped)
         self._iq.squash_thread(t.id, stamp, self.cycle)
         t.lsq.squash_younger_than(stamp, self.cycle)
-        squashed_rob = t.rob.squash_younger_than(stamp, self.cycle)
-        if self.flow_log is not None:
-            self.flow_log.append((
-                self.cycle, FLOW_SQUASH,
-                tuple((t.id, i.fetch_stamp) for i in squashed_rob),
-                tuple(i.phys_dest for i in squashed_rob
-                      if i.phys_dest is not None)))
-        for squashed in squashed_rob:
+        for squashed in t.rob.squash_younger_than(stamp, self.cycle):
             self._regfile.on_squash(squashed, self.cycle)
             self.policy.on_squash(self, squashed)
         t.fetch_index = boundary.seq + 1
@@ -406,11 +394,6 @@ class SMTCore:
             t.lsq.forwards += 1
             if self._taint:
                 instr.value_tag |= store.value_tag
-                if self.flow_log is not None:
-                    self.flow_log.append((
-                        self.cycle, FLOW_FORWARD,
-                        (instr.thread_id, instr.fetch_stamp),
-                        (store.thread_id, store.fetch_stamp)))
             self._schedule(instr, self.config.agen_latency + 1, False, False)
             return True
         if not self.mem.claim_dl1_port():

@@ -40,9 +40,9 @@ from repro.faultinject.live import (
     run_live_campaign,
     run_one_strike,
 )
-from repro.isa.instruction import DynInstr
-from repro.pipeline.core import (FLOW_COMMIT, FLOW_FORWARD, FLOW_ISSUE,
-                                 FLOW_SQUASH, FLOW_WRITEBACK, SMTCore)
+from repro.isa.instruction import AceClass, DynInstr
+from repro.pipeline.core import (FLOW_COMMIT, FLOW_ISSUE, FLOW_WRITEBACK,
+                                 SMTCore)
 from repro.protection import ProtectionConfig, ProtectionScheme
 from repro.sim import session as session_module
 from repro.sim.session import SimSession, functional_warmup, package_result
@@ -647,18 +647,18 @@ def _fork_to_the_end(monkeypatch, ends=None, memo=None):
 
 
 class _Replays:
-    """Spy on :meth:`DataflowLog.corrupts`: every replay and its result."""
+    """Spy on :meth:`TaintReplay.run`: every replay's cycle and result."""
 
     def __init__(self, monkeypatch):
         self.calls = []
-        original = DataflowLog.corrupts
+        original = TaintReplay.run
 
-        def spy(log, cycle, victim):
-            corrupts = original(log, cycle, victim)
-            self.calls.append((cycle, victim, corrupts))
+        def spy(replay, log, cycle):
+            corrupts = original(replay, log, cycle)
+            self.calls.append((cycle, corrupts))
             return corrupts
 
-        monkeypatch.setattr(DataflowLog, "corrupts", spy)
+        monkeypatch.setattr(TaintReplay, "run", spy)
 
 
 def _records(jobs):
@@ -747,6 +747,12 @@ VALIDATION_SIM = SimConfig(
     max_instructions=VALIDATION_BUDGET_CAP * VALIDATION_MIX.num_threads,
     seed=1)
 
+#: Found by sweeping FLUSH budgets: the shared budget ends this run while
+#: FLUSH keeps two threads from refetching the renamed correct-path
+#: instructions it squashed, one of them a cycle before the end.
+FLUSH_MIX = ("gcc", "mcf", "perlbmk", "twolf")
+FLUSH_SIM = SimConfig(max_instructions=300, seed=1)
+
 
 def _validation_golden():
     return golden_run(VALIDATION_MIX, "ICOUNT", DEFAULT_CONFIG,
@@ -771,7 +777,60 @@ class TestReplayDifferential:
                 monkeypatch.undo()
                 replays += calls
         assert len(replays) > 60
-        assert {True, False} <= {corrupts for *_, corrupts in replays}
+        assert {True, False} <= {corrupts for _, corrupts in replays}
+
+    @pytest.mark.parametrize("policy", ["FLUSH", "FLUSHP", "PDG"])
+    def test_policies_that_squash_the_correct_path(self, monkeypatch,
+                                                   policy):
+        memo = {}
+        replays = []
+        for mbu in (MbuConfig(), MbuConfig(max_len=3)):
+            jobs = plan_live_batches(
+                VALIDATION_MIX, injections=24, sim=VALIDATION_SIM, seed=1,
+                policy=policy, mbu=mbu)
+            calls, _ = _assert_replay_exact(monkeypatch, jobs, memo)
+            monkeypatch.undo()
+            replays += calls
+        assert len(replays) > 20
+        assert {True, False} <= {corrupts for _, corrupts in replays}
+
+    def test_strikes_on_instructions_flushed_at_the_end(self, monkeypatch):
+        # Squashed, an instruction is not ACE, so finalize does not count
+        # its taint as pending although it was never refetched: MASKED,
+        # replayed and forked alike.
+        golden = golden_run(FLUSH_MIX, "FLUSH", DEFAULT_CONFIG, FLUSH_SIM)
+        end = _StrikeDriver(FLUSH_MIX, "FLUSH", DEFAULT_CONFIG, FLUSH_SIM,
+                            golden, LIVE).core
+        end.run()
+        stranded = sorted(
+            (instr.renamed_at, t.id, instr.fetch_stamp) for t in end.threads
+            for instr in t.trace.instrs
+            if instr.squashed and instr.renamed_at >= 0
+            and instr.committed_at < 0 and instr.ace is AceClass.ACE)
+        assert len(stranded) == 5 and stranded[-1][0] >= golden.cycles - 12
+        payload = next(bit for bit in range(entry_bits(Structure.ROB))
+                       if locate_field(Structure.ROB, bit)[0] != "status")
+        none = ProtectionConfig.coerce(ProtectionScheme.NONE)
+
+        def strikes():
+            driver = _StrikeDriver(FLUSH_MIX, "FLUSH", DEFAULT_CONFIG,
+                                   FLUSH_SIM, golden, LIVE)
+            for cycle, tid, stamp in stranded:
+                driver.advance(cycle)
+                rob = [i.fetch_stamp for i in driver.core.threads[tid].rob]
+                spec = StrikeSpec(
+                    Structure.ROB, index=0, cycle=cycle, bit=payload,
+                    slot=tid * DEFAULT_CONFIG.rob_entries + rob.index(stamp))
+                yield driver.strike(spec, none, fork=True)
+
+        replays = _Replays(monkeypatch)
+        replayed = list(strikes())
+        assert len(replays.calls) == len(stranded)
+        assert {outcome for outcome, *_ in replayed} == {
+            InjectionOutcome.MASKED}
+        monkeypatch.undo()
+        _fork_to_the_end(monkeypatch)
+        assert list(strikes()) == replayed
 
 
 class TestDataflowLog:
@@ -783,8 +842,7 @@ class TestDataflowLog:
         workload, sim, policy = {
             "gcc+mcf": (WORKLOAD, SIM, "ICOUNT"),
             "validation": (VALIDATION_MIX, VALIDATION_SIM, "ICOUNT"),
-            "FLUSH": (WORKLOAD, SimConfig(max_instructions=600, seed=2),
-                      "FLUSH")}[case]
+            "FLUSH": (FLUSH_MIX, FLUSH_SIM, "FLUSH")}[case]
         golden = golden_run(workload, policy, DEFAULT_CONFIG, sim)
         driver = _StrikeDriver(workload, policy, DEFAULT_CONFIG, sim, golden,
                                LIVE)
@@ -793,10 +851,8 @@ class TestDataflowLog:
         log = DataflowLog.of(driver.core)
         assert log.events == golden.flow.events
         assert log.pending == golden.flow.pending
-        kinds = {event[1] for event in log.events}
-        assert {FLOW_ISSUE, FLOW_WRITEBACK, FLOW_COMMIT} <= kinds
-        if case != "gcc+mcf":
-            assert {FLOW_FORWARD, FLOW_SQUASH} <= kinds
+        assert {event[1] for event in log.events} == {
+            FLOW_ISSUE, FLOW_WRITEBACK, FLOW_COMMIT}
 
     def test_only_the_golden_run_records(self):
         golden = _golden()
@@ -812,64 +868,73 @@ class TestDataflowLog:
 
 # -- each replay rule is needed -----------------------------------------------------
 #
-# The replay's rules are its clauses of where taint goes: TaintReplay's
-# methods.  A case is a (cycle, victim) pair — a drawn strike of the
-# differential, or a physical register or in-flight instance of the
-# validation golden run taken just before a rule's rare events — whose
-# replay the rule takes part in: it changes the tainted sets (at_end: the
-# pending set decides).  Every case used below is checked against a fork
-# with the same taint planted, run to the end.
+# The replay's rules are TaintReplay's issue, writeback and commit methods,
+# the overwrite half of commit (a clean commit clears a tainted architectural
+# register) and at_end.  A case is a (cycle, victim) pair — a physical
+# register or an in-flight instance of the validation golden run — whose
+# replay the rule takes part in: it changes the tainted sets, or decides SDC
+# (at_end: the pending set decides).  Every case used below is checked
+# against a fork with the same taint planted, run to the end.
 
-RULES = ("issue", "forward", "writeback", "commit", "overwrite", "squash",
-         "at_end")
-
-#: Rules no single strike's outcome depends on.  A forwarding store is
-#: older than the load it feeds, stores are never dynamically dead, and
-#: taint never leaves an instance: a tainted store commits (SDC before
-#: anything the load tainted can commit), stays pending (SDC), or is
-#: squashed with everything younger.  A squashed instance never acts again
-#: and a freed register is written before it is read.  Both rules keep the
-#: replay's sets exact, and squash lets a replay stop early.
-OUTCOME_NEUTRAL = ("forward", "squash")
+RULES = ("issue", "writeback", "commit", "overwrite", "at_end")
 
 TOKEN = (1 << 40) | 1
 
 
-def _replay_class(drop=None, fired=None, steps=None):
-    """A TaintReplay with rule ``drop`` made a no-op, recording in
-    ``fired`` the rules that changed its sets and counting in ``steps``
-    the rules it applied."""
-    namespace = {}
-    for name in RULES:
-        rule = getattr(TaintReplay, name)
+class _Traced(TaintReplay):
+    """A replay that records in ``fired`` the rules taking part in it."""
 
-        def wrapped(self, *args, name=name, rule=rule):
-            if steps is not None:
-                steps.append(name)
-            if name == drop:
-                return bool(self.arch) if name == "at_end" else None
-            sizes = (len(self.instances), len(self.registers),
-                     len(self.arch))
-            result = rule(self, *args)
-            if fired is not None and (
-                    (name == "at_end" and self.instances and not self.arch)
-                    or sizes != (len(self.instances), len(self.registers),
-                                 len(self.arch))):
-                fired.add(name)
-            return result
+    def __init__(self, victim):
+        super().__init__(victim)
+        self.fired = set()
 
-        namespace[name] = wrapped
-    return type("Replay", (TaintReplay,), namespace)
+    def _traced(self, name, rule, event):
+        sizes = (len(self.instances), len(self.registers), len(self.arch))
+        verdict = rule(event)
+        if verdict is True or sizes != (
+                len(self.instances), len(self.registers), len(self.arch)):
+            self.fired.add(name)
+        return verdict
+
+    def issue(self, event):
+        return self._traced("issue", super().issue, event)
+
+    def writeback(self, event):
+        return self._traced("writeback", super().writeback, event)
+
+    def commit(self, event):
+        _, _, instance, thread, dest, *_ = event
+        name = ("overwrite" if instance not in self.instances
+                and (thread, dest) in self.arch else "commit")
+        return self._traced(name, super().commit, event)
+
+    def at_end(self, pending):
+        if self.instances and not self.arch:
+            self.fired.add("at_end")
+        return super().at_end(pending)
 
 
-def _replay(log, cycle, victim, **kwargs):
-    return _replay_class(**kwargs)(victim).run(log, cycle)
+class _NoOverwrite(TaintReplay):
+    def commit(self, event):
+        if event[2] not in self.instances:
+            event = (*event[:4], None, *event[5:])  # overwrites nothing
+        return super().commit(event)
+
+
+def _dropped(rule):
+    """TaintReplay with ``rule`` dropped."""
+    if rule == "overwrite":
+        return _NoOverwrite
+    if rule == "at_end":
+        return type("NoAtEnd", (TaintReplay,),
+                    {"at_end": lambda self, pending: bool(self.arch)})
+    return type(f"No{rule}", (TaintReplay,),
+                {rule: lambda self, event: None})
 
 
 def _planted(driver, victim):
     """The oracle for a hand-made case: plant ``victim``'s taint on a fork
-    of ``driver`` and run it to the end.  (True when it ends SDC, the
-    finished fork.)"""
+    of ``driver`` and run it to the end.  True when it ends SDC."""
     fork = driver.core.fork()
     if isinstance(victim, int):
         fork.regfile._meta[victim].tag = TOKEN
@@ -880,133 +945,56 @@ def _planted(driver, victim):
         instr.value_tag = TOKEN
     outcome = driver.finish(fork)[0]
     assert outcome in (InjectionOutcome.SDC, InjectionOutcome.MASKED)
-    return outcome is InjectionOutcome.SDC, fork
-
-
-class _ToTheEnd(TaintReplay):
-    """A replay that follows the taint to the end of the log: no verdict
-    before it.  ``stored`` is set once a tainted store commits, after which
-    memory would hold taint the replay does not track."""
-
-    stored = False
-
-    def _masked(self):
-        return None
-
-    def commit(self, event):
-        _, _, instance, _, _, _, store, _ = event
-        if instance in self.instances:
-            self.stored |= store
-            event = (*event[:5], False, False, event[7])  # follow it on
-        return super().commit(event)
+    return outcome is InjectionOutcome.SDC
 
 
 @pytest.fixture(scope="module")
 def rule_cases():
-    """Hand-made cases of the validation golden run, taken at cycles just
-    before its forwards and squashes and at a few others.
-
-    Returns (cases, neutral).  ``cases`` are (cycle, victim, corrupts,
-    fired rules), each checked against its planted fork: the first case of
-    each (rule, outcome) found, and the first case where dropping a rule
-    not in :data:`OUTCOME_NEUTRAL` flips the outcome.  ``neutral`` are all
-    cases an outcome-neutral rule took part in, (cycle, victim, corrupts).
-    """
+    """Hand-made cases of the validation golden run, (cycle, victim,
+    corrupts, fired rules), each checked against its planted fork: the
+    first case of each (rule, outcome) found, and the first case where
+    dropping a rule flips the outcome."""
     golden = _validation_golden()
     log = golden.flow
-    rare = {event[0] - 1 for event in log.events
-            if event[1] in (FLOW_FORWARD, FLOW_SQUASH)}
     driver = _StrikeDriver(VALIDATION_MIX, "ICOUNT", DEFAULT_CONFIG,
                            VALIDATION_SIM, golden, LIVE)
-    decided = set()
-    flipped = set(OUTCOME_NEUTRAL)
-    cases, neutral = [], []
-    for cycle in sorted(rare | set(range(40, golden.cycles, 320))):
+    decided, flipped, cases = set(), set(), []
+    for cycle in range(40, golden.cycles, 160):
         driver.advance(cycle)
         core = driver.core
         victims = sorted(core.regfile._meta) + [
             (t.id, instr.fetch_stamp) for t in core.threads
             for instr in t.rob]
         for victim in victims:
-            fired = set()
-            corrupts = _replay(log, cycle, victim, fired=fired)
-            new = {(rule, corrupts) for rule in fired} - decided
-            flips = {rule for rule in fired - flipped
-                     if _replay(log, cycle, victim, drop=rule) is not corrupts}
+            replay = _Traced(victim)
+            corrupts = replay.run(log, cycle)
+            new = {(rule, corrupts) for rule in replay.fired} - decided
+            flips = {rule for rule in replay.fired - flipped
+                     if _dropped(rule)(victim).run(log, cycle)
+                     is not corrupts}
             if new or flips:
-                assert _planted(driver, victim)[0] is corrupts, (cycle, victim)
-                cases.append((cycle, victim, corrupts, fired))
+                assert _planted(driver, victim) is corrupts, (cycle, victim)
+                cases.append((cycle, victim, corrupts, replay.fired))
                 decided |= new
                 flipped |= flips
-            if fired & set(OUTCOME_NEUTRAL):
-                neutral.append((cycle, victim, corrupts))
-    return cases, neutral
+    return cases
 
 
 class TestLiveTaintClauses:
     def test_every_clause_has_a_case(self, rule_cases):
-        cases, _ = rule_cases
-        decided = {(rule, corrupts) for _, _, corrupts, fired in cases
+        decided = {(rule, corrupts) for _, _, corrupts, fired in rule_cases
                    for rule in fired}
         for rule in RULES:
             assert (rule, True) in decided, f"{rule}: no SDC case"
-            # No forward of this golden run feeds a load that is squashed
-            # together with its store: forwarding decides SDC cases only.
-            if rule != "forward":
-                assert (rule, False) in decided, f"{rule}: no MASKED case"
+            assert (rule, False) in decided, f"{rule}: no MASKED case"
 
     @pytest.mark.parametrize("rule", RULES)
     def test_dropping_the_clause_breaks_the_exit(self, rule_cases, rule):
         log = _validation_golden().flow
-        cases, neutral = rule_cases
-        if rule not in OUTCOME_NEUTRAL:
-            assert any(
-                _replay(log, cycle, victim, drop=rule) is not corrupts
-                for cycle, victim, corrupts, fired in cases
-                if rule in fired), f"dropping {rule} flipped no outcome"
-            return
-        assert len(neutral) > 20
-        later = 0
-        for cycle, victim, corrupts in neutral:
-            kept, dropped = [], []
-            assert _replay(log, cycle, victim, drop=rule,
-                           steps=dropped) is corrupts
-            _replay(log, cycle, victim, steps=kept)
-            later += len(dropped) > len(kept)
-        if rule == "squash":
-            assert later, "dropping squash never delayed a decision"
-
-    def test_the_clauses_keep_the_taint_exact(self, rule_cases):
-        # Followed to the end of the log, the replay's sets are exactly the
-        # taint its planted fork ends with: tainted in-flight instances,
-        # allocated registers and architectural registers.  Dropping a
-        # committed instance and the frees at commit and squash change no
-        # outcome, but they keep the sets exact and the early MASKED early.
-        golden = _validation_golden()
-        cases, neutral = rule_cases
-        sample = sorted({(cycle, victim) for cycle, victim, *_ in
-                         cases + neutral[::8]}, key=repr)
-        driver = _StrikeDriver(VALIDATION_MIX, "ICOUNT", DEFAULT_CONFIG,
-                               VALIDATION_SIM, golden, LIVE)
-        compared = 0
-        for cycle, victim in sorted(sample, key=lambda case: case[0]):
-            replay = _ToTheEnd(victim)
-            replay.run(golden.flow, cycle)
-            if replay.stored:
-                continue
-            driver.advance(cycle)
-            _, fork = _planted(driver, victim)
-            recorder = next(s for s in fork.instruments.bus.subscribers
-                            if isinstance(s, DigestRecorder))
-            assert replay.instances == {
-                (t.id, i.fetch_stamp) for t in fork.threads for i in t.rob
-                if i.value_tag}, (cycle, victim)
-            assert replay.registers == {
-                phys for phys, meta in fork.regfile._meta.items()
-                if meta.tag}, (cycle, victim)
-            assert replay.arch == set(recorder._arch), (cycle, victim)
-            compared += 1
-        assert compared > 20
+        assert any(
+            _dropped(rule)(victim).run(log, cycle) is not corrupts
+            for cycle, victim, corrupts, fired in rule_cases
+            if rule in fired), f"dropping {rule} flipped no outcome"
 
     def test_the_stranded_plant_leaves_the_driver_alone(self):
         golden = _golden()
