@@ -72,11 +72,11 @@ class DigestRecorder:
             elif key in self._arch:
                 del self._arch[key]
         if tag:
-            if instr.is_control:
+            if instr.op.is_control:
                 # A corrupted input to committed control flow: the real
                 # machine's direction/target could have diverged.
                 self.tainted_control += 1
-            if instr.is_store:
+            if instr.op.is_store:
                 # Corrupted store data was exposed to the memory system
                 # even if a later clean store overwrites the word.
                 self.tainted_stores += 1

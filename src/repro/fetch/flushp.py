@@ -65,7 +65,7 @@ class PredictiveFlushPolicy(FlushPolicy):
         return self.icount_order(core, core.fetchable_threads())[:1]
 
     def on_fetch(self, core: "SMTCore", instr: DynInstr) -> None:
-        if not instr.is_load or instr.wrong_path:
+        if not instr.op.is_load or instr.wrong_path:
             return
         table = self._table(instr.thread_id)
         if table[self._index(instr.pc)] >= _PREDICT_MISS_THRESHOLD:

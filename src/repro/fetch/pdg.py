@@ -55,7 +55,7 @@ class PredictiveDataGatingPolicy(FetchPolicy):
         return self.icount_order(core, clear)
 
     def on_fetch(self, core: "SMTCore", instr: DynInstr) -> None:
-        if not instr.is_load or id(instr) in self._flagged:
+        if not instr.op.is_load or id(instr) in self._flagged:
             return
         table = self._table(instr.thread_id)
         if table[self._index(instr.pc)] >= _PREDICT_MISS_THRESHOLD:

@@ -32,7 +32,6 @@ class ReliabilityAwareThrottlePolicy(FetchPolicy):
         if slack <= 0:
             raise ValueError("slack must be positive")
         self.slack = slack
-        self.throttle_events = 0
 
     def _pressure(self, core: "SMTCore", tid: int) -> int:
         t = core.thread(tid)
@@ -46,12 +45,8 @@ class ReliabilityAwareThrottlePolicy(FetchPolicy):
 
     def priorities(self, core: "SMTCore") -> List[int]:
         limit = self._fair_share(core)
-        clear = []
-        for tid in core.fetchable_threads():
-            if self._pressure(core, tid) <= limit:
-                clear.append(tid)
-            else:
-                self.throttle_events += 1
+        clear = [tid for tid in core.fetchable_threads()
+                 if self._pressure(core, tid) <= limit]
         if clear:
             return self.icount_order(core, clear)
         return self.icount_order(core, core.fetchable_threads())[:1]

@@ -27,6 +27,10 @@ class Structure(Enum):
     LSQ_DATA = "LSQ_data"
     LSQ_TAG = "LSQ_tag"
 
+    # Identity hashing, consistent with Enum's identity equality: the
+    # ledger's per-event account lookup hashes in C, not in Enum.__hash__.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum, auto
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.isa.opcodes import OpClass, is_control_op, is_memory_op
+from repro.isa.opcodes import OpClass
 
 
 class AceClass(Enum):
@@ -33,6 +33,9 @@ class AceClass(Enum):
     @property
     def is_ace(self) -> bool:
         return self is AceClass.ACE
+
+
+_ACE = AceClass.ACE
 
 
 class DynInstr:
@@ -113,23 +116,26 @@ class DynInstr:
         Squashed and wrong-path instructions are never ACE regardless of how
         they were classified at generation time.
         """
-        return self.ace.is_ace and not self.squashed and not self.wrong_path
+        return self.ace is _ACE and not self.squashed and not self.wrong_path
+
+    # Static op facts, for callers off the hot path; the pipeline reads
+    # them straight off the op class (``instr.op.is_memory``).
 
     @property
     def is_memory(self) -> bool:
-        return is_memory_op(self.op)
+        return self.op.is_memory
 
     @property
     def is_load(self) -> bool:
-        return self.op is OpClass.LOAD
+        return self.op.is_load
 
     @property
     def is_store(self) -> bool:
-        return self.op is OpClass.STORE
+        return self.op.is_store
 
     @property
     def is_control(self) -> bool:
-        return is_control_op(self.op)
+        return self.op.is_control
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "".join(

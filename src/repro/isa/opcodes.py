@@ -6,7 +6,21 @@ from enum import Enum, auto
 
 
 class OpClass(Enum):
-    """Dynamic operation classes recognised by the pipeline."""
+    """Dynamic operation classes recognised by the pipeline.
+
+    Every member carries its static op facts as plain attributes, set once
+    below: ``is_memory``, ``is_load``, ``is_store``, ``is_control``,
+    ``bypasses_iq`` (completes at dispatch, never enters the IQ) and
+    ``fu`` (its :class:`FUType` pool).  The cycle loop reads them for
+    every instruction, so each costs one attribute load, not a hash.
+    """
+
+    is_memory: bool
+    is_load: bool
+    is_store: bool
+    is_control: bool
+    bypasses_iq: bool
+    fu: "FUType"
 
     IALU = auto()      # integer add/sub/logic/shift/compare
     IMUL = auto()      # integer multiply
@@ -23,6 +37,10 @@ class OpClass(Enum):
     NOP = auto()
     PREFETCH = auto()  # performance hint: never architecturally required
 
+    # Identity hashing, consistent with Enum's identity equality: a dict
+    # keyed by members hashes in C instead of calling Enum.__hash__.
+    __hash__ = object.__hash__
+
 
 class FUType(Enum):
     """Functional unit pools of Table 1."""
@@ -32,6 +50,8 @@ class FUType(Enum):
     FP_ALU = auto()
     FP_MULDIV = auto()
     LOAD_STORE = auto()
+
+    __hash__ = object.__hash__
 
 
 _FU_FOR_OP = {
@@ -55,20 +75,29 @@ _MEMORY_OPS = frozenset({OpClass.LOAD, OpClass.STORE, OpClass.PREFETCH})
 _CONTROL_OPS = frozenset({OpClass.BRANCH, OpClass.JUMP, OpClass.CALL, OpClass.RET})
 _FP_OPS = frozenset({OpClass.FALU, OpClass.FMUL, OpClass.FDIV})
 
+for _op in OpClass:
+    _op.is_memory = _op in _MEMORY_OPS
+    _op.is_load = _op is OpClass.LOAD
+    _op.is_store = _op is OpClass.STORE
+    _op.is_control = _op in _CONTROL_OPS
+    _op.bypasses_iq = _op is OpClass.NOP
+    _op.fu = _FU_FOR_OP[_op]
+del _op
+
 
 def fu_type_for(op: OpClass) -> FUType:
     """Map an operation class to the functional-unit pool that executes it."""
-    return _FU_FOR_OP[op]
+    return op.fu
 
 
 def is_memory_op(op: OpClass) -> bool:
     """True for operations that access the data memory hierarchy."""
-    return op in _MEMORY_OPS
+    return op.is_memory
 
 
 def is_control_op(op: OpClass) -> bool:
     """True for operations that can redirect the fetch stream."""
-    return op in _CONTROL_OPS
+    return op.is_control
 
 
 def is_fp_op(op: OpClass) -> bool:

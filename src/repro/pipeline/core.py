@@ -23,7 +23,7 @@ from repro.instrument import Instrumentation, Structure
 from repro.isa.instruction import DynInstr, InstrRemap, clone_instrs
 from repro.isa.opcodes import OpClass
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.pipeline.frontend import ThreadContext
+from repro.pipeline.frontend import DECODE_BUFFER_ENTRIES, ThreadContext
 from repro.structures.functional_units import FunctionalUnitPool
 from repro.structures.issue_queue import SharedIssueQueue
 from repro.structures.regfile import PhysicalRegisterFile
@@ -42,6 +42,8 @@ FLOW_WRITEBACK = 1
 #: ``(cycle, FLOW_COMMIT, instance, thread, dest_reg, is_control, is_store,
 #: old_phys_dest)``.
 FLOW_COMMIT = 2
+
+_PREFETCH = OpClass.PREFETCH
 
 
 class SMTCore:
@@ -140,13 +142,16 @@ class SMTCore:
         return self.threads[tid].front_end_count() + self._iq.thread_count(tid)
 
     def fetchable_threads(self) -> List[int]:
-        """Threads that could accept fetch bandwidth this cycle."""
+        """Threads that could accept fetch bandwidth this cycle: not
+        fetch-exhausted (so not finished either), not stalled, with
+        decode-queue room.  The properties are inlined: this runs every
+        cycle."""
+        cycle = self.cycle
         return [
             t.id for t in self.threads
-            if not t.finished
-            and not t.fetch_exhausted
-            and t.fetch_blocked_until <= self.cycle
-            and t.decode_room > 0
+            if (t.wrong_path or t.fetch_index < len(t.trace.instrs))
+            and t.fetch_blocked_until <= cycle
+            and len(t.decode_queue) < DECODE_BUFFER_ENTRIES
         ]
 
     @property
@@ -173,6 +178,11 @@ class SMTCore:
         that completes before cycle ``until`` finishes normally.  The
         drain at the end feeds the residency observers, so a run nothing
         observes residency of (a ledger-free session) skips it.
+
+        A core without cycle hooks skips idle cycles: after a cycle in
+        which no stage changed any state, it jumps to the cycle before the
+        next one in which anything can happen (:meth:`_skip_idle`).  The
+        result is exactly the stepped run's.
         """
         while until is None or self.cycle < until:
             if self._done():
@@ -184,15 +194,14 @@ class SMTCore:
                     f"(committed {self.total_committed})"
                 )
             self.mem.begin_cycle(self.cycle)
-            self._commit()
-            self._writeback()
-            self._issue()
-            self._fu_pool.tick(self.cycle)
-            self._rename_dispatch()
-            self._fetch()
+            active = (self._commit() + self._writeback() + self._issue()
+                      + self._fu_pool.tick(self.cycle))
+            active += self._rename_dispatch() + self._fetch()
             if self._cycle_hooks:
                 for hook in self._cycle_hooks:
                     hook.on_cycle(self)
+            elif not active:
+                self._skip_idle(until)
         else:
             return None  # paused after cycle ``until``
         if self.instruments.observes_residency:
@@ -225,9 +234,63 @@ class SMTCore:
             return True
         return all(t.finished for t in self.threads)
 
+    # -- idle-cycle skipping ---------------------------------------------------------------
+
+    def _skip_idle(self, until: Optional[int]) -> None:
+        """Jump over the cycles after an idle one in which nothing can happen.
+
+        Called after a cycle in which no stage changed any state: nothing
+        committed, wrote back, issued, freed a functional unit, dispatched,
+        fetched or stalled on a fetch.  Every later cycle repeats it until
+        one of the time conditions in :meth:`_next_wake` comes due, so the
+        core goes straight to the cycle before that wake (capped at
+        ``until`` and at ``max_cycles``), doing what each skipped cycle
+        would have done: the round-robin counters advance, the FU pool
+        charges its busy ticks, and the fetch policy is told
+        (``on_idle_cycles``).
+        """
+        last = self._next_wake() - 1
+        if until is not None and until < last:
+            last = until
+        if self.sim.max_cycles < last:
+            last = self.sim.max_cycles
+        skipped = last - self.cycle
+        if skipped <= 0:
+            return
+        self._fu_pool.tick_span(self.cycle + 1, last)
+        self._commit_rr += skipped
+        self._dispatch_rr += skipped
+        self.cycle = last
+        self.policy.on_idle_cycles(self, skipped)
+
+    def _next_wake(self) -> int:
+        """The earliest cycle after an idle one whose work can differ: a
+        writeback event, a ROB head's completion + 1 (commit), a decode
+        queue head coming ready (dispatch), a fetch stall ending, or a busy
+        functional unit freeing (issue).  Past the cycle budget if none.
+
+        A decode-queue head already ready, or a thread free to fetch, was
+        held back by a resource or the policy, which only an active cycle
+        can change; so only future times are wakes."""
+        cycle = self.cycle
+        wakes = list(self._events)
+        for t in self.threads:
+            head = t.rob.head()
+            if head is not None and head.completed_at >= 0:
+                wakes.append(head.completed_at + 1)
+            if t.decode_queue and t.decode_queue[0][0] > cycle:
+                wakes.append(t.decode_queue[0][0])
+            if t.fetch_blocked_until > cycle:
+                wakes.append(t.fetch_blocked_until)
+        release = self._fu_pool.next_release()
+        if release is not None:
+            wakes.append(release)
+        return min(wakes, default=self.sim.max_cycles + 1)
+
     # -- commit ------------------------------------------------------------------------------
 
-    def _commit(self) -> None:
+    def _commit(self) -> int:
+        """Retire completed ROB heads; returns how many committed."""
         budget = self.config.commit_width
         order = self._rotated(self._commit_rr)
         self._commit_rr += 1
@@ -237,17 +300,18 @@ class SMTCore:
                 head = t.rob.head()
                 if head is None or head.completed_at < 0 or head.completed_at >= self.cycle:
                     break
-                if head.is_store and not head.wrong_path:
+                op = head.op
+                if op.is_store and not head.wrong_path:
                     if not self.mem.claim_dl1_port():
                         break
                     self.mem.data_access(head.mem_addr, self.cycle, tid, is_write=True)
                 t.rob.pop_head(self.cycle)
-                if head.is_memory:
+                if op.is_memory:
                     t.lsq.remove_committed(head, self.cycle)
                 self._regfile.on_commit(head, self.cycle)
                 head.committed_at = self.cycle
                 if self._taint:
-                    if head.is_store and not head.wrong_path:
+                    if op.is_store and not head.wrong_path:
                         addr = head.mem_addr & ~0x7
                         if head.value_tag:
                             self.mem_tags[addr] = head.value_tag
@@ -257,8 +321,8 @@ class SMTCore:
                     if self.flow_log is not None:
                         self.flow_log.append((
                             self.cycle, FLOW_COMMIT, (tid, head.fetch_stamp),
-                            tid, head.dest_reg, head.is_control,
-                            head.is_store, head.old_phys_dest))
+                            tid, head.dest_reg, op.is_control,
+                            op.is_store, head.old_phys_dest))
                 if self._commit_hooks:
                     for hook in self._commit_hooks:
                         hook.on_commit(self, head)
@@ -266,6 +330,7 @@ class SMTCore:
                 self.total_committed += 1
                 budget -= 1
                 self._maybe_end_warmup()
+        return self.config.commit_width - budget
 
     def _maybe_end_warmup(self) -> None:
         if self._warmup_done or self.total_committed < self.sim.warmup_instructions:
@@ -278,8 +343,12 @@ class SMTCore:
 
     # -- writeback -----------------------------------------------------------------------------
 
-    def _writeback(self) -> None:
-        for instr, stamp, dl1_miss, l2_miss in self._events.pop(self.cycle, ()):
+    def _writeback(self) -> bool:
+        """Complete this cycle's events; True if there were any."""
+        events = self._events.pop(self.cycle, None)
+        if events is None:
+            return False
+        for instr, stamp, dl1_miss, l2_miss in events:
             self.writebacks_total += 1
             t = self.threads[instr.thread_id]
             # Miss counters were claimed by this issue instance: always release.
@@ -289,7 +358,8 @@ class SMTCore:
                 t.outstanding_l2 -= 1
             if instr.squashed or instr.fetch_stamp != stamp:
                 continue  # stale event from a squashed-and-refetched instance
-            if instr.is_load or instr.op is OpClass.PREFETCH:
+            op = instr.op
+            if op.is_load or op is _PREFETCH:
                 self.policy.on_load_resolved(self, instr)
             instr.completed_at = self.cycle
             if instr.phys_dest is not None:
@@ -304,8 +374,9 @@ class SMTCore:
                 else:
                     self._regfile.mark_written(instr.phys_dest, self.cycle)
                 self._wake_waiters(instr.phys_dest)
-            if instr.is_control:
+            if op.is_control:
                 self._resolve_control(t, instr)
+        return True
 
     def _wake_waiters(self, phys: int) -> None:
         """Producer wrote back: decrement its consumers' pending counts."""
@@ -351,26 +422,29 @@ class SMTCore:
 
     # -- issue ------------------------------------------------------------------------------------
 
-    def _issue(self) -> None:
+    def _issue(self) -> int:
+        """Issue ready IQ entries oldest first; returns how many issued."""
         budget = self.config.issue_width
+        fu_pool = self._fu_pool
         for instr in self._iq.entries():
             if budget == 0:
                 break
             if instr.squashed or instr.pending_srcs > 0:
                 continue
-            if not self._fu_pool.can_issue(instr.op):
+            op = instr.op
+            if not fu_pool.can_issue(op):
                 continue
-            if instr.is_load or instr.op is OpClass.PREFETCH:
+            if op.is_load or op is _PREFETCH:
                 if not self._issue_load(instr):
                     continue
-            elif instr.is_store:
+            elif op.is_store:
                 self._schedule(instr, self.config.agen_latency + 1, False, False)
             else:
-                latency = self._fu_pool.latency_of(instr.op)
-                self._schedule(instr, latency, False, False)
-            self._fu_pool.issue(instr, self.cycle)
+                self._schedule(instr, fu_pool.latency_of(op), False, False)
+            fu_pool.issue(instr, self.cycle)
+            ace = instr.is_ace
             for phys in instr.phys_srcs:
-                self._regfile.note_read(phys, self.cycle, instr.is_ace)
+                self._regfile.note_read(phys, self.cycle, ace)
             if self._taint:
                 for phys in instr.phys_srcs:
                     if phys is not None:
@@ -383,6 +457,7 @@ class SMTCore:
             instr.issued_at = self.cycle
             self._iq.remove_issued(instr, self.cycle)
             budget -= 1
+        return self.config.issue_width - budget
 
     def _issue_load(self, instr: DynInstr) -> bool:
         """Schedule a load/prefetch; False when it cannot issue this cycle."""
@@ -424,7 +499,8 @@ class SMTCore:
 
     # -- rename / dispatch ----------------------------------------------------------------------------
 
-    def _rename_dispatch(self) -> None:
+    def _rename_dispatch(self) -> int:
+        """Rename and dispatch ready decode-queue heads; returns how many."""
         budget = self.config.issue_width
         iq_partition = (self.config.iq_entries // self.num_threads
                         if self.config.iq_partitioned else None)
@@ -438,9 +514,10 @@ class SMTCore:
                     break
                 if t.rob.full:
                     break
-                if instr.is_memory and t.lsq.full:
+                op = instr.op
+                if op.is_memory and t.lsq.full:
                     break
-                needs_iq = instr.op is not OpClass.NOP
+                needs_iq = not op.bypasses_iq
                 if needs_iq and self._iq.full:
                     break
                 if (needs_iq and iq_partition is not None
@@ -457,7 +534,7 @@ class SMTCore:
                         self._waiters.setdefault(phys, []).append(
                             (instr, instr.fetch_stamp))
                 t.rob.push(instr, self.cycle)
-                if instr.is_memory:
+                if op.is_memory:
                     t.lsq.add(instr, self.cycle)
                 if needs_iq:
                     self._iq.add(instr, self.cycle)
@@ -465,29 +542,39 @@ class SMTCore:
                     instr.completed_at = self.cycle  # NOPs complete at dispatch
                 self.dispatched_total += 1
                 budget -= 1
+        return self.config.issue_width - budget
 
     # -- fetch -------------------------------------------------------------------------------------------
 
-    def _fetch(self) -> None:
+    def _fetch(self) -> bool:
+        """Fetch for the policy's threads; True if any thread fetched or
+        stalled on an I-cache miss (a state change too: it gates the
+        thread)."""
         order = self.policy.priorities(self)
         remaining = self.config.fetch_width
         threads_used = 0
+        acted = False
         for tid in order:
             if threads_used >= self.config.fetch_threads_per_cycle or remaining <= 0:
                 break
-            fetched = self._fetch_thread(self.threads[tid], remaining)
+            t = self.threads[tid]
+            fetched = self._fetch_thread(t, remaining)
             if fetched:
                 remaining -= fetched
                 threads_used += 1
+                acted = True
+            elif t.fetch_blocked_until > self.cycle:
+                acted = True
+        return acted
 
     def _fetch_thread(self, t: ThreadContext, budget: int) -> int:
         count = 0
         current_line = None
-        while count < budget and t.decode_room > 0:
+        while count < budget and len(t.decode_queue) < DECODE_BUFFER_ENTRIES:
             if t.fetch_blocked_until > self.cycle:
                 break
             wrong_path = t.wrong_path
-            if not wrong_path and t.fetch_index >= len(t.trace):
+            if not wrong_path and t.fetch_index >= len(t.trace.instrs):
                 break
             pc = t.wrong_pc if wrong_path else t.trace[t.fetch_index].pc
             line = self.mem.il1.line_address(pc)
@@ -515,7 +602,7 @@ class SMTCore:
             t.decode_queue.append((self.cycle + self.config.decode_latency, instr))
             count += 1
             self.policy.on_fetch(self, instr)
-            if instr.is_control:
+            if instr.op.is_control:
                 if self._predict_control(t, instr):
                     break  # fetch block ends at a taken or mispredicted branch
         return count

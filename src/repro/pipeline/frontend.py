@@ -110,10 +110,6 @@ class ThreadContext:
         return (self.fetch_exhausted and self.rob.empty
                 and not self.decode_queue)
 
-    @property
-    def decode_room(self) -> int:
-        return DECODE_BUFFER_ENTRIES - len(self.decode_queue)
-
     def front_end_count(self) -> int:
         """Instructions between fetch and rename (ICOUNT's front-end term)."""
         return len(self.decode_queue)

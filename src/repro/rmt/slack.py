@@ -67,3 +67,11 @@ class SlackFetchPolicy(FetchPolicy):
         if not order and eligible:
             return self.icount_order(core, eligible)[:1]
         return order
+
+    def on_idle_cycles(self, core: "SMTCore", cycles: int) -> None:
+        # priorities() would have gated the same thread in every one.
+        slack = self.slack_instructions(core)
+        if slack < self.min_slack:
+            self.trailer_gated_cycles += cycles
+        elif slack > self.max_slack:
+            self.leader_gated_cycles += cycles

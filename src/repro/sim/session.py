@@ -216,10 +216,15 @@ def build_core(traces: List[ThreadTrace], config: MachineConfig,
 def functional_warmup(core: SMTCore, traces: List[ThreadTrace]) -> None:
     """Warm caches, TLBs and branch predictors with the traces' own footprint.
 
-    Content-only: all accesses happen at cycle 0, so no residency interval
-    has positive length and the AVF ledgers stay untouched; lines that remain
-    resident simply enter measurement already warm — the role SimPoint
-    fast-forwarding plays in the paper.
+    All accesses happen at cycle 0; lines that remain resident enter
+    measurement already warm — the role SimPoint fast-forwarding plays in
+    the paper.  It is *not* ledger-neutral: a DL1 miss installs its line
+    at its fill cycle (after 0), so a later warmup access that evicts it
+    books the victim's residency up to the new line's fill into the DL1
+    ledgers before cycle 1 (on seed 1 at scale 300, 600 un-ACE tag and
+    4,800 un-ACE data entry-cycles on 8-CPU-B).  A timing warmup's ledger
+    reset discards them; see docs/simulator-internals.md, "Memory
+    hierarchy".
 
     Only the region each thread will actually execute is walked (the shared
     budget split per thread, with slack): traces are budget-length as an
@@ -238,8 +243,9 @@ def functional_warmup(core: SMTCore, traces: List[ThreadTrace]) -> None:
             if line != last_line:
                 core.mem.fetch_access(instr.pc, 0, tid)
                 last_line = line
-            if instr.is_memory and not is_non_temporal(instr.mem_addr):
-                core.mem.data_access(instr.mem_addr, 0, tid, instr.is_store)
+            op = instr.op
+            if op.is_memory and not is_non_temporal(instr.mem_addr):
+                core.mem.data_access(instr.mem_addr, 0, tid, op.is_store)
         # Predictors: train over the whole trace.  A long-running program's
         # branch tables are at steady state; the tables are tiny (2-bit
         # counters), so this reaches saturation, not memorisation.
@@ -247,7 +253,7 @@ def functional_warmup(core: SMTCore, traces: List[ThreadTrace]) -> None:
             if instr.op is OpClass.BRANCH:
                 taken, checkpoint = unit.gshare.predict(instr.pc)
                 unit.gshare.resolve(instr.pc, instr.taken, taken, checkpoint)
-            if instr.is_control and instr.taken:
+            if instr.op.is_control and instr.taken:
                 unit.btb.update(instr.pc, instr.target)
         # Reset counters so measured statistics exclude the warmup pass.
         unit.gshare.lookups = unit.gshare.correct = 0

@@ -10,12 +10,12 @@ does not — which is why FU AVF tracks utilisation in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import MachineConfig
 from repro.instrument import ResidencyProbe, Structure
 from repro.isa.instruction import DynInstr, InstrRemap
-from repro.isa.opcodes import FUType, OpClass, execution_latency, fu_type_for
+from repro.isa.opcodes import FUType, OpClass, execution_latency
 from repro.structures.strike import StrikeReceipt, burst_bits, cluster_token
 
 
@@ -49,29 +49,47 @@ class FunctionalUnitPool:
         return self._counts[fu] - len(self._busy[fu])
 
     def can_issue(self, op: OpClass) -> bool:
-        return self.available(fu_type_for(op)) > 0
+        fu = op.fu
+        return len(self._busy[fu]) < self._counts[fu]
 
     def issue(self, instr: DynInstr, cycle: int) -> int:
         """Reserve a unit for ``instr``; returns its execution latency."""
-        fu = fu_type_for(instr.op)
-        latency = self.latency_of(instr.op)
-        self._busy[fu].append((cycle + latency, instr))
+        op = instr.op
+        latency = self._latency[op]
+        self._busy[op.fu].append((cycle + latency, instr))
         self.issued_ops += 1
         return latency
 
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> bool:
         """Account this cycle's busy units and release finished reservations.
 
         Called once per cycle after issue, so a unit granted this cycle also
-        counts as busy this cycle.
+        counts as busy this cycle.  True when a unit was released: it can
+        issue again next cycle.
         """
+        released = False
         for fu, reservations in self._busy.items():
             if not reservations:
                 continue
             for release, instr in reservations:
                 self._probe.fu_busy_cycle(instr.thread_id, instr.is_ace, cycle)
                 self.busy_unit_cycles += 1
-            self._busy[fu] = [r for r in reservations if r[0] > cycle + 1]
+            kept = [r for r in reservations if r[0] > cycle + 1]
+            released = released or len(kept) < len(reservations)
+            self._busy[fu] = kept
+        return released
+
+    def tick_span(self, first: int, last: int) -> None:
+        """:meth:`tick` for each cycle of ``[first, last]``, in order: the
+        busy ticks of cycles the core skipped because nothing issued."""
+        if any(self._busy.values()):
+            for cycle in range(first, last + 1):
+                self.tick(cycle)
+
+    def next_release(self) -> Optional[int]:
+        """The first cycle a busy unit is free to issue again, or None."""
+        return min((release for reservations in self._busy.values()
+                    for release, _ in reservations), default=None)
 
     def fork(self, remap: InstrRemap, probe: ResidencyProbe) -> "FunctionalUnitPool":
         """An independent copy holding ``remap``'s instruction copies."""

@@ -59,7 +59,7 @@ class LoadStoreQueue:
         for entry in reversed(self._entries):
             if entry.fetch_stamp >= load.fetch_stamp:
                 continue
-            if entry.is_store and (entry.mem_addr & _WORD_MASK) == addr:
+            if entry.op.is_store and (entry.mem_addr & _WORD_MASK) == addr:
                 return entry
         return None
 

@@ -294,7 +294,7 @@ def generate_trace(profile: BenchmarkProfile, thread_id: int, length: int,
                        mem_addr=mem_addr, mem_size=mem_size, taken=taken,
                        target=target)
         instrs.append(ins)
-        if ins.is_control and taken:
+        if op.is_control and taken:
             pc = code.jump_to(target)
         else:
             pc = code.advance()
