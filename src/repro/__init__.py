@@ -29,7 +29,6 @@ from repro.fetch import POLICY_NAMES, create_policy
 from repro.sim import (
     SimResult,
     ThreadResult,
-    compare_results,
     simulate,
     simulate_single_thread,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "ThreadResult",
     "simulate",
     "simulate_single_thread",
-    "compare_results",
     "PROFILES",
     "TABLE2_MIXES",
     "BenchmarkProfile",

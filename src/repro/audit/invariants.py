@@ -8,7 +8,7 @@ must obey conservation laws the normal fast path never verifies:
   equivalently, the implied idle time is non-negative, so
   ``ACE + un-ACE + idle == capacity x cycles`` holds exactly;
 * the summed ledgers match an independent replay of the recorded residency
-  intervals (when ``SimConfig(record_intervals=True)``);
+  intervals (the interval recorder every audited run carries);
 * per-thread AVF contributions are consistent with the structure AVF;
 * committed-instruction counts agree between the pipeline and the metrics.
 
@@ -110,23 +110,15 @@ def check_commit_agreement(core, cycle: int) -> None:
 def check_interval_replay(core, cycle: int) -> None:
     """Summed ledgers match an independent replay of the recorded intervals.
 
-    Two interval sources are replayed.  The probe bus's
-    :class:`~repro.instrument.recorder.IntervalRecorder` (attached when
-    ``SimConfig(record_intervals=True)``) covers every bus-fed structure;
-    account-level logs cover ledgers driven directly with
-    ``add_interval(record_intervals=True)`` in unit tests.  Cache/TLB
-    observers record aggregate samples, not intervals, and are skipped in
-    both.  A double-counted ledger entry shows up here exactly: the
-    replayed sum no longer matches.  Cost is proportional to the number of
-    recorded intervals, so the scheduler runs this only on the final check.
+    The probe bus's :class:`~repro.instrument.recorder.IntervalRecorder`
+    (subscribed by every session with ``SimConfig(check_invariants=N)``,
+    N > 0) covers every bus-fed structure; a core without one is not
+    checked.  Cache/TLB observers record aggregate samples, not intervals,
+    and are skipped.  A double-counted ledger entry shows up here exactly:
+    the replayed sum no longer matches.  Cost is proportional to the number
+    of recorded intervals, so the scheduler runs this only on the final
+    check.
     """
-    for structure, tid, account in core.engine.iter_accounts():
-        replayed = account.replay_totals()
-        if replayed is None:
-            continue
-        _compare_replay(account, replayed,
-                        set(account.ace_cycles) | set(account.unace_cycles)
-                        | set(replayed[0]) | set(replayed[1]), cycle)
     recorder = getattr(getattr(core, "instruments", None), "recorder", None)
     if recorder is None:
         return

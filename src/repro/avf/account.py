@@ -21,18 +21,16 @@ NO_THREAD = -1
 class VulnerabilityAccount:
     """Entry-cycle ledger for one structure (one copy if shared).
 
-    With ``record_intervals`` enabled, every interval is additionally kept
-    verbatim in ``intervals`` as ``(thread, start, end, ace)`` tuples — the
-    raw material the auditor's interval replay re-sums to cross-validate
-    the summed ledgers (see :func:`repro.audit.check_interval_replay`).
+    The ledger keeps sums only.  The verbatim intervals that the auditor's
+    replay re-sums to cross-validate them are logged on the probe bus by
+    :class:`~repro.instrument.recorder.IntervalRecorder` (see
+    :func:`repro.audit.check_interval_replay`).
     """
 
     __slots__ = ("name", "capacity", "ace_cycles", "unace_cycles",
-                 "window_start", "intervals", "has_direct_adds",
-                 "_threads_cache")
+                 "window_start", "_threads_cache")
 
-    def __init__(self, name: str, capacity: int,
-                 record_intervals: bool = False) -> None:
+    def __init__(self, name: str, capacity: int) -> None:
         if capacity <= 0:
             raise StructureError(f"{name}: capacity must be positive")
         self.name = name
@@ -40,11 +38,6 @@ class VulnerabilityAccount:
         self.ace_cycles: Dict[int, float] = {}
         self.unace_cycles: Dict[int, float] = {}
         self.window_start = 0
-        self.intervals: list | None = [] if record_intervals else None
-        #: True once residency has been recorded outside ``add_interval``;
-        #: the recorded intervals then no longer cover the whole ledger and
-        #: replay-based audits must skip this account.
-        self.has_direct_adds = False
         self._threads_cache: "tuple[int, ...] | None" = ()
 
     # -- recording ---------------------------------------------------------------
@@ -55,7 +48,6 @@ class VulnerabilityAccount:
             raise StructureError(
                 f"{self.name}: negative residency sample "
                 f"({entry_cycles} entry-cycles for thread {thread_id})")
-        self.has_direct_adds = True
         self._accrue(thread_id, entry_cycles, ace)
 
     def _accrue(self, thread_id: int, entry_cycles: float, ace: bool) -> None:
@@ -81,21 +73,12 @@ class VulnerabilityAccount:
         if end <= lo:
             return
         self._accrue(thread_id, (end - lo) * fraction, ace)
-        if self.intervals is not None and fraction > 0:
-            self.intervals.append((thread_id, lo, end, ace))
-            if fraction != 1.0:
-                # Fractional residency is not representable in the verbatim
-                # interval log, so replay can no longer reproduce the sums.
-                self.has_direct_adds = True
 
     def reset(self, cycle: int) -> None:
         """Discard accumulated residency; future intervals clip at ``cycle``."""
         self.ace_cycles.clear()
         self.unace_cycles.clear()
-        if self.intervals is not None:
-            self.intervals.clear()
         self.window_start = cycle
-        self.has_direct_adds = False
         self._threads_cache = ()
 
     def fork(self) -> "VulnerabilityAccount":
@@ -106,9 +89,6 @@ class VulnerabilityAccount:
         clone.ace_cycles = dict(self.ace_cycles)
         clone.unace_cycles = dict(self.unace_cycles)
         clone.window_start = self.window_start
-        clone.intervals = (list(self.intervals) if self.intervals is not None
-                           else None)
-        clone.has_direct_adds = self.has_direct_adds
         clone._threads_cache = self._threads_cache
         return clone
 
@@ -132,23 +112,6 @@ class VulnerabilityAccount:
         (the audit layer turns that into an :class:`InvariantViolation`).
         """
         return self.capacity * cycles - self.occupied_cycles()
-
-    def replay_totals(self) -> "tuple[Dict[int, float], Dict[int, float]] | None":
-        """Per-thread (ACE, un-ACE) entry-cycles re-derived from the log.
-
-        Returns ``None`` when the log cannot reproduce the ledger: interval
-        recording is off, or residency was recorded outside ``add_interval``
-        (direct samples, fractional intervals).  Used by the audit layer to
-        cross-validate the summed ledgers against an independent replay.
-        """
-        if self.intervals is None or self.has_direct_adds:
-            return None
-        ace_sums: Dict[int, float] = {}
-        unace_sums: Dict[int, float] = {}
-        for thread_id, lo, end, ace in self.intervals:
-            ledger = ace_sums if ace else unace_sums
-            ledger[thread_id] = ledger.get(thread_id, 0.0) + (end - lo)
-        return ace_sums, unace_sums
 
     def avf(self, cycles: int) -> float:
         """ACE entry-cycles over capacity entry-cycles; always in [0, 1]."""

@@ -23,22 +23,20 @@ from repro.instrument.recorder import reg_lifetime_segments
 class AvfEngine:
     """Central ACE-bit accounting for one simulation."""
 
-    def __init__(self, config: MachineConfig, num_threads: int,
-                 record_intervals: bool = False) -> None:
+    def __init__(self, config: MachineConfig, num_threads: int) -> None:
         self.config = config
         self.num_threads = num_threads
-        self.record_intervals = record_intervals
         self._shared: Dict[Structure, VulnerabilityAccount] = {}
         self._private: Dict[Structure, Dict[int, VulnerabilityAccount]] = {}
         for structure in Structure:
             capacity = structure_capacity(structure, config, num_threads)
             if structure in SHARED_STRUCTURES:
                 self._shared[structure] = VulnerabilityAccount(
-                    structure.value, capacity, record_intervals)
+                    structure.value, capacity)
             else:
                 self._private[structure] = {
                     tid: VulnerabilityAccount(f"{structure.value}[t{tid}]",
-                                              capacity, record_intervals)
+                                              capacity)
                     for tid in range(num_threads)
                 }
         self.dl1_observer = Dl1AvfObserver(
@@ -71,11 +69,7 @@ class AvfEngine:
 
     def fu_busy_cycle(self, thread_id: int, ace: bool, cycle: int = -1) -> None:
         """Record one functional unit busy for one cycle."""
-        account = self._shared[Structure.FU]
-        if account.intervals is not None and cycle >= 0:
-            account.add_interval(thread_id, cycle, cycle + 1, ace)
-        else:
-            account.add(thread_id, 1.0, ace)
+        self._shared[Structure.FU].add(thread_id, 1.0, ace)
 
     def reg_lifetime(self, thread_id: int, alloc: int, written: int,
                      last_read: int, freed: int, ace: bool) -> None:

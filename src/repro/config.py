@@ -219,15 +219,6 @@ class SimConfig:
 
     seed: int = 1
 
-    record_intervals: bool = False
-    """Keep every residency interval verbatim (not just the sums).
-
-    The auditor's interval replay
-    (:func:`repro.audit.check_interval_replay`) re-sums them to
-    cross-validate the AVF ledgers.  Costs memory proportional to the
-    instruction count; off by default.
-    """
-
     phase_window_cycles: int = 0
     """Sample a per-structure AVF time series every this many cycles.
 
@@ -238,10 +229,14 @@ class SimConfig:
     """Audit pipeline/ledger conservation laws every this many cycles.
 
     0 disables auditing.  N > 0 runs the :mod:`repro.audit` invariant
-    checks every N cycles (plus a final pass, including the interval-replay
-    cross-validation, after drain) and attaches an audit record to the
-    result.  Auditing is observation-only: it never changes what the run
-    measures, only whether drift is detected.
+    checks every N cycles and attaches an audit record to the result.  It
+    also logs every residency interval verbatim
+    (:class:`~repro.instrument.recorder.IntervalRecorder`, memory
+    proportional to the run), so the final pass after drain can replay
+    them against the summed ledgers
+    (:func:`repro.audit.check_interval_replay`).  Auditing is
+    observation-only: it never changes what the run measures, only whether
+    drift is detected.
     """
 
     def __post_init__(self) -> None:

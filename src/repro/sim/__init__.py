@@ -6,23 +6,15 @@ AVF report; :func:`repro.sim.simulate_single_thread` runs one program alone
 for the paper's SMT-vs-superscalar comparisons.
 """
 
-from repro.sim.session import SimSession, build_core
+from repro.sim.session import SimSession
 from repro.sim.simulator import simulate, simulate_single_thread, build_traces
 from repro.sim.results import SimResult, ThreadResult
-from repro.sim.export import result_to_dict, result_to_json, results_to_csv
-from repro.sim.compare import ResultComparison, compare_results
 
 __all__ = [
     "simulate",
     "simulate_single_thread",
     "build_traces",
     "SimSession",
-    "build_core",
     "SimResult",
     "ThreadResult",
-    "result_to_dict",
-    "result_to_json",
-    "results_to_csv",
-    "ResultComparison",
-    "compare_results",
 ]

@@ -106,7 +106,16 @@ class SimSession:
 
     Attributes of interest after construction: ``core``, ``engine`` (the
     AVF ledger), ``recorder`` (interval recorder, or None), ``auditor``,
-    ``phase_tracker``, ``names``, ``traces``, ``policy``, ``bus``.
+    ``phase_tracker``, ``names``, ``traces``, ``policy``, ``bus``.  Under
+    ``sim.check_invariants > 0`` the interval recorder subscribes with the
+    auditor, whose final check replays the recorded intervals against the
+    ledger.
+
+    ``traces`` may be shared with other sessions only one run after
+    another: the core writes its in-flight state into the trace's
+    instructions (run-owned fields, see "Trace ownership and sharing" in
+    ``docs/simulator-internals.md``), so a session must not run, or be
+    resumed, while another core over the same traces is paused mid-run.
 
     ``ledger=False`` builds a *ledger-free* session: no ``AvfEngine``
     (``engine`` and ``core.engine`` are None) and none of the observers
@@ -162,7 +171,7 @@ class SimSession:
         """The ledger, then whichever of its dependents ``sim`` asks for."""
         self.engine = self.bus.subscribe(
             AvfEngine(self.config, len(self.traces)))
-        if self.sim.record_intervals:
+        if self.sim.check_invariants > 0:
             self.recorder = self.bus.subscribe(IntervalRecorder())
         if self.sim.phase_window_cycles > 0:
             self.phase_tracker = self.bus.subscribe(
@@ -186,31 +195,6 @@ class SimSession:
         return package_result(self.core, self.workload, self.names,
                               self.policy, cycles, auditor=self.auditor,
                               phase_tracker=self.phase_tracker)
-
-
-def build_core(traces: List[ThreadTrace], config: MachineConfig,
-               policy: FetchPolicy, sim: SimConfig,
-               trace_out: Optional[str] = None) -> SMTCore:
-    """Construct a standalone core with standard observer wiring.
-
-    For tests and tools that drive a core directly from pre-built traces;
-    production entry points go through :class:`SimSession`.
-    """
-    bus = ProbeBus()
-    engine = bus.subscribe(AvfEngine(config, len(traces)))
-    recorder = None
-    if sim.record_intervals:
-        recorder = bus.subscribe(IntervalRecorder())
-    if sim.phase_window_cycles > 0:
-        bus.subscribe(PhaseTracker(engine, sim.phase_window_cycles))
-    writer = TraceWriter(trace_out) if trace_out is not None else None
-    if sim.check_invariants > 0 or writer is not None:
-        bus.subscribe(SimAuditor(check_every=sim.check_invariants,
-                                 trace_writer=writer))
-    if writer is not None:
-        bus.subscribe(writer)
-    return SMTCore(traces, config, policy, sim,
-                   bus.attach(ledger=engine, recorder=recorder))
 
 
 def functional_warmup(core: SMTCore, traces: List[ThreadTrace]) -> None:
@@ -275,7 +259,7 @@ def package_result(core: SMTCore, workload: WorkloadSpec, names: List[str],
             "(SimSession(ledger=False) is for live fault injection's "
             "faulty runs, which are classified by digest)")
     if auditor is None or phase_tracker is None:
-        # Callers holding only the core (legacy ``_package`` signature):
+        # Callers holding only the core (a forked core has no session):
         # recover the observers from the bus the core was wired with.
         bus = getattr(core.instruments, "bus", None)
         if bus is not None:

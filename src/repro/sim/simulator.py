@@ -1,10 +1,7 @@
 """Top-level entry points: thin wrappers over :class:`repro.sim.session.SimSession`.
 
-Historically this module built traces, wired observers, constructed the
-core and packaged results itself; all of that now lives in one place in
-:mod:`repro.sim.session`.  The names re-exported here (``build_traces``,
-``_functional_warmup``, ``_package``) are kept for compatibility with
-existing callers and tests.
+Trace building, observer wiring, core construction and result packaging
+all live in one place, :mod:`repro.sim.session`.
 """
 
 from __future__ import annotations
@@ -14,19 +11,8 @@ from typing import List, Optional, Union
 from repro.config import MachineConfig, SimConfig
 from repro.fetch.base import FetchPolicy
 from repro.sim.results import SimResult
-from repro.sim.session import (
-    SimSession,
-    WorkloadSpec,
-    _program_names,
-    build_traces,
-    functional_warmup,
-    package_result,
-)
+from repro.sim.session import SimSession, WorkloadSpec, build_traces
 from repro.workload.generator import ThreadTrace
-
-# Compatibility aliases for the pre-SimSession private helpers.
-_functional_warmup = functional_warmup
-_package = package_result
 
 __all__ = [
     "WorkloadSpec",
@@ -60,7 +46,10 @@ def simulate(workload: WorkloadSpec,
         Pre-built traces, one per program; only their count is checked
         (``ResultCache.run`` checks them fully before it caches).
         A run leaves their trace-owned fields unchanged, so one set may
-        serve several runs.
+        serve several runs one after another, never two at once: a
+        running core writes its in-flight state into the trace's
+        instructions, so a second core over the same traces, run while
+        the first is paused mid-run, changes the first one's result.
     trace_out:
         Path for a JSONL observability trace (occupancy samples, stage
         counters, audit events); None disables tracing.

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.avf.account import NO_THREAD, VulnerabilityAccount
 from repro.errors import StructureError
+from repro.instrument import IntervalRecorder, Structure
 
 # One structure slot's schedule: interval lengths and the gaps between
 # them, consumed left to right along the timeline.
@@ -25,8 +26,10 @@ _slot_schedule = st.lists(_segment, max_size=8)
 _schedules = st.lists(_slot_schedule, min_size=1, max_size=6)
 
 
-def _fill(account: VulnerabilityAccount, schedules) -> int:
-    """Apply per-slot schedules; returns the horizon (max end cycle)."""
+def _fill(account: VulnerabilityAccount, schedules,
+          recorder: "IntervalRecorder | None" = None) -> int:
+    """Apply per-slot schedules (logging each interval to ``recorder`` as
+    an IQ event, if given); returns the horizon (max end cycle)."""
     horizon = 0
     for slot in schedules[:account.capacity]:
         t = 0
@@ -34,6 +37,8 @@ def _fill(account: VulnerabilityAccount, schedules) -> int:
             start = t + gap
             end = start + length
             account.add_interval(thread, start, end, ace=ace)
+            if recorder is not None:
+                recorder.occupy(Structure.IQ, thread, start, end, ace)
             t = end
         horizon = max(horizon, t)
     return horizon
@@ -57,12 +62,10 @@ class TestConservation:
     @settings(max_examples=200, deadline=None)
     def test_replay_matches_ledger(self, schedules):
         capacity = len(schedules)
-        acct = VulnerabilityAccount("prop", capacity=capacity,
-                                    record_intervals=True)
-        _fill(acct, schedules)
-        replay = acct.replay_totals()
-        assert replay is not None
-        ace_sums, unace_sums = replay
+        acct = VulnerabilityAccount("prop", capacity=capacity)
+        recorder = IntervalRecorder()
+        _fill(acct, schedules, recorder)
+        ace_sums, unace_sums = recorder.replay_totals(Structure.IQ)
         assert ace_sums == pytest.approx(acct.ace_cycles)
         assert unace_sums == pytest.approx(acct.unace_cycles)
 

@@ -10,17 +10,15 @@ from repro.avf.structures import Structure
 from repro.config import DEFAULT_CONFIG, SimConfig
 from repro.errors import ConfigError, InvariantViolation
 from repro.experiments.runner import AUDIT_ENV_VAR, ExperimentScale
-from repro.fetch.registry import create_policy
 from repro.pipeline.core import SMTCore
-from repro.sim.session import build_core
-from repro.sim.simulator import build_traces, simulate
+from repro.sim.session import SimSession
+from repro.sim.simulator import simulate
 
 WORKLOAD = ["bzip2", "gcc"]
 
 
-def _core(sim: SimConfig, workload=WORKLOAD) -> SMTCore:
-    traces = build_traces(workload, sim)
-    return build_core(traces, DEFAULT_CONFIG, create_policy("ICOUNT"), sim)
+def _core(sim: SimConfig, workload=WORKLOAD, **kwargs) -> SMTCore:
+    return SimSession(workload, sim=sim, **kwargs).core
 
 
 class TestCleanRuns:
@@ -43,10 +41,10 @@ class TestCleanRuns:
 
     def test_every_cycle_audit_with_warmup_and_intervals(self):
         # The hardest clean configuration: warmup resets the measurement
-        # window mid-run, interval recording arms the final replay check,
-        # and every cycle is audited.
+        # window mid-run (and the recorded intervals the final replay
+        # check re-sums), and every cycle is audited.
         sim = SimConfig(max_instructions=1500, seed=9, warmup_instructions=300,
-                        record_intervals=True, check_invariants=1)
+                        check_invariants=1)
         result = simulate(WORKLOAD, sim=sim)
         assert result.audit["invariant_checks"] >= result.cycles
 
@@ -94,7 +92,7 @@ class TestViolationDetection:
         # A post-hoc double-count leaves occupancy under budget (the cheap
         # conservation check passes) but cannot match the recorded
         # intervals: the replay cross-validation catches it.
-        sim = SimConfig(max_instructions=1000, seed=5, record_intervals=True)
+        sim = SimConfig(max_instructions=1000, seed=5, check_invariants=1000)
         core = _core(sim)
         core.run()
         account = core.engine.account(Structure.IQ)
@@ -149,9 +147,7 @@ class TestTracing:
     def test_violation_is_recorded_in_trace(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         sim = SimConfig(max_instructions=2000, seed=5, check_invariants=10)
-        traces = build_traces(WORKLOAD, sim)
-        core = build_core(traces, DEFAULT_CONFIG, create_policy("ICOUNT"), sim,
-                          trace_out=str(path))
+        core = _core(sim, trace_out=str(path))
         core.engine.account(Structure.IQ).add(0, 1e9, ace=True)
         with pytest.raises(InvariantViolation):
             core.run()

@@ -107,15 +107,11 @@ class TestExtensionsEndToEnd:
 
 class TestIqPartitioning:
     def test_partition_caps_per_thread_occupancy(self):
-        from repro.fetch.registry import create_policy as mk
-        from repro.sim.session import build_core
-        from repro.sim.simulator import build_traces
+        from repro.sim.session import SimSession
 
-        mix = get_mix("2-MEM-A")
-        sim = SimConfig(max_instructions=1500)
         config = MachineConfig(iq_partitioned=True)
-        traces = build_traces(mix, sim)
-        core = build_core(traces, config, mk("ICOUNT"), sim)
+        core = SimSession(get_mix("2-MEM-A"), config=config,
+                          sim=SimConfig(max_instructions=1500)).core
         cap = config.iq_entries // 2
         peak = 0
         while not core._done():

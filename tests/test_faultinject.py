@@ -15,6 +15,7 @@ import pytest
 
 from repro.avf.account import VulnerabilityAccount
 from repro.avf.structures import Structure
+from repro.instrument import IntervalRecorder
 from repro.config import DEFAULT_CONFIG, SimConfig
 from repro.content_store import STORE_SCHEMA_VERSION
 from repro.errors import ReproError
@@ -24,37 +25,41 @@ from repro.workload.mixes import get_mix
 
 
 class TestTimelineReconstruction:
-    """The ledger's own interval replay: the exact route's cross-check."""
+    """The interval replay, the exact route's cross-check: the recorder's
+    verbatim log, re-summed, reproduces the ledger fed the same events."""
+
+    @staticmethod
+    def _feed(capacity, intervals):
+        acct = VulnerabilityAccount("x", capacity)
+        recorder = IntervalRecorder()
+        for thread, start, end, ace in intervals:
+            acct.add_interval(thread, start, end, ace=ace)
+            recorder.occupy(Structure.IQ, thread, start, end, ace)
+        return acct, recorder.replay_totals(Structure.IQ)
 
     def test_single_interval(self):
-        acct = VulnerabilityAccount("x", 4, record_intervals=True)
-        acct.add_interval(0, 10, 20, ace=True)
-        assert acct.replay_totals() == ({0: 10.0}, {})
+        acct, replay = self._feed(4, [(0, 10, 20, True)])
+        assert replay == ({0: 10.0}, {})
         assert acct.total_ace() == 10.0
 
     def test_overlapping_intervals_stack(self):
-        acct = VulnerabilityAccount("x", 4, record_intervals=True)
-        acct.add_interval(0, 0, 10, ace=True)
-        acct.add_interval(1, 5, 15, ace=False)
-        assert acct.replay_totals() == ({0: 10.0}, {1: 10.0})
+        acct, replay = self._feed(4, [(0, 0, 10, True), (1, 5, 15, False)])
+        assert replay == ({0: 10.0}, {1: 10.0})
         assert acct.occupied_cycles() == 20.0
 
     def test_timeline_sum_matches_ledger(self):
-        acct = VulnerabilityAccount("x", 8, record_intervals=True)
         rng = np.random.default_rng(3)
+        intervals = []
         for _ in range(50):
             start = int(rng.integers(0, 90))
             end = start + int(rng.integers(1, 10))
-            acct.add_interval(int(rng.integers(0, 4)), start, end,
-                              ace=bool(rng.integers(0, 2)))
-        ace, unace = acct.replay_totals()
+            intervals.append((int(rng.integers(0, 4)), start, end,
+                              bool(rng.integers(0, 2))))
+        acct, (ace, unace) = self._feed(8, intervals)
+        assert ace == pytest.approx(acct.ace_cycles)
+        assert unace == pytest.approx(acct.unace_cycles)
         assert sum(ace.values()) == pytest.approx(acct.total_ace())
         assert sum(unace.values()) == pytest.approx(acct.total_unace())
-
-    def test_requires_recorded_intervals(self):
-        acct = VulnerabilityAccount("x", 4)  # not recording
-        acct.add_interval(0, 0, 10, ace=True)
-        assert acct.replay_totals() is None
 
 
 #: A campaign over every injectable structure, small enough for the suite.

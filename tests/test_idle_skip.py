@@ -20,7 +20,7 @@ from repro.config import MachineConfig, SimConfig
 from repro.faultinject.classify import DigestRecorder
 from repro.fetch.registry import (EXTENSION_POLICY_NAMES, POLICY_NAMES,
                                   create_policy)
-from repro.instrument import PROBE_STRUCTURES, Structure
+from repro.instrument import PROBE_STRUCTURES, IntervalRecorder, Structure
 from repro.isa.opcodes import FUType, OpClass
 from repro.rmt.slack import SlackFetchPolicy
 from repro.sim.session import (SimSession, build_traces,
@@ -109,15 +109,22 @@ class TestSkipDifferential:
 
     @pytest.mark.parametrize("policy", ["ICOUNT", "FLUSH", "SLACK"])
     def test_recorded_intervals_are_equal(self, policy):
+        # The recorder rides as a plain observer: an audited session would
+        # carry it too, but the auditor's cycle hook turns skipping off.
         workload = WORKLOADS[4]
-        sim = SimConfig(max_instructions=480, seed=2, record_intervals=True,
+        sim = SimConfig(max_instructions=480, seed=2,
                         warmup_instructions=100)
-        skipping, result, stepping, oracle = _pair(workload, policy, sim)
-        assert _payload(result) == _payload(oracle)
+        traces = build_traces(workload, sim)
+        skip_log, step_log = IntervalRecorder(), IntervalRecorder()
+        skipping = _session(workload, policy, sim, traces,
+                            observers=(skip_log,))
+        stepping = _session(workload, policy, sim, traces,
+                            observers=(step_log,))
+        assert _payload(skipping.run()) == _payload(_stepped(stepping))
         for structure in PROBE_STRUCTURES:
-            assert (skipping.recorder.intervals(structure)
-                    == stepping.recorder.intervals(structure)), structure
-        assert skipping.recorder.intervals(Structure.FU)
+            assert (skip_log.intervals(structure)
+                    == step_log.intervals(structure)), structure
+        assert skip_log.intervals(Structure.FU)
 
     def test_a_unit_freeing_wakes_the_core(self):
         # With one slow address unit a ready load waits for the unit, not

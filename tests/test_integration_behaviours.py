@@ -4,11 +4,11 @@ phase/warmup interaction, RMT under contention."""
 import pytest
 
 from repro.avf.structures import Structure
-from repro.config import MachineConfig, SimConfig
+from repro.config import SimConfig
 from repro.fetch.flush import FlushPolicy
 from repro.fetch.registry import create_policy
-from repro.sim.session import build_core
-from repro.sim.simulator import build_traces, simulate
+from repro.sim.session import SimSession, functional_warmup
+from repro.sim.simulator import simulate
 from repro.workload.mixes import get_mix
 
 
@@ -50,11 +50,9 @@ class TestFlushGating:
         mix = get_mix("2-MEM-A")
         sim = SimConfig(max_instructions=1200)
         policy = FlushPolicy()
-        traces = build_traces(mix, sim)
-        core = build_core(traces, MachineConfig(), policy, sim)
-        from repro.sim.simulator import _functional_warmup
-
-        _functional_warmup(core, traces)
+        session = SimSession(mix, policy=policy, sim=sim)
+        core = session.core
+        functional_warmup(core, session.traces)
         core.run()
         assert policy.flushes > 0
         # The budget was reached with multiple flush episodes per thread:

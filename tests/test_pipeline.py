@@ -4,17 +4,15 @@ import pytest
 
 from repro.avf.structures import Structure
 from repro.config import MachineConfig, SimConfig
-from repro.fetch.registry import create_policy
-from repro.sim.session import build_core
-from repro.sim.simulator import build_traces, simulate
+from repro.sim.session import SimSession
+from repro.sim.simulator import simulate
 from repro.workload.mixes import get_mix
 
 
 def _run_core(workload="2-CPU-A", policy="ICOUNT", instructions=600):
     mix = get_mix(workload)
-    sim = SimConfig(max_instructions=instructions)
-    traces = build_traces(mix, sim)
-    core = build_core(traces, MachineConfig(), create_policy(policy), sim)
+    core = SimSession(mix, policy=policy,
+                      sim=SimConfig(max_instructions=instructions)).core
     core.run()
     return core
 
@@ -35,9 +33,7 @@ class TestExecutionInvariants:
     def test_commit_order_per_thread(self):
         """Committed sequence numbers are strictly increasing per thread."""
         mix = get_mix("2-CPU-A")
-        sim = SimConfig(max_instructions=600)
-        traces = build_traces(mix, sim)
-        core = build_core(traces, MachineConfig(), create_policy("ICOUNT"), sim)
+        core = SimSession(mix, sim=SimConfig(max_instructions=600)).core
         committed = {0: [], 1: []}
         original = core.threads[0].rob.pop_head
 

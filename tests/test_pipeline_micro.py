@@ -6,17 +6,15 @@ from repro.config import MachineConfig, SimConfig
 from repro.fetch.registry import create_policy
 from repro.isa.opcodes import OpClass
 from repro.pipeline.frontend import DECODE_BUFFER_ENTRIES, ThreadContext
-from repro.sim.session import build_core
+from repro.sim.session import SimSession
 from repro.sim.simulator import build_traces, simulate
 from repro.workload.mixes import get_mix
 
 
 def _fresh_core(workload="2-CPU-A", instructions=500, policy="ICOUNT",
                 config=None):
-    mix = get_mix(workload)
-    sim = SimConfig(max_instructions=instructions)
-    traces = build_traces(mix, sim)
-    return build_core(traces, config or MachineConfig(), create_policy(policy), sim)
+    return SimSession(get_mix(workload), policy=policy, config=config,
+                      sim=SimConfig(max_instructions=instructions)).core
 
 
 def _step(core, cycles=1):
@@ -204,14 +202,13 @@ class TestWritebackStaleness:
     def _core_with_spy(self):
         from repro.isa.instruction import DynInstr
 
-        sim = SimConfig(max_instructions=100)
-        traces = build_traces(get_mix("2-CPU-A"), sim)
         policy = create_policy("DG")
         calls = []
         orig = policy.on_load_resolved
         policy.on_load_resolved = (
             lambda core, load: (calls.append(load), orig(core, load)))
-        core = build_core(traces, MachineConfig(), policy, sim)
+        core = SimSession(get_mix("2-CPU-A"), policy=policy,
+                          sim=SimConfig(max_instructions=100)).core
         load = DynInstr(0, 0, 0x100, OpClass.LOAD, mem_addr=64)
         return core, load, calls
 

@@ -59,10 +59,20 @@ class TestSimSessionWiring:
         assert session.core.issue_queue._probe is session.engine
 
     def test_recorded_run_fans_out_through_the_bus(self):
-        sim = SimConfig(max_instructions=100, record_intervals=True)
+        sim = SimConfig(max_instructions=100, check_invariants=10)
         session = SimSession(["bzip2"], sim=sim)
         assert session.recorder is not None
         assert session.core.instruments.probe is session.bus
+
+    def test_audited_session_records_intervals(self):
+        # The auditor's final interval replay needs the verbatim log, so
+        # every audited session carries one and no other session does.
+        audited = SimSession(["bzip2"], sim=SimConfig(check_invariants=64))
+        assert isinstance(audited.recorder, IntervalRecorder)
+        assert audited.core.instruments.recorder is audited.recorder
+        plain = SimSession(["bzip2"], sim=SimConfig())
+        assert plain.recorder is None
+        assert plain.core.instruments.recorder is None
 
     def test_observers_exposed_on_session(self):
         sim = SimConfig(max_instructions=100, check_invariants=10,
@@ -77,7 +87,7 @@ class TestSimSessionWiring:
 
 class TestLedgerFreeSession:
     SIM = SimConfig(max_instructions=200, check_invariants=10,
-                    phase_window_cycles=50, record_intervals=True)
+                    phase_window_cycles=50)
 
     def test_subscribes_only_its_observers(self):
         observer = DigestRecorder()
@@ -174,7 +184,7 @@ class TestIntervalRecorder:
     def test_replay_totals_match_engine_ledger(self):
         # The recorder and the engine consume the identical event stream;
         # their per-thread sums must agree exactly for bus-fed structures.
-        sim = SimConfig(max_instructions=600, seed=6, record_intervals=True)
+        sim = SimConfig(max_instructions=600, seed=6, check_invariants=1000)
         session = SimSession(["bzip2", "gcc"], sim=sim)
         session.run()
         for structure in (Structure.IQ, Structure.REG, Structure.FU):

@@ -100,20 +100,20 @@ class TestSingleThread:
 
 class TestDegenerateRuns:
     def test_package_rejects_zero_cycles(self):
-        """Regression: _package divided by cycles unguarded, so a degenerate
-        zero-cycle run crashed with ZeroDivisionError instead of a
-        diagnosable ReproError."""
+        """Regression: packaging divided by cycles unguarded, so a
+        degenerate zero-cycle run crashed with ZeroDivisionError instead of
+        a diagnosable ReproError."""
         from repro.errors import ReproError, SimulationError
-        from repro.sim.simulator import _package
+        from repro.sim.session import package_result
 
         with pytest.raises(SimulationError) as excinfo:
-            _package(None, ["bzip2"], ["bzip2"], None, 0)
+            package_result(None, ["bzip2"], ["bzip2"], None, 0)
         assert isinstance(excinfo.value, ReproError)
         assert "0 cycles" in str(excinfo.value)
 
     def test_package_rejects_negative_cycles(self):
         from repro.errors import SimulationError
-        from repro.sim.simulator import _package
+        from repro.sim.session import package_result
 
         with pytest.raises(SimulationError):
-            _package(None, ["bzip2"], ["bzip2"], None, -3)
+            package_result(None, ["bzip2"], ["bzip2"], None, -3)

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.config import MachineConfig, SimConfig
+from repro.config import SimConfig
 from repro.rmt.slack import SlackFetchPolicy
-from repro.sim.session import build_core
-from repro.sim.simulator import _functional_warmup
+from repro.sim.session import SimSession, functional_warmup
 from repro.workload.generator import generate_trace
 from repro.workload.spec2000 import get_profile
 
@@ -18,8 +17,9 @@ def slack_samples():
               for tid in (0, 1)]
     policy = SlackFetchPolicy(leader=0, trailer=1, min_slack=32, max_slack=256)
     sim = SimConfig(max_instructions=2 * instructions)
-    core = build_core(traces, MachineConfig(), policy, sim)
-    _functional_warmup(core, traces)
+    core = SimSession(["gcc", "gcc"], policy=policy, sim=sim,
+                      traces=traces).core
+    functional_warmup(core, traces)
     samples = []
     while not core._done():
         core.cycle += 1

@@ -1051,9 +1051,10 @@ class TestLedgerFreeDriver:
                            for sub in core.instruments.bus.subscribers)
 
     @pytest.mark.parametrize("observed", [{"check_invariants": 50},
-                                          {"record_intervals": True},
+                                          {"check_invariants": 1},
                                           {"phase_window_cycles": 100}],
-                             ids=lambda kw: next(iter(kw)))
+                             ids=["check_invariants", "check_every_cycle",
+                                  "phase_window_cycles"])
     def test_campaign_under_ledger_observers(self, observed):
         # The golden run subscribes (and so audits, records, tracks) what
         # the SimConfig asks for; the strike driver subscribes none of it,

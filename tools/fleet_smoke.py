@@ -115,9 +115,7 @@ def spawn_worker(port, shard_id, chaos=None):
                  chaos=chaos)
 
 
-def main():
-    workdir = Path(tempfile.mkdtemp(prefix="fleet-smoke-"))
-
+def fleet_smoke(workdir):
     # The oracle: a clean, fleet-less run of the identical spec.
     baseline = CampaignScheduler(ArtifactStore(workdir / "baseline"),
                                  workers=2)
@@ -183,6 +181,12 @@ def main():
         proc.kill()
         proc.wait(15)
     print("fleet-smoke OK")
+
+
+def main():
+    with tempfile.TemporaryDirectory(prefix="fleet-smoke-",
+                                     ignore_cleanup_errors=True) as tmp:
+        fleet_smoke(Path(tmp))
 
 
 if __name__ == "__main__":

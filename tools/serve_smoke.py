@@ -73,8 +73,7 @@ def request(port, method, path, body=None, timeout=240.0):
     return response.status, raw
 
 
-def dedup_smoke():
-    root = tempfile.mkdtemp(prefix="serve-smoke-")
+def dedup_smoke(root):
     server = CampaignServer(ArtifactStore(root), workers=2)
     loop = asyncio.new_event_loop()
     ready = threading.Event()
@@ -175,9 +174,7 @@ def spawn_serve(state_dir, chaos=None, new_session=False):
     return proc, box["port"]
 
 
-def recovery_smoke(kill_after):
-    workdir = Path(tempfile.mkdtemp(prefix="serve-recovery-"))
-
+def recovery_smoke(kill_after, workdir):
     # Uninterrupted baseline, in-process: the bytes a client must read
     # back no matter how many times the service dies along the way.
     baseline = CampaignScheduler(ArtifactStore(workdir / "baseline"),
@@ -273,9 +270,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.kill_after is not None:
         assert args.kill_after >= 1, "--kill-after must be >= 1"
-        recovery_smoke(args.kill_after)
+        with tempfile.TemporaryDirectory(prefix="serve-recovery-",
+                                         ignore_cleanup_errors=True) as tmp:
+            recovery_smoke(args.kill_after, Path(tmp))
     else:
-        dedup_smoke()
+        with tempfile.TemporaryDirectory(prefix="serve-smoke-",
+                                         ignore_cleanup_errors=True) as tmp:
+            dedup_smoke(tmp)
 
 
 if __name__ == "__main__":
