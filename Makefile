@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-chaos bench bench-kernel bench-kernel-check \
+.PHONY: install test test-fast test-chaos bench bench-kernel bench-kernel-check \
 	bench-e2e bench-e2e-live bench-e2e-reproduce reproduce reproduce-smoke inject-smoke frontier-smoke serve-smoke \
 	serve-recovery-smoke fleet-smoke test-service test-fleet examples clean
 
@@ -12,10 +12,10 @@ install:
 	pip install -e . || $(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 test-fast:
-	$(PYTHON) -m pytest tests/ -m "not slow"
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ -m "not slow"
 
 # The fault-tolerance group: supervisor + chaos harness + resilient CLI.
 test-chaos:
@@ -23,7 +23,7 @@ test-chaos:
 		"tests/test_cli.py::TestResilientCli"
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 # Cycle-kernel micro-benchmark with machine-readable output.  Minimums are
 # what the regression check reads, so force enough rounds that each

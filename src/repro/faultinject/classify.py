@@ -85,14 +85,9 @@ class DigestRecorder:
         self._mem = {addr: tag for addr, tag in core.mem_tags.items() if tag}
         # Taint still in flight when the shared budget ended the run is
         # bound for architectural state — the ACE ledger's drain counts
-        # that residency as ACE, so the digest must see it too.  The core
-        # zeroes all trace tags at construction (taint mode), so any
-        # nonzero tag here was planted by this run.
-        self.pending_taint = sum(
-            1
-            for thread in core.threads
-            for instr in thread.trace.instrs
-            if instr.value_tag and _awaits_commit(instr))
+        # that residency as ACE, so the digest must see it too.
+        self.pending_taint = sum(1 for instr in core.unretired
+                                 if instr.value_tag and instr.is_ace)
         self.finalized = True
 
     def fork(self) -> "DigestRecorder":
@@ -125,14 +120,6 @@ class DigestRecorder:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _awaits_commit(instr) -> bool:
-    """ACE, fetched by this run and not committed: the instructions whose
-    taint :meth:`DigestRecorder.on_finalize` counts as pending.  A squashed
-    or wrong-path instruction is never ACE (``DynInstr.is_ace``), so one
-    squashed and not refetched by the end of the run is not pending."""
-    return instr.is_ace and instr.fetched_at >= 0 and instr.committed_at < 0
-
-
 # -- taint-only strikes: replay the golden run's dataflow ------------------------
 #
 # A strike that wrote only taint changes no kernel decision (no stage reads a
@@ -144,7 +131,8 @@ def _awaits_commit(instr) -> bool:
 class DataflowLog:
     """The golden run's dataflow: its ``SMTCore.flow_log`` events, in cycle
     and stage order, and the instances whose taint finalize would count as
-    pending (:func:`_awaits_commit`), each ``(thread, fetch_stamp)``."""
+    pending (the ACE ones in ``SMTCore.unretired``), each
+    ``(thread, fetch_stamp)``."""
 
     __slots__ = ("events", "pending", "_cycles")
 
@@ -157,9 +145,8 @@ class DataflowLog:
     def of(cls, core) -> "DataflowLog":
         """The log ``core`` recorded, once its run has finished."""
         return cls(core.flow_log, frozenset(
-            (thread.id, instr.fetch_stamp)
-            for thread in core.threads
-            for instr in thread.trace.instrs if _awaits_commit(instr)))
+            (instr.thread_id, instr.fetch_stamp)
+            for instr in core.unretired if instr.is_ace))
 
     def after(self, cycle: int) -> Iterator[tuple]:
         """Every event of the cycles after ``cycle``."""
@@ -187,8 +174,8 @@ class TaintReplay:
       any of them can), stays pending at the end (SDC), or is squashed
       together with them;
     * squashes: a squashed instance never issues, writes back or commits
-      again, and is never pending (:func:`_awaits_commit`); a register it
-      frees is written again before anything reads it.
+      again, and is never pending (it is not ACE, ``DynInstr.is_ace``); a
+      register it frees is written again before anything reads it.
     """
 
     def __init__(self, victim) -> None:

@@ -484,8 +484,8 @@ class _StrikeDriver:
         dataflow log (a receipt that tainted nothing is MASKED) — all
         decided without simulating a cycle.  A structural strike runs to
         the end (:meth:`finish`) on a fork (``fork=True``; the driver is
-        restored and stays golden) or on the driver itself.  Returns
-        (outcome, detail, target).
+        restored and stays golden) or on the driver itself, which is then
+        spent.  Returns (outcome, detail, target).
         """
         if self.failure is not None:
             return (*self.failure, "")
@@ -506,12 +506,7 @@ class _StrikeDriver:
                 return InjectionOutcome.SDC, "", receipt.target
             return InjectionOutcome.MASKED, "", receipt.target
         if not fork:
-            try:
-                return (*self.finish(self.core), receipt.target)
-            finally:
-                # Trace objects outlive this run: restore any struck
-                # trace-owned field (e.g. a flipped mem_addr).
-                receipt.undo()
+            return (*self.finish(self.core), receipt.target)
         try:
             victim = self.core.fork()
         finally:
@@ -528,7 +523,7 @@ def run_one_strike(spec: StrikeSpec,
                    protection: CoercibleProtection,
                    live: LiveConfig,
                    driver: Optional[_StrikeDriver] = None) -> LiveStrikeRecord:
-    """Inject one strike, classify it, and leave the traces pristine.
+    """Inject one strike and classify it.
 
     ``driver`` is a campaign's shared driver, not yet past ``spec.cycle``;
     the strike forks it.  Without one the strike is a batch of one: it

@@ -10,7 +10,7 @@ residency per structure.
 from __future__ import annotations
 
 from enum import Enum, auto
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.isa.opcodes import OpClass
 
@@ -41,8 +41,9 @@ _ACE = AceClass.ACE
 class DynInstr:
     """One dynamic instruction instance.
 
-    Trace-generator fields are immutable in spirit; the pipeline mutates only
-    the bookkeeping fields below the ``--- pipeline state ---`` marker.
+    A trace record is read-only: its pipeline fields stay at the defaults
+    below, and fetch hands the pipeline a copy (:func:`clone_instr`) that
+    it annotates as the copy moves through the machine.
     """
 
     __slots__ = (
@@ -154,68 +155,48 @@ class DynInstr:
 
 
 def _compile_cloner():
-    """Compile ``clone_instrs(instrs)``: independent copies, in order.
+    """Compile ``clone_instr(instr)``: an independent copy of ``instr``.
 
     Generated from ``__slots__`` so a new field can never be left out, and
     unrolled so a copy costs one attribute load and store per slot — an
     order of magnitude cheaper than ``copy.copy`` or pickling.
     """
-    body = "".join(f"        c.{s} = i.{s}\n" for s in DynInstr.__slots__)
-    src = ("def clone_instrs(instrs):\n    out = []\n"
-           "    for i in instrs:\n        c = _new(_cls)\n"
-           f"{body}        out.append(c)\n    return out\n")
+    body = "".join(f"    c.{s} = i.{s}\n" for s in DynInstr.__slots__)
+    src = f"def clone_instr(i):\n    c = _new(_cls)\n{body}    return c\n"
     namespace = {"_new": object.__new__, "_cls": DynInstr}
     exec(src, namespace)  # noqa: S102 - source built from __slots__ only
-    return namespace["clone_instrs"]
+    return namespace["clone_instr"]
 
 
-clone_instrs = _compile_cloner()
+clone_instr = _compile_cloner()
 
 
 class InstrRemap:
-    """Maps a core's instructions to their counterparts in a fork of it.
+    """Maps a core's in-flight instructions to their copies in a fork of it.
 
-    Correct-path instructions resolve by (thread, seq) into the fork's
-    trace lists — a trace's ``seq`` is its index — which hold a copy
-    inside each thread's cloned ``window`` (``lo, hi``) and the very same
-    object outside it.  Wrong-path instructions (negative ``seq``, never
-    in a trace) are copied on first sight and memoized, so every
-    structure holding one gets the same copy.
+    Each instruction is copied on first sight and memoized by ``id()``, so
+    every structure holding one gets the same copy.
     """
 
-    __slots__ = ("_old", "_new", "_windows", "_wrong", "_ids")
+    __slots__ = ("_copies",)
 
-    def __init__(self, old: Sequence[List[DynInstr]],
-                 new: Sequence[List[DynInstr]],
-                 windows: Sequence[Tuple[int, int]]) -> None:
-        self._old = old
-        self._new = new
-        self._windows = windows
-        self._wrong: Dict[int, DynInstr] = {}
-        self._ids: Optional[Dict[int, DynInstr]] = None
+    def __init__(self) -> None:
+        self._copies: Dict[int, DynInstr] = {}
 
     def __call__(self, instr: DynInstr) -> DynInstr:
-        if instr.seq >= 0:
-            return self._new[instr.thread_id][instr.seq]
-        copy = self._wrong.get(id(instr))
+        copy = self._copies.get(id(instr))
         if copy is None:
-            copy = self._wrong[id(instr)] = clone_instrs((instr,))[0]
+            copy = self._copies[id(instr)] = clone_instr(instr)
         return copy
 
     def id_of(self, old_id: int) -> int:
         """Remap an ``id()`` a policy keyed its state by.
 
-        Call after every structure is copied, so wrong-path instructions
-        the structures hold are already memoized.  An id that names no
-        copied instruction (one both cores share, or none at all) is
-        returned unchanged.
+        Call after every structure is copied, so every instruction in
+        flight already has its copy.  An id that names no copied
+        instruction is returned unchanged.
         """
-        if self._ids is None:
-            self._ids = {id(o): n
-                         for old, new, (lo, hi) in zip(self._old, self._new,
-                                                       self._windows)
-                         for o, n in zip(old[lo:hi], new[lo:hi])}
-        copy = self._wrong.get(old_id) or self._ids.get(old_id)
+        copy = self._copies.get(old_id)
         return id(copy) if copy is not None else old_id
 
 

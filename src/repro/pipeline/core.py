@@ -20,7 +20,7 @@ from repro.config import MachineConfig, SimConfig
 from repro.errors import SimulationError, StructureError
 from repro.fetch.base import FetchPolicy
 from repro.instrument import Instrumentation, Structure
-from repro.isa.instruction import DynInstr, InstrRemap, clone_instrs
+from repro.isa.instruction import DynInstr, InstrRemap
 from repro.isa.opcodes import OpClass
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.frontend import DECODE_BUFFER_ENTRIES, ThreadContext
@@ -109,14 +109,10 @@ class SMTCore:
         #: events to, in cycle and stage order, while it is set.  Only the
         #: live-injection golden run sets it; every other run leaves it None.
         self.flow_log: Optional[List[tuple]] = None
-        if self._taint:
-            # Traces are shared across a campaign's runs and fetch-time
-            # resets only cover instructions this run actually fetches: a
-            # stale tag from a previous strike would read as this run's
-            # corruption.  Start taint-clean.
-            for trace in traces:
-                for instr in trace.instrs:
-                    instr.value_tag = 0
+        #: The instructions still in flight when the run ended (each
+        #: thread's ROB, then its decode queue), taken before the drain
+        #: empties the ROBs; empty until then.
+        self.unretired: Tuple[DynInstr, ...] = ()
 
         # Statistics.
         self.mispredict_squashes = 0
@@ -204,6 +200,9 @@ class SMTCore:
                 self._skip_idle(until)
         else:
             return None  # paused after cycle ``until``
+        self.unretired = tuple(
+            instr for t in self.threads
+            for instr in (*t.rob, *(i for _, i in t.decode_queue)))
         if self.instruments.observes_residency:
             self._drain()
         for hook in self.instruments.finalize_hooks:
@@ -595,8 +594,7 @@ class SMTCore:
             if instr is None:
                 break
             if not wrong_path:
-                self._reset_pipeline_state(instr)
-                t.consume_correct_path()
+                t.fetch_index += 1
             t.stamp(instr)
             instr.fetched_at = self.cycle
             t.decode_queue.append((self.cycle + self.config.decode_latency, instr))
@@ -621,29 +619,6 @@ class SMTCore:
                 t.wrong_pc = t.clamp_pc(instr.pc + 4)
             return True
         return prediction.taken
-
-    @staticmethod
-    def _reset_pipeline_state(instr: DynInstr) -> None:
-        """Clear pipeline annotations before (re-)fetching a trace instruction.
-
-        Required for squash-and-replay: the same trace object flows through
-        the pipeline again and must not carry state from its squashed run.
-        """
-        instr.fetched_at = -1
-        instr.renamed_at = -1
-        instr.issued_at = -1
-        instr.completed_at = -1
-        instr.committed_at = -1
-        instr.phys_dest = None
-        instr.old_phys_dest = None
-        instr.phys_srcs = ()
-        instr.squashed = False
-        instr.mispredicted = False
-        instr.dl1_missed = False
-        instr.l2_missed = False
-        instr.prediction = None
-        instr.pending_srcs = 0
-        instr.value_tag = 0
 
     # -- live fault injection --------------------------------------------------------------------------------
 
@@ -682,9 +657,8 @@ class SMTCore:
         ``run(until=c)`` has returned.  Running the fork to the end gives
         exactly what running this core to the end would, and neither run
         disturbs the other, in either order.  Mutable state is copied or
-        copied on write: each thread's in-flight trace window (see
-        :meth:`ThreadContext.fork`; the committed prefix is shared and the
-        unfetched suffix borrowed), the cache and TLB sets either core
+        copied on write: every instruction in flight (traces are
+        read-only and shared), the cache and TLB sets either core
         writes (see :meth:`Cache.fork`), every structure, predictors, the
         fetch policy, the wrong-path generators' random streams, and each
         probe-bus subscriber (see :meth:`Instrumentation.fork`).
@@ -694,13 +668,7 @@ class SMTCore:
         cls = type(self)
         clone = cls.__new__(cls)
         clone.__dict__.update(self.__dict__)
-        # Commit is in order, so [0, committed) is every committed trace
-        # instruction and [committed, fetch_high) everything in flight.
-        windows = [(t.committed, t.fetch_high) for t in self.threads]
-        old = [t.trace.instrs for t in self.threads]
-        new = [instrs[:lo] + clone_instrs(instrs[lo:hi]) + instrs[hi:]
-               for instrs, (lo, hi) in zip(old, windows)]
-        remap = InstrRemap(old, new, windows)
+        remap = InstrRemap()
         instruments = self.instruments.fork()
         probe = instruments.probe
         clone.instruments = instruments
@@ -708,10 +676,7 @@ class SMTCore:
         clone._commit_hooks = instruments.commit_hooks
         clone.mem = self.mem.fork(instruments.dl1_observer,
                                   instruments.dtlb_observer)
-        clone.threads = [
-            t.fork(ThreadTrace(t.trace.profile, t.trace.thread_id,
-                               t.trace.seed, instrs), remap, probe)
-            for t, instrs in zip(self.threads, new)]
+        clone.threads = [t.fork(remap, probe) for t in self.threads]
         clone._iq = self._iq.fork(remap, probe)
         clone._regfile = self._regfile.fork(probe)
         clone._fu_pool = self._fu_pool.fork(remap, probe)

@@ -8,7 +8,7 @@ from typing import Deque, Optional, Tuple
 from repro.branch.unit import BranchUnit
 from repro.config import MachineConfig
 from repro.instrument import ResidencyProbe
-from repro.isa.instruction import DynInstr, InstrRemap, clone_instrs
+from repro.isa.instruction import DynInstr, InstrRemap, clone_instr
 from repro.structures.lsq import LoadStoreQueue
 from repro.structures.rob import ReorderBuffer
 from repro.workload.address_stream import THREAD_ADDRESS_SPACE
@@ -36,13 +36,6 @@ class ThreadContext:
         self.decode_queue: Deque[Tuple[int, DynInstr]] = deque()
 
         self.fetch_index = 0             # next correct-path trace instruction
-        # One past the furthest trace index this context ever fetched: no
-        # structure, event or policy can hold a trace instruction beyond.
-        self.fetch_high = 0
-        # Trace instructions from this index on are shared with another
-        # core (see fork) and are cloned before this context first writes
-        # one (own).  A fresh context borrows nothing.
-        self.borrowed_from = len(trace)
         self.next_fetch_stamp = 0        # monotonic per-thread fetch order
         self.fetch_blocked_until = 0     # I-cache/redirect stall
         # Fetch line buffer: the line whose fill this thread last waited on.
@@ -66,27 +59,12 @@ class ThreadContext:
         self.fetched = 0
         self.wrong_path_fetched = 0
 
-    def fork(self, trace: ThreadTrace, remap: InstrRemap,
+    def fork(self, remap: InstrRemap,
              probe: ResidencyProbe) -> "ThreadContext":
-        """An independent copy running ``trace``, with ``remap``'s
-        instruction copies in flight.
-
-        ``trace`` is this context's trace split three ways: the committed
-        prefix ``[0, committed)`` is shared (nothing writes a committed
-        instruction), the window ``[committed, fetch_high)`` holds copies,
-        and the never-fetched suffix ``[fetch_high, n)`` is borrowed.  Both
-        contexts borrow that suffix from here on, each cloning an
-        instruction before it first writes it (:meth:`own`), so neither
-        run can disturb the other.
-        """
-        # This context's own list may be shared too (a fresh core runs on
-        # the campaign's traces): take a private one before own() edits it.
-        self.trace = ThreadTrace(self.trace.profile, self.trace.thread_id,
-                                 self.trace.seed, self.trace.instrs[:])
-        self.borrowed_from = self.fetch_high
+        """An independent copy with ``remap``'s instruction copies in
+        flight.  Both contexts share the read-only trace."""
         clone = ThreadContext.__new__(ThreadContext)
         clone.__dict__.update(self.__dict__)
-        clone.trace = trace
         clone.branch_unit = self.branch_unit.fork()
         clone.rob = self.rob.fork(remap, probe)
         clone.lsq = self.lsq.fork(remap, probe)
@@ -117,7 +95,8 @@ class ThreadContext:
     # -- fetch helpers ------------------------------------------------------------------
 
     def next_instruction(self) -> Optional[DynInstr]:
-        """The instruction fetch would deliver next (not yet consumed)."""
+        """The instruction fetch would deliver next (not yet consumed): a
+        fresh copy of the trace record, or a wrong-path instruction."""
         if self.wrong_path:
             instr = self.synth.synthesize(self.wrong_pc)
             self.wrong_pc = self.clamp_pc(self.wrong_pc + 4)
@@ -126,28 +105,7 @@ class ThreadContext:
         index = self.fetch_index
         if index >= len(self.trace):
             return None
-        if index >= self.borrowed_from:
-            return self.own(index)
-        return self.trace[index]
-
-    def own(self, index: int) -> DynInstr:
-        """Trace instruction ``index`` (non-negative), safe for this
-        context to write.
-
-        A borrowed one is cloned first, with every borrowed instruction
-        before it, so what stays borrowed is always one suffix."""
-        instrs = self.trace.instrs
-        start = self.borrowed_from
-        if index >= start:
-            instrs[start:index + 1] = clone_instrs(instrs[start:index + 1])
-            self.borrowed_from = index + 1
-        return instrs[index]
-
-    def consume_correct_path(self) -> None:
-        """Advance past the trace instruction just fetched."""
-        self.fetch_index += 1
-        if self.fetch_index > self.fetch_high:
-            self.fetch_high = self.fetch_index
+        return clone_instr(self.trace.instrs[index])
 
     def clamp_pc(self, pc: int) -> int:
         """Fold a speculative PC back into the thread's code footprint."""

@@ -1,15 +1,16 @@
 """Fault-tolerant multi-host worker fleet behind the campaign scheduler.
 
-ROADMAP item 2's last gap: remote worker pools behind the same
-scheduler.  The design is robustness-first — a dead, hung, partitioned
-or merely slow shard must never corrupt, duplicate or lose a campaign's
-results — and leans entirely on machinery the repo already trusts:
+Remote worker pools ("shards") that register with the campaign server
+and take strike batches from the same scheduler as the local pool.  The
+design is robustness-first — a dead, hung, partitioned or merely slow
+shard must never corrupt, duplicate or lose a campaign's results — and
+leans entirely on machinery the repo already trusts:
 
 * **Leases, not connections** (:mod:`repro.service.leases`): a shard
   holds a batch under a time-bounded lease renewed by heartbeats.  The
   server never needs to detect a dead TCP peer; it only needs a
   monotonic clock.  Expiry → reclaim → redispatch, one attempt charged
-  (the PR-3 crash discipline).
+  (the local supervisor's crash discipline).
 * **Fencing tokens**: each grant carries a fresh token from one global
   counter.  A zombie — a live worker on the far side of a partition —
   can finish its batch and commit late; the token is no longer in the
@@ -28,7 +29,7 @@ results — and leans entirely on machinery the repo already trusts:
   loser's is a ``duplicate`` no-op.
 * **Graceful degradation**: a campaign that loses every shard withdraws
   its remote work, journals ``fleet_degraded``, and finishes on the
-  local PR-3 supervisor pool.  With zero shards connected the scheduler
+  local supervisor pool.  With zero shards connected the scheduler
   never routes through the fleet at all — the local path is untouched.
 
 Wire protocol: four POST routes on the existing stdlib-asyncio server

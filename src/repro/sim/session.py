@@ -50,8 +50,8 @@ def trace_identity(workload: WorkloadSpec, sim: SimConfig) -> TraceIdentity:
     """Everything :func:`build_traces` depends on: (programs, length, seed).
 
     Runs with equal identities read identical traces, so they may share
-    one set of :class:`ThreadTrace` objects (see "Trace ownership and
-    sharing" in ``docs/simulator-internals.md``).
+    one set of :class:`ThreadTrace` objects (see "Read-only traces" in
+    ``docs/simulator-internals.md``).
     """
     return (tuple(_program_names(workload)),
             sim.max_instructions + sim.warmup_instructions, sim.seed)
@@ -62,11 +62,11 @@ def build_traces(workload: WorkloadSpec, sim: SimConfig) -> List[ThreadTrace]:
 
     Each thread's trace is as long as the whole run's instruction budget
     (warmup included) — a safe upper bound, since no single thread can
-    commit more than the total budget.  A run only writes the pipeline
-    fields of a trace's instructions and clears them again at fetch, so
-    the result may be shared by every run of the same
-    :func:`trace_identity`; :func:`repro.experiments.parallel.run_jobs`
-    builds them once per such group.
+    commit more than the total budget.  No run writes a trace (fetch
+    copies each instruction), so the result may be shared by every run
+    of the same :func:`trace_identity`, side by side or one after
+    another; :func:`repro.experiments.parallel.run_jobs` builds them once
+    per such group.
     """
     names, length, seed = trace_identity(workload, sim)
     return [
@@ -111,11 +111,9 @@ class SimSession:
     auditor, whose final check replays the recorded intervals against the
     ledger.
 
-    ``traces`` may be shared with other sessions only one run after
-    another: the core writes its in-flight state into the trace's
-    instructions (run-owned fields, see "Trace ownership and sharing" in
-    ``docs/simulator-internals.md``), so a session must not run, or be
-    resumed, while another core over the same traces is paused mid-run.
+    ``traces`` may be shared with any number of other sessions, paused or
+    running: the core only reads them (see "Read-only traces" in
+    ``docs/simulator-internals.md``).
 
     ``ledger=False`` builds a *ledger-free* session: no ``AvfEngine``
     (``engine`` and ``core.engine`` are None) and none of the observers

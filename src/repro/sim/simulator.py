@@ -45,11 +45,7 @@ def simulate(workload: WorkloadSpec,
     traces:
         Pre-built traces, one per program; only their count is checked
         (``ResultCache.run`` checks them fully before it caches).
-        A run leaves their trace-owned fields unchanged, so one set may
-        serve several runs one after another, never two at once: a
-        running core writes its in-flight state into the trace's
-        instructions, so a second core over the same traces, run while
-        the first is paused mid-run, changes the first one's result.
+        A run only reads them, so one set may serve any number of runs.
     trace_out:
         Path for a JSONL observability trace (occupancy samples, stage
         counters, audit events); None disables tracing.

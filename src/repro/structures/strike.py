@@ -13,8 +13,7 @@ mutation hook; this module holds what those hooks share:
   XORs into the victim's ``value_tag``, unique per (structure, bit) so
   independent strikes can never cancel;
 * :class:`StrikeReceipt` — the undo record a hook returns, so a campaign
-  can restore shared trace objects (e.g. a flipped ``mem_addr``) after the
-  faulty run and reuse them for the next strike.
+  can take a strike back and keep its driver the fault-free run.
 
 The simulator carries no data values (it is trace-driven), so a payload
 flip is modelled as *taint*: the token propagates through register reads,
@@ -226,10 +225,9 @@ class StrikeReceipt:
 
     ``applied`` is False when the struck slot held nothing (the strike is
     masked by idleness before the run even continues).  ``undo()``
-    restores every recorded attribute in reverse order — required because
-    campaigns share trace objects across strikes, and a flip may land on
-    a trace-owned field (``mem_addr``) that per-fetch pipeline resets do
-    not cover.
+    restores every recorded attribute in reverse order, so a strike that
+    protection resolves, that is replayed, or that runs on a fork leaves
+    the struck core as it was.
 
     ``taint_only`` is True while every recorded attribute is one of
     :data:`TAINT_ATTRS`; a strike that also wrote a scheduling, status or

@@ -163,19 +163,18 @@ class TestSkipDifferential:
 
     def test_a_pause_lands_on_its_cycle(self):
         # A jump never passes ``until``: a paused core, and a fork taken
-        # there, each end exactly as the stepped run does.
+        # there, each end exactly as the stepped run does — which runs
+        # over the same traces while the core is paused.
         workload = WORKLOADS[2]
         sim = SimConfig(max_instructions=400, seed=1)
         traces = build_traces(workload, sim)
-        # The oracle runs first: a live core writes in-flight trace
-        # instructions in place, so no other run may share them meanwhile.
-        oracle = _payload(_stepped(_session(workload, "ICOUNT", sim, traces)))
         session = _session(workload, "ICOUNT", sim, traces)
         core = session.core
         functional_warmup(core, session.traces)
         for until in (37, 150, 151, 400):
             assert core.run(until=until) is None
             assert core.cycle == until
+        oracle = _payload(_stepped(_session(workload, "ICOUNT", sim, traces)))
         fork = core.fork()
         assert _payload(package_result(fork, workload, session.names,
                                        fork.policy, fork.run())) == oracle

@@ -55,12 +55,23 @@ class TestExecutionInvariants:
 
     def test_committed_instructions_follow_the_trace(self):
         """Every thread commits exactly the trace prefix (squash-replay is exact)."""
-        core = _run_core()
+        commits = {}
+
+        class Commits:
+            def on_commit(self, core, instr):
+                commits.setdefault(instr.thread_id, []).append(instr)
+
+        core = SimSession(get_mix("2-CPU-A"), observers=(Commits(),),
+                          sim=SimConfig(max_instructions=600)).core
+        core.run()
         for t in core.threads:
-            # After the run, fetch_index-1 .. committed: all trace entries up
-            # to t.committed must be committed in order; verify via flags.
-            prefix = t.trace.instrs[:t.committed]
-            assert all(i.committed_at >= 0 for i in prefix)
+            committed = commits[t.id]
+            assert [i.seq for i in committed] == list(range(t.committed))
+            assert all(i.committed_at >= 0 for i in committed)
+            # Fetch copied each record; the records stay untouched.
+            assert [i.pc for i in committed] == [
+                r.pc for r in t.trace.instrs[:t.committed]]
+            assert all(r.committed_at == -1 for r in t.trace.instrs)
 
     def test_ipc_positive_and_bounded(self):
         core = _run_core()

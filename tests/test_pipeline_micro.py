@@ -12,9 +12,29 @@ from repro.workload.mixes import get_mix
 
 
 def _fresh_core(workload="2-CPU-A", instructions=500, policy="ICOUNT",
-                config=None):
+                config=None, observers=()):
     return SimSession(get_mix(workload), policy=policy, config=config,
-                      sim=SimConfig(max_instructions=instructions)).core
+                      sim=SimConfig(max_instructions=instructions),
+                      observers=observers).core
+
+
+class _Commits:
+    """An ``on_commit`` observer: each thread's committed instructions, in
+    commit order (the pipeline's copies; trace records stay untouched)."""
+
+    def __init__(self):
+        self.by_thread = {}
+
+    def on_commit(self, core, instr):
+        self.by_thread.setdefault(instr.thread_id, []).append(instr)
+
+
+def _run_committed(workload="2-CPU-A", instructions=500):
+    """A fresh core run to the end, and its :class:`_Commits` by thread."""
+    commits = _Commits()
+    core = _fresh_core(workload, instructions, observers=(commits,))
+    core.run()
+    return core, commits.by_thread
 
 
 def _step(core, cycles=1):
@@ -31,10 +51,9 @@ def _step(core, cycles=1):
 
 class TestFrontEndTiming:
     def test_decode_latency_respected(self):
-        core = _fresh_core()
-        core.run()
+        core, committed = _run_committed()
         for t in core.threads:
-            for instr in t.trace.instrs[:t.committed]:
+            for instr in committed[t.id]:
                 assert instr.renamed_at >= instr.fetched_at + core.config.decode_latency
 
     def test_decode_buffer_bounded(self):
@@ -56,10 +75,9 @@ class TestFrontEndTiming:
 
 class TestExecutionTiming:
     def test_issue_respects_dataflow_order(self):
-        core = _fresh_core()
-        core.run()
+        core, committed = _run_committed()
         for t in core.threads:
-            by_seq = {i.seq: i for i in t.trace.instrs[:t.committed]}
+            by_seq = {i.seq: i for i in committed[t.id]}
             for instr in by_seq.values():
                 if instr.issued_at < 0:
                     continue
@@ -91,10 +109,9 @@ class TestExecutionTiming:
         assert not seen_nop_in_iq
 
     def test_completed_before_committed(self):
-        core = _fresh_core()
-        core.run()
+        core, committed = _run_committed()
         for t in core.threads:
-            for instr in t.trace.instrs[:t.committed]:
+            for instr in committed[t.id]:
                 assert 0 <= instr.completed_at < instr.committed_at
 
 
@@ -133,10 +150,10 @@ class TestSquashMechanics:
 
     def test_refetched_instructions_reset(self):
         """After mispredict-squash-replay, replayed instrs carry no stale state."""
-        core = _fresh_core("2-MEM-A", instructions=600)
-        core.run()
+        core, committed = _run_committed("2-MEM-A", instructions=600)
         for t in core.threads:
-            for instr in t.trace.instrs[:t.committed]:
+            assert [i.seq for i in committed[t.id]] == list(range(t.committed))
+            for instr in committed[t.id]:
                 assert not instr.squashed
                 assert instr.committed_at >= 0
 

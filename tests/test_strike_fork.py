@@ -186,27 +186,25 @@ class TestFork:
                 continue
             assert vars(fork)[name] is not value, name
         for ours, theirs in zip(session.core.threads, fork.threads):
-            lo, hi = ours.committed, ours.fetch_high
-            assert 0 < lo < hi < len(ours.trace)
-            mine, its = ours.trace.instrs, theirs.trace.instrs
-            assert its is not mine
-            # The committed prefix is shared, the in-flight window copied,
-            # and the unfetched suffix borrowed by both cores.
-            assert all(a is b for a, b in zip(mine[:lo], its[:lo]))
-            assert all(a is not b for a, b in zip(mine[lo:hi], its[lo:hi]))
-            assert all(a is b for a, b in zip(mine[hi:], its[hi:]))
-            assert ours.borrowed_from == theirs.borrowed_from == hi
+            assert 0 < ours.committed < ours.fetch_index < len(ours.trace)
+            # The read-only trace is shared; every instruction in flight
+            # is copied.
+            assert theirs.trace is ours.trace
+            mine, its = list(ours.rob), list(theirs.rob)
+            assert mine and len(mine) == len(its)
+            assert all(a is not b for a, b in zip(mine, its))
+            assert [_slot_values(a) for a in mine] == [
+                _slot_values(b) for b in its]
             assert theirs.rob is not ours.rob
             assert theirs.branch_unit.gshare is not ours.branch_unit.gshare
 
 
 # -- what a fork shares, nobody writes ----------------------------------------------
 #
-# A fork shares its parent's committed trace prefix for good, borrows the
-# never-fetched suffix, and shares every cache and TLB set until one side
-# writes it.  Sharing is safe only if neither run writes any of that:
-# snapshot it at the fork, run both cores to the end in either order, and
-# the snapshot must still hold.
+# A fork shares its parent's traces for good and every cache and TLB set
+# until one side writes it.  Sharing is safe only if neither run writes any
+# of that: snapshot it at the fork, run both cores to the end in either
+# order, and the snapshot must still hold.
 
 
 def _slot_values(instr):
@@ -214,13 +212,10 @@ def _slot_values(instr):
 
 
 def _shared_instrs(core):
-    """(instruction, its slot values) for every trace instruction a fork
-    taken now shares with ``core``: the committed prefix and the suffix
-    nothing has fetched."""
+    """(record, its slot values) for every trace record a fork taken now
+    shares with ``core``: all of them."""
     return [(instr, _slot_values(instr))
-            for t in core.threads
-            for instr in (t.trace.instrs[:t.committed]
-                          + t.trace.instrs[t.fetch_high:])]
+            for t in core.threads for instr in t.trace.instrs]
 
 
 def _memory_contents(core):
@@ -241,8 +236,8 @@ def _memory_contents(core):
 
 def _strike_lsq_address(core):
     """Flip an address bit of an in-flight LSQ entry (a structural strike
-    on a trace-owned field), as the strike driver does; (receipt, the
-    struck instruction)."""
+    on a field the trace record holds too), as the strike driver does;
+    (receipt, the struck instruction)."""
     for tid, thread in enumerate(core.threads):
         for index, instr in enumerate(thread.lsq._entries):
             if instr.issued_at < 0 and not instr.wrong_path:
@@ -272,7 +267,8 @@ class TestSharedStateOwnership:
                 fork = core.fork()
             finally:
                 receipt.undo()
-            copy = fork.threads[struck.thread_id].trace.instrs[struck.seq]
+            copy = next(i for i in fork.threads[struck.thread_id].lsq._entries
+                        if i.fetch_stamp == struck.fetch_stamp)
             assert copy is not struck and copy.mem_addr != struck.mem_addr
         else:
             fork = core.fork()
@@ -801,11 +797,21 @@ class TestReplayDifferential:
         golden = golden_run(FLUSH_MIX, "FLUSH", DEFAULT_CONFIG, FLUSH_SIM)
         end = _StrikeDriver(FLUSH_MIX, "FLUSH", DEFAULT_CONFIG, FLUSH_SIM,
                             golden, LIVE).core
+        # The last squashed instance of each trace instruction; stranded if
+        # nothing refetched it before the end.
+        squashed = {}
+        on_squash = end.policy.on_squash
+
+        def record(core, instr):
+            squashed[instr.thread_id, instr.seq] = instr
+            on_squash(core, instr)
+
+        end.policy.on_squash = record
         end.run()
         stranded = sorted(
-            (instr.renamed_at, t.id, instr.fetch_stamp) for t in end.threads
-            for instr in t.trace.instrs
-            if instr.squashed and instr.renamed_at >= 0
+            (instr.renamed_at, tid, instr.fetch_stamp)
+            for (tid, seq), instr in squashed.items()
+            if seq >= end.threads[tid].fetch_index and instr.renamed_at >= 0
             and instr.committed_at < 0 and instr.ace is AceClass.ACE)
         assert len(stranded) == 5 and stranded[-1][0] >= golden.cycles - 12
         payload = next(bit for bit in range(entry_bits(Structure.ROB))
@@ -1002,22 +1008,17 @@ class TestLiveTaintClauses:
                                golden, LIVE)
         driver.advance(golden.cycles // 2)
         fork = driver.core.fork()
-        lent = driver.core.threads[0].trace.instrs[-1]
-        assert fork.threads[0].trace.instrs[-1] is lent  # borrowed
-        before = _slot_values(lent)
-        # A tainted trace instruction outside the pipeline that finalize
-        # counts as pending: fetched, not committed, never refetched (the
-        # last of its trace, past where the shared budget ends the run).
-        # The fork borrows it from the driver, so the plant takes its own
-        # copy first, as fetch would.
-        thread = fork.threads[0]
-        instr = thread.own(len(thread.trace) - 1)
-        instr.fetched_at, instr.committed_at = fork.cycle, -1
-        instr.squashed = False
+        before = _shared_instrs(driver.core) + [
+            (instr, _slot_values(instr))
+            for t in driver.core.threads for instr in t.rob]
+        # Taint that finalize counts as pending: an ACE instruction still
+        # in flight when the shared budget ends the run.  Paused on the
+        # final cycle, the fork has not finalized yet.
+        assert fork.run(until=golden.cycles) is None
+        instr = next(i for t in fork.threads for i in t.rob if i.is_ace)
         instr.value_tag = TOKEN
-        assert fork.threads[0].trace.instrs[-1] is not lent
         assert driver.finish(fork)[0] is InjectionOutcome.SDC
-        assert _slot_values(lent) == before
+        assert [(i, _slot_values(i)) for i, _ in before] == before
         assert driver.finish(driver.core)[0] is InjectionOutcome.MASKED
 
 

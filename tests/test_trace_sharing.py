@@ -2,13 +2,14 @@
 
 ``run_jobs`` builds one set of traces per (programs, length, seed) group
 and runs every job of the group on it.  That is sound only because a run
-never changes what the trace owns.  These tests pin the grouped payloads to
-isolated runs, the trace-owned instruction fields to their values before
-any run, the runner's bookkeeping to what it was per job, and the result
-cache's refusal of traces its key does not describe.
+never writes a trace: fetch copies each record.  These tests pin the
+grouped payloads to isolated runs, every slot of every trace record to its
+value before any run, the runner's bookkeeping to what it was per job, and
+the result cache's refusal of traces its key does not describe.
 """
 
 import weakref
+from collections import OrderedDict
 from dataclasses import replace
 
 import pytest
@@ -21,6 +22,7 @@ from repro.experiments.parallel import RESOURCE_SWEEP, SimJob, run_jobs
 from repro.experiments.runner import ExperimentScale, ResultCache
 from repro.experiments.sensitivity import SWEEPABLE
 from repro.faultinject import InjectionOutcome, LiveConfig
+from repro.faultinject import live as live_module
 from repro.faultinject.classify import DigestRecorder
 from repro.faultinject.live import (
     LiveBatchJob,
@@ -31,16 +33,16 @@ from repro.faultinject.live import (
     run_one_strike,
 )
 from repro.fetch.registry import POLICY_NAMES
+from repro.isa.instruction import DynInstr
 from repro.protection import ProtectionConfig, ProtectionScheme
+from repro.sim import session as session_module
 from repro.sim.session import SimSession, build_traces
 from repro.sim.simulator import simulate
 from repro.structures.strike import entry_bits, locate_field
 from repro.workload.mixes import get_mix
 
-#: Every ``DynInstr`` field the trace generator sets and no run may change.
-TRACE_FIELDS = ("seq", "pc", "op", "src_regs", "dest_reg", "mem_addr",
-                "mem_size", "taken", "target", "ace", "wrong_path",
-                "thread_id")
+#: Every ``DynInstr`` field: no run may change any slot of a trace record.
+TRACE_FIELDS = DynInstr.__slots__
 
 MIX = get_mix("4-MIX-A")
 SCALE = ExperimentScale(instructions_per_thread=120)
@@ -108,7 +110,39 @@ class TestGroupedEqualsIsolated:
                                              job.config.rob_entries)
 
 
+@pytest.fixture
+def golden_as_built(monkeypatch):
+    """A fresh golden run of WORKLOAD/SIM, and its traces' snapshot taken
+    as they were built: the golden run shares them with every strike
+    driver, so a write by any of them shows."""
+    built = []
+
+    def spy(workload, sim):
+        traces = build_traces(workload, sim)
+        built.append(_snapshot(traces))
+        return traces
+
+    monkeypatch.setattr(session_module, "build_traces", spy)
+    monkeypatch.setattr(live_module, "_GOLDEN_MEMO", OrderedDict())
+    golden = golden_run(WORKLOAD, "ICOUNT", DEFAULT_CONFIG, SIM)
+    before, = built
+    return golden, before
+
+
 class TestTraceFieldsAreReadOnly:
+    def test_grouped_jobs(self, monkeypatch):
+        built = []
+
+        def spy(workload, sim):
+            traces = build_traces(workload, sim)
+            built.append((traces, _snapshot(traces)))
+            return traces
+
+        monkeypatch.setattr(parallel, "build_traces", spy)
+        run_jobs(_policy_and_rob_jobs(), ResultCache())
+        (traces, before), = built
+        assert _snapshot(traces) == before
+
     def test_plain_run(self):
         traces = build_traces(WORKLOAD, SIM)
         before = _snapshot(traces)
@@ -122,9 +156,8 @@ class TestTraceFieldsAreReadOnly:
                    observers=(DigestRecorder(),), taint=True).run()
         assert _snapshot(traces) == before
 
-    def test_live_batch_with_lsq_strikes(self):
-        golden = golden_run(WORKLOAD, "ICOUNT", DEFAULT_CONFIG, SIM)
-        before = _snapshot(golden.traces)
+    def test_live_batch_with_lsq_strikes(self, golden_as_built):
+        golden, before = golden_as_built
         structure = Structure.LSQ_TAG
         job = LiveBatchJob(
             workload_name="+".join(WORKLOAD), programs=WORKLOAD,
@@ -139,16 +172,15 @@ class TestTraceFieldsAreReadOnly:
             and locate_field(structure, draw_strike(
                 job.seed, structure, index, golden.cycles, capacity,
                 entry_bits(structure)).bit)[0] == "addr"]
-        assert address_flips, "no strike flipped a trace's mem_addr"
+        assert address_flips, "no strike flipped an LSQ entry's mem_addr"
         assert _snapshot(golden.traces) == before
 
     @pytest.mark.parametrize("scheme", [ProtectionScheme.NONE,
                                         ProtectionScheme.PARITY])
-    def test_batch_of_one_lsq_address_strike(self, scheme):
+    def test_batch_of_one_lsq_address_strike(self, golden_as_built, scheme):
         # A batch of one strikes its driver in place, on the golden run's
         # traces; parity resolves the strike and undoes it at once.
-        golden = golden_run(WORKLOAD, "ICOUNT", DEFAULT_CONFIG, SIM)
-        before = _snapshot(golden.traces)
+        golden, before = golden_as_built
         spec = StrikeSpec(Structure.LSQ_TAG, index=0, cycle=60, slot=0, bit=5)
         assert locate_field(spec.structure, spec.bit)[0] == "addr"
         record = run_one_strike(spec, WORKLOAD, "ICOUNT", DEFAULT_CONFIG,
