@@ -36,11 +36,12 @@ bench-kernel:
 		--benchmark-json=benchmarks/out/kernel.json
 
 # Guard against kernel slowdowns: compare fresh runs to the committed
-# baseline, normalising out machine speed via the trace-generation
-# benchmark (which exercises no simulator code).  Two candidate runs are
-# taken and the checker keeps the per-benchmark best, so a one-off
-# scheduler spike in either run cannot fail the gate while a sustained
-# regression still does.
+# baseline, normalising out machine speed via a control loop that runs no
+# simulator code and, like the kernel, is pure Python (dict, integer and
+# small-object work; trace generation, mostly numpy, is a guarded row).
+# Two candidate runs are taken and the checker keeps the per-benchmark
+# best, so a one-off scheduler spike in either run cannot fail the gate
+# while a sustained regression still does.
 bench-kernel-check: bench-kernel
 	PYTHONPATH=src PYTHONHASHSEED=0 $(PYTHON) -m pytest \
 		benchmarks/test_sim_kernel.py --benchmark-only \
@@ -49,7 +50,7 @@ bench-kernel-check: bench-kernel
 	$(PYTHON) tools/check_bench_regression.py BENCH_kernel.json \
 		benchmarks/out/kernel.json benchmarks/out/kernel-rerun.json \
 		--threshold 0.15 \
-		--control test_trace_generation_throughput
+		--control test_python_control
 
 # End-to-end benchmark (benchmarks/e2e, declared in BENCHMARK.json): every
 # workload, each in its own fresh process, outputs checked byte for byte.

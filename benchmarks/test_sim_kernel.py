@@ -8,13 +8,44 @@ mostly cache hits after the first run).
 import pytest
 
 from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
-from repro.faultinject import LiveConfig
+from repro.faultinject import InjectionOutcome, LiveConfig
 from repro.faultinject.live import _StrikeDriver, golden_run
 from repro.sim.session import SimSession, functional_warmup
 from repro.sim.simulator import build_traces, simulate
 from repro.workload.generator import generate_trace
 from repro.workload.mixes import get_mix
 from repro.workload.spec2000 import get_profile
+
+
+class _Slot:
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a, b):
+        self.a, self.b, self.c = a, b, 0
+
+
+def _control_pass():
+    """Dictionary and integer work, then allocating and walking small
+    objects: the two kinds of work the pure-Python kernel spends its time
+    on, with none of its code."""
+    acc = 0
+    table = {}
+    for i in range(3000):
+        table[i & 255] = table.get(i & 127, 0) + i
+        acc += (i * 7) ^ (acc >> 3)
+    slots = [_Slot(i, 3 * i) for i in range(1500)]
+    for slot in slots:
+        slot.c = slot.a ^ slot.b
+        acc += slot.c & 7
+    return acc
+
+
+def test_python_control(benchmark):
+    """The machine-speed control of ``make bench-kernel-check``: it runs no
+    simulator code, so its time moves only with the machine, and it is
+    pure Python like the kernel (trace generation, the old control, is
+    mostly numpy)."""
+    assert benchmark(_control_pass) > 0
 
 
 def test_trace_generation_throughput(benchmark):
@@ -59,14 +90,10 @@ def test_kernel_cycle_throughput(benchmark):
     assert cycles > 0
 
 
-def test_core_fork(benchmark):
-    """One strike's fork: fork a live campaign's driver, then step it.
-
-    The driver is the ``injection_validation`` campaign's (2-MIX-A, 500
-    instructions per thread, taint on, no ledger), paused mid-run.  Each
-    round forks it and runs the fork for 8 cycles, so the state a fork
-    copies on first write is timed along with the fork.
-    """
+def _paused_driver():
+    """The ``injection_validation`` campaign's strike driver (2-MIX-A, 500
+    instructions per thread, taint on, no ledger, a watchdog), paused
+    halfway through the golden run; (driver, pause cycle)."""
     mix = get_mix("2-MIX-A")
     sim = SimConfig(max_instructions=500 * mix.num_threads, seed=1)
     golden = golden_run(mix, "ICOUNT", DEFAULT_CONFIG, sim)
@@ -74,6 +101,16 @@ def test_core_fork(benchmark):
                            LiveConfig())
     paused = golden.cycles // 2
     driver.advance(paused)
+    return driver, paused
+
+
+def test_core_fork(benchmark):
+    """One strike's fork: fork a live campaign's driver, then step it.
+
+    Each round forks the paused driver and runs the fork for 8 cycles, so
+    the state a fork copies on first write is timed along with the fork.
+    """
+    driver, paused = _paused_driver()
 
     def fork_and_step():
         fork = driver.core.fork()
@@ -82,6 +119,20 @@ def test_core_fork(benchmark):
 
     fork = benchmark.pedantic(fork_and_step, rounds=50, iterations=1)
     assert fork.cycle == paused + 8
+    assert driver.core.cycle == paused
+
+
+def test_fork_runs_to_end(benchmark):
+    """One structural strike's faulty run: fork the paused driver and run
+    the fork to the end under its watchdog, then classify its digest —
+    what ``_StrikeDriver.finish`` does for every forked strike."""
+    driver, paused = _paused_driver()
+
+    def fork_and_finish():
+        return driver.finish(driver.core.fork())
+
+    verdict = benchmark.pedantic(fork_and_finish, rounds=20, iterations=1)
+    assert verdict == (InjectionOutcome.MASKED, "")
     assert driver.core.cycle == paused
 
 

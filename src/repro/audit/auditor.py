@@ -42,7 +42,7 @@ class SimAuditor:
         self.counters = StageCounters()
         self.finalized = False
 
-    # -- per-cycle hook ------------------------------------------------------------
+    # -- cycle hook ----------------------------------------------------------------
 
     def on_cycle(self, core) -> None:
         """Called by the core at the end of every simulated cycle."""
@@ -54,6 +54,10 @@ class SimAuditor:
                                 counters=self.counters.to_payload())
         if self.checker is not None:
             self._checked(core, final=False)
+
+    def next_wake(self, cycle: int) -> int:
+        """The next sample (and check: ``checker.every`` is the interval)."""
+        return (cycle // self.sample_every + 1) * self.sample_every
 
     def on_finalize(self, core) -> None:
         """Probe-bus lifecycle hook: the run drained, run the final audit."""

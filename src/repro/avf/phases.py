@@ -105,6 +105,9 @@ class PhaseTracker:
     def on_cycle(self, core) -> None:
         self.tick(core.cycle)
 
+    def next_wake(self, cycle: int) -> int:
+        return self._last_boundary + self.window
+
     def on_finalize(self, core) -> None:
         self.finalize(core.cycle)
 

@@ -17,8 +17,8 @@ golden (fault-free) run of the same workload:
   timing-visible fault shifts which instruction the shared budget cuts the
   run off at, which would misclassify timing noise as corruption.
 
-* :class:`Watchdog` — a per-cycle observer that bounds the faulty run:
-  a hard cycle budget derived from the golden run's length, plus a
+* :class:`Watchdog` — a cycle hook that bounds the faulty run: a hard
+  cycle budget derived from the golden run's length, plus a
   forward-progress check (committed instructions must grow every
   ``progress_window`` cycles).  Either trip raises
   :class:`~repro.errors.HangDetected`, which the strike runner converts to
@@ -246,7 +246,7 @@ class TaintReplay:
 
 
 class Watchdog:
-    """Per-cycle hang detector for one faulty run.
+    """Hang detector for one faulty run, checked at its wakes.
 
     ``cycle_limit`` is absolute (the golden run's cycle count scaled by
     the campaign's budget factor, plus slack); ``progress_window`` bounds
@@ -278,3 +278,10 @@ class Watchdog:
                 f"no commit in {self.progress_window} cycles")
         self._last_committed = core.total_committed
         self._next_check = core.cycle + self.progress_window
+
+    def next_wake(self, cycle: int) -> int:
+        """The next progress check, or the limit: a skipped (idle) cycle
+        commits nothing, so checking commits only at a check is exact."""
+        if self.progress_window and self._next_check < self.cycle_limit:
+            return self._next_check
+        return self.cycle_limit

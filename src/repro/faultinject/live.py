@@ -339,7 +339,20 @@ def draw_strike(seed: int, structure: Structure, index: int, cycles: int,
 # -- forced-outcome hooks ----------------------------------------------------------
 
 
-class _ForcedHang:
+class _ForcedHook:
+    """A cycle hook that corrupts the core once, on the first cycle from
+    ``after_cycle`` on at which it finds a victim."""
+
+    def __init__(self, after_cycle: int = 2) -> None:
+        self.after_cycle = after_cycle
+        self.done = False
+        self.target = ""
+
+    def next_wake(self, cycle: int) -> float:
+        return float("inf") if self.done else max(self.after_cycle, cycle + 1)
+
+
+class _ForcedHang(_ForcedHook):
     """Un-completes a finished ROB head: a guaranteed, unsquashable hang.
 
     The head is the oldest instruction of its thread, so no squash can
@@ -347,11 +360,6 @@ class _ForcedHang:
     will ever set ``completed_at`` again.  The thread stalls; once the
     remaining threads drain, total commits go flat and the watchdog trips.
     """
-
-    def __init__(self, after_cycle: int = 2) -> None:
-        self.after_cycle = after_cycle
-        self.done = False
-        self.target = ""
 
     def on_cycle(self, core) -> None:
         if self.done or core.cycle < self.after_cycle:
@@ -366,17 +374,12 @@ class _ForcedHang:
                 return
 
 
-class _ForcedCrash:
+class _ForcedCrash(_ForcedHook):
     """Redirects an in-flight destination to an unallocated physical
     register: writeback (or squash) raises :class:`StructureError`, which
     the strike runner must contain as DUE — never let escape."""
 
     _BOGUS_PHYS = 1 << 30
-
-    def __init__(self, after_cycle: int = 2) -> None:
-        self.after_cycle = after_cycle
-        self.done = False
-        self.target = ""
 
     def on_cycle(self, core) -> None:
         if self.done or core.cycle < self.after_cycle:

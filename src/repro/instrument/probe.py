@@ -14,7 +14,9 @@ residency subscriber and drives the observer lifecycle:
 ``on_reset(cycle)``
     the measurement window restarted (end of timing warmup);
 ``on_cycle(core)``
-    one simulated cycle finished (all stages ran);
+    one simulated cycle finished (all stages ran); not called on the idle
+    cycles the core skips, so a cycle hook also answers
+    ``next_wake(cycle)``: the first cycle after ``cycle`` it can act at;
 ``on_commit(core, instr)``
     one instruction retired (live fault injection's digest capture);
 ``on_finalize(core)``
@@ -153,7 +155,8 @@ class ProbeBus:
     Subscribers declare their interests structurally: implementing the full
     :class:`ResidencyProbe` protocol routes residency events to them, and
     each of ``on_reset`` / ``on_cycle`` / ``on_finalize`` routes the
-    corresponding lifecycle call.  Hooks fire in subscription order.
+    corresponding lifecycle call.  Hooks fire in subscription order.  An
+    ``on_cycle`` subscriber must also answer ``next_wake``.
     """
 
     def __init__(self) -> None:
@@ -174,6 +177,10 @@ class ProbeBus:
             raise ReproError(
                 f"{type(subscriber).__name__} implements only part of the "
                 f"residency protocol (missing: {', '.join(missing)})")
+        if hasattr(subscriber, "on_cycle") \
+                and not hasattr(subscriber, "next_wake"):
+            raise ReproError(f"{type(subscriber).__name__} has on_cycle but "
+                             f"no next_wake")
         self._subscribers.append(subscriber)
         if implemented:
             self._residency.append(subscriber)

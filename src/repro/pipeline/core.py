@@ -175,10 +175,11 @@ class SMTCore:
         drain at the end feeds the residency observers, so a run nothing
         observes residency of (a ledger-free session) skips it.
 
-        A core without cycle hooks skips idle cycles: after a cycle in
-        which no stage changed any state, it jumps to the cycle before the
-        next one in which anything can happen (:meth:`_skip_idle`).  The
-        result is exactly the stepped run's.
+        Every cycle hook runs on every simulated cycle.  After a cycle in
+        which no stage changed any state, the core jumps to the cycle
+        before the next one in which anything can happen, the stages' or
+        a hook's (:meth:`_skip_idle`).  The result is exactly the stepped
+        run's.
         """
         while until is None or self.cycle < until:
             if self._done():
@@ -193,10 +194,9 @@ class SMTCore:
             active = (self._commit() + self._writeback() + self._issue()
                       + self._fu_pool.tick(self.cycle))
             active += self._rename_dispatch() + self._fetch()
-            if self._cycle_hooks:
-                for hook in self._cycle_hooks:
-                    hook.on_cycle(self)
-            elif not active:
+            for hook in self._cycle_hooks:
+                hook.on_cycle(self)
+            if not active:
                 self._skip_idle(until)
         else:
             return None  # paused after cycle ``until``
@@ -246,7 +246,7 @@ class SMTCore:
         ``until`` and at ``max_cycles``), doing what each skipped cycle
         would have done: the round-robin counters advance, the FU pool
         charges its busy ticks, and the fetch policy is told
-        (``on_idle_cycles``).
+        (``on_idle_cycles``).  No cycle hook could act before its wake.
         """
         last = self._next_wake() - 1
         if until is not None and until < last:
@@ -266,13 +266,16 @@ class SMTCore:
         """The earliest cycle after an idle one whose work can differ: a
         writeback event, a ROB head's completion + 1 (commit), a decode
         queue head coming ready (dispatch), a fetch stall ending, or a busy
-        functional unit freeing (issue).  Past the cycle budget if none.
+        functional unit freeing (issue), or a cycle hook's next wake.  Past
+        the cycle budget if none.
 
         A decode-queue head already ready, or a thread free to fetch, was
         held back by a resource or the policy, which only an active cycle
-        can change; so only future times are wakes."""
+        can change; so only future times are wakes.  A hook's wake at or
+        before this cycle stands for the next cycle: no jump."""
         cycle = self.cycle
-        wakes = list(self._events)
+        wakes = [hook.next_wake(cycle) for hook in self._cycle_hooks]
+        wakes.extend(self._events)
         for t in self.threads:
             head = t.rob.head()
             if head is not None and head.completed_at >= 0:

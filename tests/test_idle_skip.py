@@ -1,10 +1,12 @@
 """Idle-cycle skipping in ``SMTCore.run`` and the static op facts.
 
-A core without cycle hooks jumps over cycles in which nothing can happen.
-The jump must be invisible: every run gives exactly what a stepping oracle
-gives — ``run(until=cycle + 1)`` repeated, which never jumps because each
-call is capped one cycle ahead — down to the result payload, the verbatim
-residency log, the fetch policy's counters and a golden run's dataflow log.
+A core jumps over cycles in which nothing can happen, neither in its
+stages nor in a cycle hook (each hook names its next wake).  The jump must
+be invisible: every run gives exactly what a stepping oracle gives —
+``run(until=cycle + 1)`` repeated, which never jumps because each call is
+capped one cycle ahead — down to the result payload, the verbatim
+residency log, the fetch policy's counters, a golden run's dataflow log,
+an audited run's event trace and a live strike's record.
 """
 
 import copy
@@ -13,15 +15,27 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from repro.config import MachineConfig, SimConfig
-from repro.faultinject.classify import DigestRecorder
+from repro.audit.auditor import SimAuditor
+from repro.avf.engine import AvfEngine
+from repro.avf.phases import PhaseTracker
+from repro.avf.structures import Structure as AvfStructure
+from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
+from repro.errors import ReproError
+from repro.faultinject import LiveConfig
+from repro.faultinject.classify import DigestRecorder, Watchdog
+from repro.faultinject.live import (_ForcedCrash, _ForcedHang, golden_run,
+                                    plan_live_batches, run_batches,
+                                    run_forced_strike)
 from repro.fetch.registry import (EXTENSION_POLICY_NAMES, POLICY_NAMES,
                                   create_policy)
 from repro.instrument import PROBE_STRUCTURES, IntervalRecorder, Structure
+from repro.instrument.probe import ProbeBus
 from repro.isa.opcodes import FUType, OpClass
+from repro.pipeline.core import SMTCore
 from repro.rmt.slack import SlackFetchPolicy
 from repro.sim.session import (SimSession, build_traces,
                                functional_warmup, package_result)
@@ -52,7 +66,6 @@ def _session(workload, policy, sim, traces, **kwargs):
 def _stepped(session):
     """The oracle: the session's run, one cycle per ``run`` call."""
     core = session.core
-    assert not core._cycle_hooks
     if session.sim.functional_warmup:
         functional_warmup(core, session.traces)
     cycles = None
@@ -61,6 +74,38 @@ def _stepped(session):
         cycles = core.run(until=core.cycle + 1)
         assert core.cycle <= before + 1
     return session.package(cycles)
+
+
+def _stepping(monkeypatch):
+    """Turn every later ``SMTCore.run`` into the stepping oracle: the same
+    pause and end semantics, one cycle per inner call."""
+    run = SMTCore.run
+
+    def oracle(core, until=None):
+        while until is None or core.cycle < until:
+            before = core.cycle
+            try:
+                cycles = run(core, until=core.cycle + 1)
+            finally:
+                assert core.cycle <= before + 1
+            if cycles is not None:
+                return cycles
+        return None
+
+    monkeypatch.setattr(SMTCore, "run", oracle)
+
+
+def _count_cycles_simulated(monkeypatch):
+    """A list that grows by one per simulated (not skipped) cycle."""
+    commit = SMTCore._commit
+    calls = []
+
+    def counted(core):
+        calls.append(1)
+        return commit(core)
+
+    monkeypatch.setattr(SMTCore, "_commit", counted)
+    return calls
 
 
 def _snapshot(value):
@@ -109,8 +154,7 @@ class TestSkipDifferential:
 
     @pytest.mark.parametrize("policy", ["ICOUNT", "FLUSH", "SLACK"])
     def test_recorded_intervals_are_equal(self, policy):
-        # The recorder rides as a plain observer: an audited session would
-        # carry it too, but the auditor's cycle hook turns skipping off.
+        # The recorder rides as a plain observer, with no cycle hook.
         workload = WORKLOADS[4]
         sim = SimConfig(max_instructions=480, seed=2,
                         warmup_instructions=100)
@@ -181,6 +225,136 @@ class TestSkipDifferential:
         assert _payload(session.package(core.run())) == oracle
 
 
+LIVE_WORKLOAD = ("gcc", "mcf")
+LIVE_SIM = SimConfig(max_instructions=400, seed=5)
+
+#: Watchdog progress windows -> the clause that trips on a hang: the
+#: default window outlasts these short runs' cycle budget; 150 does not.
+WATCHDOG_WINDOWS = {LiveConfig().progress_window: "exceeded cycle budget",
+                    150: "no commit in 150 cycles"}
+
+
+def _live_golden():
+    return golden_run(LIVE_WORKLOAD, "ICOUNT", DEFAULT_CONFIG, LIVE_SIM)
+
+
+class TestHookWakes:
+    """Each built-in cycle hook names the cycles its ``on_cycle`` acts at."""
+
+    def test_watchdog(self):
+        assert Watchdog(1000).next_wake(5) == 1000
+        assert Watchdog(1000, 1500).next_wake(5) == 1000
+        watchdog = Watchdog(1000, 300)
+        assert watchdog.next_wake(5) == 300
+        watchdog.on_cycle(SimpleNamespace(cycle=300, total_committed=10))
+        assert watchdog.next_wake(300) == 600
+        assert watchdog.fork().next_wake(300) == 600
+
+    def test_auditor(self):
+        audited = SimAuditor(check_every=64)
+        assert [audited.next_wake(c) for c in (0, 63, 64)] == [64, 64, 128]
+        assert SimAuditor().next_wake(150) == 200
+
+    def test_phase_tracker(self):
+        tracker = PhaseTracker(AvfEngine(DEFAULT_CONFIG, 1), window=37)
+        assert tracker.next_wake(5) == 37
+        tracker.tick(40)
+        assert tracker.next_wake(40) == 77
+
+    @pytest.mark.parametrize("hook", [_ForcedHang, _ForcedCrash])
+    def test_forced_hooks_wake_every_cycle_until_they_fire(self, hook):
+        forced = hook(after_cycle=50)
+        assert forced.next_wake(3) == 50
+        assert forced.next_wake(60) == 61
+        forced.done = True
+        assert forced.next_wake(60) == float("inf")
+
+
+class TestHookedSkipDifferential:
+    """Runs with cycle hooks (watchdog, forced-outcome hooks, auditor,
+    phase tracker) skip too, and end exactly as the stepping oracle."""
+
+    @pytest.mark.parametrize("kind, outcome", [
+        ("hang", "HANG"), ("crash", "DUE"), ("due", "DUE")])
+    @pytest.mark.parametrize("window", WATCHDOG_WINDOWS)
+    def test_forced_strikes(self, monkeypatch, kind, outcome, window):
+        golden = _live_golden()
+
+        def strike():
+            return run_forced_strike(
+                kind, LIVE_WORKLOAD, "ICOUNT", DEFAULT_CONFIG, LIVE_SIM,
+                golden, LiveConfig(progress_window=window)).to_payload()
+
+        skipped = strike()
+        _stepping(monkeypatch)
+        assert skipped == strike()
+        assert skipped["outcome"] == outcome
+        if kind == "hang":
+            assert WATCHDOG_WINDOWS[window] in skipped["detail"]
+
+    @pytest.mark.parametrize("window", WATCHDOG_WINDOWS)
+    def test_rob_hang_campaign(self, monkeypatch, window):
+        # Seed 2 draws a ROB completion-bit strike (index 10) that strands
+        # the commit head until the watchdog trips; the other strikes'
+        # forks run to the end under the same watchdog.
+        jobs = plan_live_batches(
+            list(LIVE_WORKLOAD), injections=12,
+            structures=(AvfStructure.IQ, AvfStructure.ROB), sim=LIVE_SIM,
+            seed=2, live=LiveConfig(strike_batch=4, progress_window=window))
+
+        def records():
+            return json.dumps([payload for _, payload in run_batches(jobs)],
+                              sort_keys=True)
+
+        simulated = _count_cycles_simulated(monkeypatch)
+        skipped = records()
+        skipping_cycles = len(simulated)
+        _stepping(monkeypatch)
+        assert skipped == records()
+        assert any(r["outcome"] == "HANG" and r["index"] == 10
+                   and WATCHDOG_WINDOWS[window] in r["detail"]
+                   for batch in json.loads(skipped)
+                   for r in batch["records"])
+        # The watched driver and its forks skipped most of their cycles.
+        assert skipping_cycles < 0.5 * (len(simulated) - skipping_cycles)
+
+    @pytest.mark.parametrize("check_invariants", [0, 1, 64])
+    def test_audited_run_and_its_event_trace(self, monkeypatch, tmp_path,
+                                             check_invariants):
+        # 0: a trace with no checker, sampled every 100 cycles.
+        workload = WORKLOADS[2]
+        sim = SimConfig(max_instructions=400, seed=1,
+                        check_invariants=check_invariants)
+        traces = build_traces(workload, sim)
+        paths = tmp_path / "skip.jsonl", tmp_path / "step.jsonl"
+        skipping = _session(workload, "ICOUNT", sim, traces,
+                            trace_out=str(paths[0]))
+        stepping = _session(workload, "ICOUNT", sim, traces,
+                            trace_out=str(paths[1]))
+        simulated = _count_cycles_simulated(monkeypatch)
+        results = [skipping.run().to_payload()]
+        end = skipping.core.cycle
+        # Checking every cycle wakes the auditor every cycle: no skip.
+        assert (len(simulated) == end) == (check_invariants == 1)
+        results.append(_stepped(stepping).to_payload())
+        for payload in results:
+            assert payload["audit"].pop("trace_path")
+        assert results[0] == results[1]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert results[0]["audit"]["invariant_checks"] == (
+            end // check_invariants + 1 if check_invariants else 0)
+
+    def test_phase_series(self):
+        workload = WORKLOADS[4]
+        sim = SimConfig(max_instructions=480, seed=2,
+                        phase_window_cycles=37)
+        skipping, result, _, oracle = _pair(workload, "ICOUNT", sim)
+        assert _payload(result) == _payload(oracle)
+        assert result.phase_series.avf == oracle.phase_series.avf
+        assert (result.phase_series.windows()
+                == -(-skipping.core.cycle // 37))
+
+
 class TestSkipHappens:
     def test_a_mem_mix_runs_fewer_stage_calls_than_cycles(self, monkeypatch):
         sim = SimConfig(max_instructions=400, seed=1)
@@ -195,17 +369,33 @@ class TestSkipHappens:
         # Far fewer: a memory-bound mix is idle for most of its cycles.
         assert len(calls) < 0.75 * core.cycle
 
-    def test_cycle_hooks_disable_skipping(self):
+    def test_a_hook_with_a_wake_still_skips_and_runs_at_each_wake(self):
         class Hook:
-            cycles = 0
+            def __init__(self):
+                self.cycles = []
 
             def on_cycle(self, core):
-                Hook.cycles += 1
+                self.cycles.append(core.cycle)
 
-        sim = SimConfig(max_instructions=200, seed=1)
-        session = SimSession(WORKLOADS[2], sim=sim, observers=(Hook(),))
+            def next_wake(self, cycle):
+                return (cycle // 50 + 1) * 50
+
+        sim = SimConfig(max_instructions=400, seed=1)
+        hook = Hook()
+        session = SimSession(WORKLOADS[2], sim=sim, observers=(hook,))
         session.run()
-        assert Hook.cycles == session.core.cycle
+        end = session.core.cycle
+        assert len(hook.cycles) < 0.75 * end
+        assert set(range(50, end + 1, 50)) <= set(hook.cycles)
+        assert hook.cycles == sorted(set(hook.cycles))
+
+    def test_a_hook_without_a_wake_is_refused(self):
+        class Hook:
+            def on_cycle(self, core):
+                pass
+
+        with pytest.raises(ReproError, match="next_wake"):
+            ProbeBus().subscribe(Hook())
 
 
 class TestPoliciesArePure:

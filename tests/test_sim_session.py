@@ -152,6 +152,9 @@ class TestProbeBus:
             def on_cycle(self, core):
                 self.cycles += 1
 
+            def next_wake(self, cycle):
+                return cycle + 1
+
         bus = ProbeBus()
         counter = bus.subscribe(CycleCounter())
         assert bus.residency_probe() is NULL_PROBE

@@ -8,7 +8,7 @@ shared runners) and exits non-zero when any benchmark is more than
 
 Because the baseline was recorded on a different machine than CI runs on,
 ``--control`` may name a benchmark whose code never changes run-to-run
-(here: trace generation, which exercises no simulator code).  Each
+(here: a pure-Python loop that exercises no simulator code).  Each
 candidate *file* is normalised by its own control measurement — control
 and kernel numbers from the same run share the same machine conditions,
 which is the pairing that makes the normalisation valid — and with several
