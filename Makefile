@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test test-fast test-chaos bench bench-kernel bench-kernel-check \
-	bench-e2e bench-e2e-live bench-e2e-reproduce reproduce reproduce-smoke inject-smoke frontier-smoke serve-smoke \
+	bench-e2e bench-e2e-live bench-e2e-reproduce reproduce reproduce-smoke reproduce-pool-smoke inject-smoke frontier-smoke serve-smoke \
 	serve-recovery-smoke fleet-smoke test-service test-fleet examples clean
 
 SMOKE_DIR ?= .smoke
@@ -131,6 +131,19 @@ reproduce-smoke:
 	cmp $(SMOKE_DIR)/inject1.log $(SMOKE_DIR)/inject2.log; \
 	cmp $$entry $(SMOKE_DIR)/entry.orig; cmp $$live $(SMOKE_DIR)/live.orig
 	rm -rf $(SMOKE_DIR)
+
+# Pooled trace-reuse smoke test: Figure 6 runs every mix under six fetch
+# policies, so pool workers run several jobs in a row on one trace set.
+# The --jobs 2 artefact must equal the --jobs 1 one byte for byte.
+reproduce-pool-smoke:
+	rm -rf $(SMOKE_DIR)/pool
+	PYTHONPATH=src $(PYTHON) -m repro.cli reproduce --only fig6_fetch_policies \
+		--scale 300 --no-cache --jobs 2 --out $(SMOKE_DIR)/pool/jobs2
+	PYTHONPATH=src $(PYTHON) -m repro.cli reproduce --only fig6_fetch_policies \
+		--scale 300 --no-cache --jobs 1 --out $(SMOKE_DIR)/pool/jobs1
+	cmp $(SMOKE_DIR)/pool/jobs1/fig6_fetch_policies.txt \
+		$(SMOKE_DIR)/pool/jobs2/fig6_fetch_policies.txt
+	rm -rf $(SMOKE_DIR)/pool
 
 # Live fault-injection smoke test: a tiny campaign plus one forced hang,
 # one forced crash and one forced parity detection.  Exit 0 proves the

@@ -11,6 +11,10 @@ from repro.avf.structures import FIGURE1_ORDER, PRIVATE_STRUCTURES, Structure
 if TYPE_CHECKING:  # pragma: no cover
     from repro.avf.engine import AvfEngine
 
+#: Payload key -> structure: ``Structure(k)`` goes through
+#: ``Enum.__call__``, a cost every cached run pays several times over.
+_BY_VALUE: Dict[str, Structure] = {s.value: s for s in Structure}
+
 
 @dataclass
 class AvfReport:
@@ -106,14 +110,14 @@ class AvfReport:
         return cls(
             cycles=int(payload["cycles"]),
             num_threads=int(payload["num_threads"]),
-            avf={Structure(k): float(v) for k, v in payload["avf"].items()},
+            avf={_BY_VALUE[k]: float(v) for k, v in payload["avf"].items()},
             thread_avf={
-                Structure(k): {int(tid): float(v) for tid, v in per.items()}
+                _BY_VALUE[k]: {int(tid): float(v) for tid, v in per.items()}
                 for k, per in payload["thread_avf"].items()
             },
-            utilization={Structure(k): float(v)
+            utilization={_BY_VALUE[k]: float(v)
                          for k, v in payload["utilization"].items()},
-            bits={Structure(k): int(v) for k, v in payload["bits"].items()},
+            bits={_BY_VALUE[k]: int(v) for k, v in payload["bits"].items()},
         )
 
     # -- presentation --------------------------------------------------------------

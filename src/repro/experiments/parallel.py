@@ -5,18 +5,23 @@ One job is one independent :func:`repro.sim.simulator.simulate` call — a
 deduplicates jobs by content digest, skips those already satisfied by the
 :class:`ResultCache` (memory or disk) and executes the rest.
 
-* Inline (one worker, no supervisor): pending jobs are grouped by trace
-  identity (programs, trace length, seed — see
-  :func:`repro.sim.session.trace_identity`).  Each group's traces are
-  built once and every job of the group runs on them; they are dropped
-  before the next group builds its own, so at most one group's traces are
-  alive at a time.  Figures 6-8 run each mix under six fetch policies and
-  the resource sweep runs one mix at four sizes, so most reproduce jobs
-  share a group.
+Either way pending jobs are grouped by trace identity (programs, trace
+length, seed — see :func:`repro.sim.session.trace_identity`), in
+first-seen order.  Figures 6-8 run each mix under six fetch policies and
+the resource sweep runs one mix at four sizes, so most reproduce jobs
+share a group.
+
+* Inline (one worker, no supervisor): each group's traces are built once
+  and every job of the group runs on them; they are dropped before the
+  next group builds its own, so at most one group's traces are alive at a
+  time.
 * Pooled: jobs run on a supervised worker pool (:mod:`repro.resilience`),
-  each building its own traces — crashes, hangs and corrupt payloads are
-  retried per the supervisor's policy, and every completed result lands
-  in the cache even when a sibling job fails.
+  submitted group by group.  A worker keeps the trace set of the last job
+  it ran and reuses it while the identity matches, dropping it before it
+  builds another, so each worker builds each group's traces at most once
+  (a retried job may build again).  Crashes, hangs and corrupt payloads
+  are retried per the supervisor's policy, and every completed result
+  lands in the cache even when a sibling job fails.
 
 Either way artefact rendering afterwards never simulates.
 
@@ -79,6 +84,14 @@ KNOWN_ARTEFACTS = frozenset({
 })
 
 
+#: The trace set the last :meth:`SimJob.run` of this process ran on,
+#: with its trace identity.  :func:`run_jobs` submits pooled jobs grouped
+#: by identity, so a worker that runs several jobs of one group builds
+#: their traces once.  Runs only read traces, so sharing them is safe;
+#: at most one set is held per process.
+_held_traces: Optional[Tuple[TraceIdentity, list]] = None
+
+
 @dataclass(frozen=True)
 class SimJob:
     """One independent simulation: everything ``simulate`` needs, picklable."""
@@ -107,8 +120,16 @@ class SimJob:
         return f"{self.workload_name}/{self.policy}/seed{self.sim.seed}"
 
     def run(self) -> Dict[str, object]:
+        """Simulate; reuses the trace set of this process's previous job
+        when the trace identity matches (see :data:`_held_traces`)."""
+        global _held_traces
+        identity = trace_identity(self.programs, self.sim)
+        if _held_traces is None or _held_traces[0] != identity:
+            _held_traces = None  # drop the old set before building anew
+            _held_traces = (identity, build_traces(self.programs, self.sim))
         result = simulate(self.workload(), policy=self.policy,
-                          config=self.config, sim=self.sim)
+                          config=self.config, sim=self.sim,
+                          traces=_held_traces[1])
         return result.to_payload()
 
     def validate(self, payload: Dict[str, object]) -> None:
@@ -145,11 +166,11 @@ def run_jobs(jobs: Iterable[SimJob], cache: ResultCache,
                if cache.get(d) is None and d not in cache.failed}
     if not pending:
         return 0
+    groups: Dict[TraceIdentity, List[SimJob]] = {}
+    for job in pending.values():
+        groups.setdefault(trace_identity(job.programs, job.sim),
+                          []).append(job)
     if supervisor is None and (max_workers == 1 or len(pending) == 1):
-        groups: Dict[TraceIdentity, List[SimJob]] = {}
-        for job in pending.values():
-            groups.setdefault(trace_identity(job.programs, job.sim),
-                              []).append(job)
         for group in groups.values():
             _run_group(group, cache)
         return len(pending)
@@ -163,7 +184,8 @@ def run_jobs(jobs: Iterable[SimJob], cache: ResultCache,
 
     try:
         outcome = supervisor.run(
-            pending.values(), commit=commit,
+            [job for group in groups.values() for job in group],
+            commit=commit,
             already_done=lambda j: cache.get(j.digest()) is not None)
     finally:
         # Whatever happened — clean finish, degraded finish, or an
@@ -198,9 +220,7 @@ def _smt_job(mix: WorkloadMix, policy: str, scale: ExperimentScale,
 def _st_job(program: str, instructions: int, scale: ExperimentScale,
             config: MachineConfig) -> SimJob:
     return SimJob(workload_name=program, programs=(program,), policy="ICOUNT",
-                  config=config,
-                  sim=SimConfig(max_instructions=instructions, seed=scale.seed,
-                                check_invariants=scale.check_invariants))
+                  config=config, sim=scale.budget_config(instructions))
 
 
 def smt_jobs_for(name: str, scale: ExperimentScale,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -88,11 +87,23 @@ class ExperimentScale:
         return value
 
     def sim_config(self, num_threads: int) -> SimConfig:
-        return SimConfig(
-            max_instructions=self.instructions_per_thread * num_threads,
-            seed=self.seed,
-            check_invariants=self.check_invariants,
-        )
+        """The config of a ``num_threads``-context SMT run at this scale."""
+        return self.budget_config(self.instructions_per_thread * num_threads)
+
+    def budget_config(self, max_instructions: int) -> SimConfig:
+        """The config of a run committing ``max_instructions`` in all.
+
+        One object per scale object and budget, kept in this instance's
+        ``__dict__`` (fields, ``==``, ``hash`` and ``repr`` never see
+        it), so :func:`job_digest` keys each config once, not per lookup.
+        """
+        made = self.__dict__.setdefault("_budget_configs", {})
+        sim = made.get(max_instructions)
+        if sim is None:
+            sim = made[max_instructions] = SimConfig(
+                max_instructions=max_instructions, seed=self.seed,
+                check_invariants=self.check_invariants)
+        return sim
 
 
 WorkloadLike = Union[WorkloadMix, Sequence[str]]
@@ -134,42 +145,50 @@ def _job_key(config: MachineConfig, sim: SimConfig, label: str,
     }
 
 
-class _ByRepr:
-    """A frozen config keyed by its ``repr`` rather than by equality.
+def _repr_key(config: object) -> str:
+    """``repr(config)``, computed once per config object.
 
-    ``SimConfig(seed=True) == SimConfig(seed=1)`` and the two hash alike,
-    yet their JSON (and so their digest) differs; likewise a float and an
-    int field of equal value.  Every config field is in its ``repr``
-    (none is declared ``repr=False``), so equal reprs serialise alike.
+    It is kept in the instance ``__dict__``: a frozen dataclass refuses
+    attribute assignment, not dict writes, and its fields, ``==``,
+    ``hash``, ``repr`` and ``asdict`` never see the entry.
     """
-
-    __slots__ = ("obj", "key")
-
-    def __init__(self, obj: object) -> None:
-        self.obj = obj
-        self.key = (type(obj), repr(obj))
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _ByRepr) and self.key == other.key
+    state = config.__dict__
+    key = state.get("_repr_key")
+    if key is None:
+        key = state["_repr_key"] = repr(config)
+    return key
 
 
-# Bounded: the campaign server is a long-lived process.
-@lru_cache(maxsize=1024)
-def _job_digest(config: _ByRepr, sim: _ByRepr, label: str,
-                programs: Tuple[str, ...], policy: str) -> str:
-    return stable_digest(_job_key(config.obj, sim.obj, label, programs, policy))
+#: Job digests by (machine repr, sim repr, label, programs, policy).
+#: Keyed by ``repr``, never by equality: ``SimConfig(seed=True) ==
+#: SimConfig(seed=1)`` and the two hash alike, yet their JSON (and so
+#: their digest) differs; likewise a float and an int field of equal
+#: value.  Every config field is in its ``repr`` (none is declared
+#: ``repr=False``), so equal reprs serialise alike.
+_DIGESTS: Dict[Tuple[str, str, str, Tuple[str, ...], str], str] = {}
+
+#: Bound on :data:`_DIGESTS` (the campaign server is a long-lived
+#: process); a full memo is emptied, which a single dict call does
+#: atomically under the server's threads.
+_DIGEST_MEMO_SIZE = 1024
 
 
 def job_digest(config: MachineConfig, sim: SimConfig,
                workload: WorkloadLike, policy: str) -> str:
     """``stable_digest(job_key(...))``, memoised: the cache file name of one
-    simulation.  The two ``asdict`` calls inside ``job_key`` dominate a
-    warm reproduce, which asks for each job's digest several times."""
-    return _job_digest(_ByRepr(config), _ByRepr(sim), workload_label(workload),
-                       workload_programs(workload), policy)
+    simulation.  A warm reproduce asks for each job's digest several
+    times; after the first lookup per config object a hit costs a dict
+    lookup, with no ``repr`` or ``asdict`` call."""
+    label = workload_label(workload)
+    programs = workload_programs(workload)
+    key = (_repr_key(config), _repr_key(sim), label, programs, policy)
+    digest = _DIGESTS.get(key)
+    if digest is None:
+        digest = stable_digest(_job_key(config, sim, label, programs, policy))
+        if len(_DIGESTS) >= _DIGEST_MEMO_SIZE:
+            _DIGESTS.clear()
+        _DIGESTS[key] = digest
+    return digest
 
 
 class ResultCache:
@@ -236,9 +255,7 @@ class ResultCache:
                       scale: ExperimentScale) -> SimResult:
         """Standalone (superscalar) run committing exactly ``instructions``."""
         return self.run([program], policy="ICOUNT",
-                        sim=SimConfig(max_instructions=instructions,
-                                      seed=scale.seed,
-                                      check_invariants=scale.check_invariants))
+                        sim=scale.budget_config(instructions))
 
     # -- store ---------------------------------------------------------------------
 

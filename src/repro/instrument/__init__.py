@@ -2,9 +2,10 @@
 
 The cycle kernel emits residency events to a :class:`ResidencyProbe`; the
 :class:`ProbeBus` multiplexes them to subscribers (AVF engine, interval
-recorder, phase tracker, auditor, trace writer) and drives the observer
-lifecycle.  ``repro.instrument`` never imports ``repro.avf`` — the
-dependency points the other way.
+recorder, phase tracker, auditor, trace writer) and collects their
+lifecycle hooks into the :class:`Instrumentation` the core calls.
+``repro.instrument`` never imports ``repro.avf`` — the dependency points
+the other way.
 """
 
 from repro.instrument.probe import (NULL_PROBE, Instrumentation, NullProbe,

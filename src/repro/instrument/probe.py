@@ -8,8 +8,11 @@ or fault injection, so nothing under ``repro.pipeline`` or
 ``repro.structures`` needs to import ``repro.avf``.
 
 Consumers (the AVF engine, the interval recorder, the phase tracker,
-the auditor, the JSONL trace writer) subscribe to a :class:`ProbeBus`.  The bus multiplexes residency events to every
-residency subscriber and drives the observer lifecycle:
+the auditor, the JSONL trace writer) subscribe to a :class:`ProbeBus`.
+The bus multiplexes residency events to every residency subscriber and
+sorts each subscriber's lifecycle hooks; :meth:`ProbeBus.attach` freezes
+them into the tuples of an :class:`Instrumentation`, which the core calls
+directly:
 
 ``on_reset(cycle)``
     the measurement window restarted (end of timing warmup);
@@ -150,12 +153,13 @@ class Instrumentation:
 
 
 class ProbeBus:
-    """Multiplexes residency events and lifecycle hooks to subscribers.
+    """Multiplexes residency events to subscribers; collects their hooks.
 
     Subscribers declare their interests structurally: implementing the full
     :class:`ResidencyProbe` protocol routes residency events to them, and
-    each of ``on_reset`` / ``on_cycle`` / ``on_finalize`` routes the
-    corresponding lifecycle call.  Hooks fire in subscription order.  An
+    each of ``on_reset`` / ``on_cycle`` / ``on_commit`` / ``on_finalize``
+    puts the subscriber in that hook's tuple of :meth:`attach`'s
+    :class:`Instrumentation`.  Hooks fire in subscription order.  An
     ``on_cycle`` subscriber must also answer ``next_wake``.
     """
 
@@ -251,24 +255,6 @@ class ProbeBus:
                      last_read: int, freed: int, ace: bool) -> None:
         for probe in self._residency:
             probe.reg_lifetime(thread_id, alloc, written, last_read, freed, ace)
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def on_reset(self, cycle: int) -> None:
-        for subscriber in self._reset:
-            subscriber.on_reset(cycle)
-
-    def on_cycle(self, core) -> None:
-        for subscriber in self._cycle:
-            subscriber.on_cycle(core)
-
-    def on_commit(self, core, instr) -> None:
-        for subscriber in self._commit:
-            subscriber.on_commit(core, instr)
-
-    def on_finalize(self, core) -> None:
-        for subscriber in self._finalize:
-            subscriber.on_finalize(core)
 
     def __repr__(self) -> str:
         names = ", ".join(type(s).__name__ for s in self._subscribers)

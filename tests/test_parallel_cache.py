@@ -2,9 +2,12 @@
 
 import dataclasses
 import json
+import pickle
+from collections import Counter
 
 import pytest
 
+from repro.avf.structures import Structure
 from repro.config import MachineConfig, SimConfig
 from repro.content_store import STORE_SCHEMA_VERSION
 from repro.errors import ConfigError
@@ -15,6 +18,7 @@ from repro.experiments.parallel import (
     run_jobs,
     smt_jobs_for,
 )
+from repro.experiments import runner
 from repro.experiments.reproduce import run_all
 from repro.experiments.runner import (
     ExperimentScale,
@@ -147,6 +151,33 @@ class TestSerialization:
         assert clone.avf.thread_avf == result.avf.thread_avf
         assert clone.thread_ipcs() == result.thread_ipcs()
         assert clone.phase_series is None
+
+
+    def test_every_structure_survives_the_round_trip(self):
+        result = ResultCache().smt(get_mix("2-MIX-A"), "ICOUNT", TINY)
+        clone = SimResult.from_payload(
+            json.loads(json.dumps(result.to_payload())))
+        for table in ("avf", "thread_avf", "utilization", "bits"):
+            before = getattr(result.avf, table)
+            after = getattr(clone.avf, table)
+            assert set(before) == set(after) == set(Structure), table
+            assert all(type(s) is Structure for s in after), table
+            assert after == before, table
+
+    def test_an_entry_naming_an_unknown_structure_is_recomputed(
+            self, tmp_path):
+        warm = ResultCache(cache_dir=tmp_path)
+        result = warm.smt(get_mix("2-MIX-A"), "ICOUNT", TINY)
+        digest, = [path.stem for path in tmp_path.glob("*.json")]
+        payload = result.to_payload()
+        payload["avf"]["avf"]["L3"] = 0.5
+        warm._disk.put(digest, payload)  # checksummed, so only decode objects
+        cold = ResultCache(cache_dir=tmp_path)
+        assert cold.get(digest) is None
+        assert not (tmp_path / f"{digest}.json").exists()
+        assert (cold.smt(get_mix("2-MIX-A"), "ICOUNT", TINY).to_payload()
+                == result.to_payload())
+        assert cold.simulated == 1
 
 
 class TestParallelRunner:
@@ -297,6 +328,77 @@ class TestJobDigest:
                 value = getattr(obj, f.name)
                 if dataclasses.is_dataclass(value):
                     todo.append(value)
+
+
+class TestJobDigestMemo:
+    def test_no_repr_or_asdict_after_the_first_lookup(self, monkeypatch):
+        calls = Counter()
+
+        def count(cls):
+            original = cls.__repr__
+
+            def spy(self):
+                calls[cls.__name__] += 1
+                return original(self)
+
+            monkeypatch.setattr(cls, "__repr__", spy)
+
+        count(MachineConfig)
+        count(SimConfig)
+        real_asdict = runner.asdict
+
+        def asdict_spy(obj):
+            calls["asdict"] += 1
+            return real_asdict(obj)
+
+        monkeypatch.setattr(runner, "asdict", asdict_spy)
+        # Values no other test uses: the first lookup misses the memo.
+        config = MachineConfig(memory_latency=271)
+        sim = SimConfig(max_cycles=1003)
+        mix = get_mix("2-CPU-A")
+        first = job_digest(config, sim, mix, "ICOUNT")
+        assert calls == {"MachineConfig": 1, "SimConfig": 1, "asdict": 2}
+        calls.clear()
+        for _ in range(1000):
+            assert job_digest(config, sim, mix, "ICOUNT") == first
+        assert job_digest(config, sim, mix, "FLUSH") != first
+        assert calls == {"asdict": 2}  # the FLUSH miss, no repr
+        assert first == _uncached(config, sim, mix, "ICOUNT")
+
+    def test_the_kept_key_is_invisible_to_the_config(self):
+        config, sim = MachineConfig(memory_latency=272), SimConfig(seed=7)
+        job_digest(config, sim, get_mix("2-CPU-A"), "ICOUNT")
+        for obj, fresh in ((config, MachineConfig(memory_latency=272)),
+                           (sim, SimConfig(seed=7))):
+            assert obj == fresh and hash(obj) == hash(fresh)
+            assert repr(obj) == repr(fresh)
+            assert dataclasses.asdict(obj) == dataclasses.asdict(fresh)
+            assert pickle.loads(pickle.dumps(obj)) == fresh
+
+    def test_a_scale_hands_out_one_config_per_budget(self):
+        scale = ExperimentScale(instructions_per_thread=301, seed=4)
+        assert scale.sim_config(4) is scale.sim_config(4)
+        assert scale.sim_config(4) is scale.budget_config(1204)
+        assert scale.sim_config(2) is not scale.sim_config(4)
+        assert scale.sim_config(4) == SimConfig(max_instructions=1204, seed=4)
+        equal = ExperimentScale(instructions_per_thread=301, seed=4)
+        assert equal.sim_config(4) == scale.sim_config(4)
+
+    def test_equal_scales_keep_their_own_configs(self):
+        # ExperimentScale(seed=True) == ExperimentScale(seed=1), yet their
+        # runs serialise (and so are cached) differently.
+        mix = get_mix("2-MEM-A")
+        loose = ExperimentScale(instructions_per_thread=302, seed=True)
+        exact = ExperimentScale(instructions_per_thread=302, seed=1)
+        assert loose == exact
+        got = [job_digest(MachineConfig(), scale.sim_config(2), mix, "ICOUNT")
+               for scale in (loose, exact, loose)]
+        assert got == [_uncached(MachineConfig(), scale.sim_config(2), mix,
+                                 "ICOUNT") for scale in (loose, exact, loose)]
+        assert got[0] != got[1]
+        assert loose.sim_config(2).seed is True
+        assert exact.sim_config(2).seed == 1
+        assert exact.sim_config(2).seed is not True
 
 
 class TestRunAllParallel:

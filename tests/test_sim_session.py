@@ -158,7 +158,8 @@ class TestProbeBus:
         bus = ProbeBus()
         counter = bus.subscribe(CycleCounter())
         assert bus.residency_probe() is NULL_PROBE
-        bus.on_cycle(None)
+        hook, = bus.attach().cycle_hooks
+        hook.on_cycle(None)
         assert counter.cycles == 1
 
     def test_engine_satisfies_protocol(self):

@@ -8,6 +8,8 @@ value before any run, the runner's bookkeeping to what it was per job, and
 the result cache's refusal of traces its key does not describe.
 """
 
+import json
+import os
 import weakref
 from collections import OrderedDict
 from dataclasses import replace
@@ -35,6 +37,7 @@ from repro.faultinject.live import (
 from repro.fetch.registry import POLICY_NAMES
 from repro.isa.instruction import DynInstr
 from repro.protection import ProtectionConfig, ProtectionScheme
+from repro.resilience import Supervisor
 from repro.sim import session as session_module
 from repro.sim.session import SimSession, build_traces
 from repro.sim.simulator import simulate
@@ -54,6 +57,11 @@ SIM = SimConfig(max_instructions=400, seed=5)
 def _snapshot(traces):
     return [tuple(getattr(instr, name) for name in TRACE_FIELDS)
             for trace in traces for instr in trace.instrs]
+
+
+def _entries(cache):
+    return {path.name: path.read_bytes()
+            for path in cache.cache_dir.glob("*.json")}
 
 
 def _policy_and_rob_jobs():
@@ -202,13 +210,8 @@ class TestBookkeeping:
         for job in jobs:
             assert run_jobs([job], alone) == 1
         assert alone.simulated == len(jobs)
-
-        def entries(cache):
-            return {path.name: path.read_bytes()
-                    for path in cache.cache_dir.glob("*.json")}
-
-        assert entries(grouped) == entries(alone)
-        assert len(entries(grouped)) == len(jobs)
+        assert _entries(grouped) == _entries(alone)
+        assert len(_entries(grouped)) == len(jobs)
         assert run_jobs(jobs, grouped) == 0
         assert grouped.simulated == len(jobs)
 
@@ -240,6 +243,76 @@ class TestBookkeeping:
         assert alive_at_build == [0, 0, 0]
         assert len(refs) == 6
         assert all(ref() is None for ref in refs)
+
+
+@pytest.fixture
+def held_builds(tmp_path, monkeypatch):
+    """Reads back every ``build_traces`` call ``SimJob.run`` made, in any
+    process, as ``(pid, programs, traces of that process still alive at
+    the build)``.  Pool workers are forked, so they inherit the spy and
+    its per-process weakrefs; they report through a file."""
+    log = tmp_path / "builds.jsonl"
+    refs = []
+
+    def spy(workload, sim):
+        alive = sum(ref() is not None for ref in refs)
+        traces = build_traces(workload, sim)
+        refs.extend(weakref.ref(trace) for trace in traces)
+        with open(log, "a") as out:
+            out.write(json.dumps([os.getpid(), list(workload), alive]) + "\n")
+        return traces
+
+    monkeypatch.setattr(parallel, "build_traces", spy)
+    monkeypatch.setattr(parallel, "_held_traces", None)
+
+    def read():
+        if not log.exists():
+            return []
+        return [tuple(json.loads(line)) for line in log.read_text().splitlines()]
+
+    return read
+
+
+class TestWorkerReusesTraces:
+    """``SimJob.run`` keeps the last trace set of its process and reuses it
+    while the trace identity matches; the pooled ``run_jobs`` submits jobs
+    grouped by identity so workers meet a group's jobs back to back."""
+
+    def test_a_group_in_one_process_builds_once(self, held_builds):
+        for job in _policy_and_rob_jobs():
+            job.run()
+        assert held_builds() == [(os.getpid(), list(MIX.programs), 0)]
+
+    def test_the_held_set_is_dropped_before_the_next_builds(self,
+                                                             held_builds):
+        jobs = _small_jobs()  # identities: CPU, MEM, CPU, MIX
+        for job in jobs:
+            job.run()
+        assert [(programs, alive) for _pid, programs, alive
+                in held_builds()] == [(list(job.programs), 0)
+                                      for job in jobs]
+
+    def test_pooled_entries_equal_inline_and_no_worker_rebuilds(
+            self, tmp_path, held_builds):
+        jobs = _small_jobs() + _policy_and_rob_jobs()
+        pooled = ResultCache(cache_dir=tmp_path / "pooled")
+        assert run_jobs(jobs, pooled,
+                        supervisor=Supervisor(max_workers=2)) == 13
+        builds = held_builds()
+        inline = ResultCache(cache_dir=tmp_path / "inline")
+        assert run_jobs(jobs, inline) == 13
+        assert _entries(pooled) == _entries(inline)
+        assert len(_entries(pooled)) == 13
+
+        assert builds and os.getpid() not in {pid for pid, _, _ in builds}
+        assert all(alive == 0 for _pid, _programs, alive in builds), builds
+        last = {}
+        for pid, programs, _alive in builds:
+            assert last.get(pid) != programs, builds
+            last[pid] = programs
+        # Four identities, two of them with several jobs: each worker
+        # builds each identity at most once.
+        assert len(builds) <= 2 * 2 + 2, builds
 
 
 class TestForeignTracesRejected:
