@@ -150,8 +150,10 @@ reproduce-pool-smoke:
 # watchdog catches a wedged pipeline and the containment turns a corrupted
 # simulator into a classified DUE instead of a campaign abort.  The same
 # campaign runs inline (--jobs 1: every batch struck on one shared driver)
-# and pooled (--jobs 2: one driver per batch); the two summaries must be
-# byte-identical.  So must those of an all-structure campaign of 3-bit
+# and pooled (--jobs 2: the batches split into two groups, one driver per
+# group, each batch streamed back as it lands); the two summaries must be
+# byte-identical, at two strikes per batch and at one (12 one-strike
+# batches, two groups of six).  So must those of an all-structure campaign of 3-bit
 # bursts under parity: its taint-only strikes (seed 1: two SDC, two
 # MASKED) are replayed over the golden run's dataflow log, which each pool
 # worker records for itself.
@@ -168,11 +170,15 @@ inject-smoke:
 	cat $(SMOKE_DIR)/inject-jobs1.txt
 	$(INJECT_SMOKE) --jobs 2 > $(SMOKE_DIR)/inject-jobs2.txt
 	cmp $(SMOKE_DIR)/inject-jobs1.txt $(SMOKE_DIR)/inject-jobs2.txt
+	$(INJECT_SMOKE) --strike-batch 1 --jobs 1 > $(SMOKE_DIR)/inject-b1-jobs1.txt
+	$(INJECT_SMOKE) --strike-batch 1 --jobs 2 > $(SMOKE_DIR)/inject-b1-jobs2.txt
+	cmp $(SMOKE_DIR)/inject-b1-jobs1.txt $(SMOKE_DIR)/inject-b1-jobs2.txt
 	$(INJECT_SMOKE_MBU) --jobs 1 > $(SMOKE_DIR)/inject-mbu-jobs1.txt
 	cat $(SMOKE_DIR)/inject-mbu-jobs1.txt
 	$(INJECT_SMOKE_MBU) --jobs 2 > $(SMOKE_DIR)/inject-mbu-jobs2.txt
 	cmp $(SMOKE_DIR)/inject-mbu-jobs1.txt $(SMOKE_DIR)/inject-mbu-jobs2.txt
 	rm -f $(SMOKE_DIR)/inject-jobs1.txt $(SMOKE_DIR)/inject-jobs2.txt \
+		$(SMOKE_DIR)/inject-b1-jobs1.txt $(SMOKE_DIR)/inject-b1-jobs2.txt \
 		$(SMOKE_DIR)/inject-mbu-jobs1.txt $(SMOKE_DIR)/inject-mbu-jobs2.txt
 
 # Protection-frontier smoke test: regenerate the protection_frontier

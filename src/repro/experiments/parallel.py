@@ -5,23 +5,24 @@ One job is one independent :func:`repro.sim.simulator.simulate` call — a
 deduplicates jobs by content digest, skips those already satisfied by the
 :class:`ResultCache` (memory or disk) and executes the rest.
 
-Either way pending jobs are grouped by trace identity (programs, trace
-length, seed — see :func:`repro.sim.session.trace_identity`), in
-first-seen order.  Figures 6-8 run each mix under six fetch policies and
-the resource sweep runs one mix at four sizes, so most reproduce jobs
-share a group.
+Either way the pending jobs are grouped by trace identity (programs,
+trace length, seed — see :func:`repro.sim.session.trace_identity`), in
+first-seen order, and each group runs through the same runner
+(``_run_group``): the group's traces are built once, every job of the
+group runs on them through :meth:`ResultCache.run`, and they are dropped
+when the group ends.
+Figures 6-8 run each mix under six fetch policies and the resource sweep
+runs one mix at four sizes, so most reproduce jobs share a group.
 
-* Inline (one worker, no supervisor): each group's traces are built once
-  and every job of the group runs on them; they are dropped before the
-  next group builds its own, so at most one group's traces are alive at a
-  time.
-* Pooled: jobs run on a supervised worker pool (:mod:`repro.resilience`),
-  submitted group by group.  A worker keeps the trace set of the last job
-  it ran and reuses it while the identity matches, dropping it before it
-  builds another, so each worker builds each group's traces at most once
-  (a retried job may build again).  Crashes, hangs and corrupt payloads
-  are retried per the supervisor's policy, and every completed result
-  lands in the cache even when a sibling job fails.
+* Inline (one worker, no supervisor): one group at a time, so at most one
+  group's traces are alive at a time.
+* Pooled: each group is one task group of a supervised worker pool
+  (:mod:`repro.resilience`), which streams every job's result back as it
+  finishes, so each stage builds each identity's traces once.  Only a
+  retried job builds again, and so does each part of an identity split
+  over the pool (with fewer identities than workers).  Crashes, hangs and
+  corrupt payloads are retried per the supervisor's policy, and every
+  completed result lands in the cache even when a sibling job fails.
 
 Either way artefact rendering afterwards never simulates.
 
@@ -45,7 +46,8 @@ pickle), so ``--jobs N`` renders byte-identical artefact text to ``--jobs
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.config import MachineConfig, SimConfig
 from repro.errors import ConfigError, MissingResultError
@@ -62,7 +64,6 @@ from repro.fetch.registry import POLICY_NAMES
 from repro.resilience import RetryPolicy, Supervisor
 from repro.sim.results import SimResult
 from repro.sim.session import TraceIdentity, build_traces, trace_identity
-from repro.sim.simulator import simulate
 from repro.workload.mixes import TABLE2_MIXES, WorkloadMix, get_mix, mixes_for
 
 #: Workloads Figure 3 (and thus Figure 4) compares across execution modes.
@@ -82,14 +83,6 @@ KNOWN_ARTEFACTS = frozenset({
     "smt_vs_superscalar", "resource_scaling", "injection_validation",
     "protection_frontier",
 })
-
-
-#: The trace set the last :meth:`SimJob.run` of this process ran on,
-#: with its trace identity.  :func:`run_jobs` submits pooled jobs grouped
-#: by identity, so a worker that runs several jobs of one group builds
-#: their traces once.  Runs only read traces, so sharing them is safe;
-#: at most one set is held per process.
-_held_traces: Optional[Tuple[TraceIdentity, list]] = None
 
 
 @dataclass(frozen=True)
@@ -119,18 +112,17 @@ class SimJob:
         """Human-readable identity: MISSING markers, chaos matching, logs."""
         return f"{self.workload_name}/{self.policy}/seed{self.sim.seed}"
 
-    def run(self) -> Dict[str, object]:
-        """Simulate; reuses the trace set of this process's previous job
-        when the trace identity matches (see :data:`_held_traces`)."""
-        global _held_traces
-        identity = trace_identity(self.programs, self.sim)
-        if _held_traces is None or _held_traces[0] != identity:
-            _held_traces = None  # drop the old set before building anew
-            _held_traces = (identity, build_traces(self.programs, self.sim))
-        result = simulate(self.workload(), policy=self.policy,
-                          config=self.config, sim=self.sim,
-                          traces=_held_traces[1])
-        return result.to_payload()
+    def group_key(self) -> TraceIdentity:
+        """Jobs of one trace identity can share one trace set."""
+        return trace_identity(self.programs, self.sim)
+
+    @staticmethod
+    def run_group(jobs: Sequence["SimJob"]):
+        """:func:`_run_group` for the supervisor: ``(order, results)``,
+        results yielded as payloads in job order."""
+        jobs = list(jobs)
+        return jobs, ((job, result.to_payload())
+                      for job, result in _run_group(jobs, ResultCache()))
 
     def validate(self, payload: Dict[str, object]) -> None:
         """Reject corrupt payloads before they can reach the cache."""
@@ -148,9 +140,8 @@ def run_jobs(jobs: Iterable[SimJob], cache: ResultCache,
     failed permanently (``cache.failed``) are neither re-run nor counted.
 
     ``max_workers == 1`` (or a single pending job) without a
-    ``supervisor`` runs inline, one trace-identity group at a time: each
-    group's traces are built once and lent to every job of the group
-    through :meth:`ResultCache.run`.  Otherwise execution goes through a
+    ``supervisor`` runs inline, one trace-identity group at a time.
+    Otherwise execution goes through a
     :class:`~repro.resilience.Supervisor` — the caller's, carrying its
     retry policy, journal and failure budget, or a default one with zero
     retries, which still guarantees that every payload completed before a
@@ -166,13 +157,13 @@ def run_jobs(jobs: Iterable[SimJob], cache: ResultCache,
                if cache.get(d) is None and d not in cache.failed}
     if not pending:
         return 0
-    groups: Dict[TraceIdentity, List[SimJob]] = {}
-    for job in pending.values():
-        groups.setdefault(trace_identity(job.programs, job.sim),
-                          []).append(job)
     if supervisor is None and (max_workers == 1 or len(pending) == 1):
+        groups: Dict[TraceIdentity, List[SimJob]] = {}
+        for job in pending.values():
+            groups.setdefault(job.group_key(), []).append(job)
         for group in groups.values():
-            _run_group(group, cache)
+            for _job, _result in _run_group(group, cache):
+                pass
         return len(pending)
     if supervisor is None:
         supervisor = Supervisor(max_workers=max_workers,
@@ -184,8 +175,7 @@ def run_jobs(jobs: Iterable[SimJob], cache: ResultCache,
 
     try:
         outcome = supervisor.run(
-            [job for group in groups.values() for job in group],
-            commit=commit,
+            pending.values(), commit=commit,
             already_done=lambda j: cache.get(j.digest()) is not None)
     finally:
         # Whatever happened — clean finish, degraded finish, or an
@@ -196,16 +186,18 @@ def run_jobs(jobs: Iterable[SimJob], cache: ResultCache,
     return outcome.executed
 
 
-def _run_group(group: List[SimJob], cache: ResultCache) -> None:
-    """Run jobs of one trace identity on one set of traces.
+def _run_group(group: List[SimJob], cache: ResultCache
+               ) -> Iterator[Tuple[SimJob, SimResult]]:
+    """Run jobs of one trace identity on one set of traces, through
+    ``cache``; yields each job's result as it lands.
 
-    The traces are local to this call, so they are garbage once it
-    returns — before the caller builds the next group's.
+    The traces are local to this generator, so they are garbage once it
+    is exhausted — before the caller builds the next group's.
     """
     traces = build_traces(group[0].programs, group[0].sim)
     for job in group:
-        cache.run(job.workload(), policy=job.policy, sim=job.sim,
-                  config=job.config, traces=traces)
+        yield job, cache.run(job.workload(), policy=job.policy, sim=job.sim,
+                             config=job.config, traces=traces)
 
 
 # -- per-artefact job planning ---------------------------------------------------

@@ -14,7 +14,7 @@ recomputed), never misread.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -316,14 +316,3 @@ def average_ipc(results: List[SimResult]) -> float:
 def groups_for(num_threads: int, mix_type: str) -> List[WorkloadMix]:
     """All Table 2 groups (A and, where present, B) of one workload type."""
     return mixes_for(num_threads, mix_type)
-
-
-@dataclass
-class StructureSeries:
-    """One figure series: a value per tracked structure."""
-
-    label: str
-    values: Dict[Structure, float] = field(default_factory=dict)
-
-    def row(self, order) -> List[float]:
-        return [self.values[s] for s in order]

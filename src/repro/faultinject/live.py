@@ -670,11 +670,11 @@ class LiveCampaignResult:
 class LiveBatchJob:
     """One batch of strikes on one structure as a supervised task.
 
-    Picklable: the worker re-derives the golden run from the campaign
+    Picklable: a worker re-derives the golden run from the campaign
     parameters (memoized per process, so a worker pays for it once) and
-    runs its strikes.  The digest covers every outcome-affecting input, so
-    the supervisor's journal and the per-batch cache key resumed work
-    correctly.
+    strikes its group's batches on one driver (:meth:`run_group`).  The
+    digest covers every outcome-affecting input, so the supervisor's
+    journal and the per-batch cache key resumed work correctly.
     """
 
     workload_name: str
@@ -729,14 +729,21 @@ class LiveBatchJob:
         return stable_digest(self.key())
 
     def run(self) -> Dict[str, object]:
-        """Strike every index of the batch; records in index order.
-
-        The one-job case of :func:`run_batches`: one driver serves the
-        batch, strikes run in cycle order, each forking the driver where
-        it needs a faulty run of its own.
-        """
+        """Strike every index of the batch alone; records in index order
+        (the one-job case of :func:`run_batches`)."""
         (_, payload), = run_batches([self])
         return payload
+
+    def group_key(self) -> "LiveBatchJob":
+        """Batches of one campaign (every field but ``structure`` and
+        ``indices``) can share a strike driver."""
+        return replace(self, structure=INJECTABLE[0], indices=())
+
+    @staticmethod
+    def run_group(jobs: Sequence["LiveBatchJob"]):
+        """:func:`run_batches` for the supervisor, with its yield order:
+        ``(order, results)``."""
+        return _plan_batches(jobs)
 
     def validate(self, payload: Dict[str, object]) -> Dict[str, object]:
         """Return ``payload`` if it is exactly this batch's records.
@@ -781,17 +788,25 @@ def run_batches(jobs: Sequence[LiveBatchJob]
     Raises ``ValueError`` if the jobs disagree on anything but
     ``structure`` and ``indices``: every other field shapes the driver.
     """
+    return _plan_batches(jobs)[1]
+
+
+def _plan_batches(jobs: Sequence[LiveBatchJob]):
+    """Draw and order the strikes of :func:`run_batches`; returns
+    ``(order, results)``: the jobs in the order ``results`` yields them
+    (batches without strikes first, then by last strike cycle), known
+    before anything is struck."""
     jobs = list(jobs)
     if not jobs:
-        return
+        return [], iter(())
     first = jobs[0]
     for job in jobs[1:]:
         if replace(job, structure=first.structure,
                    indices=first.indices) != first:
             raise ValueError(f"{job.label} (digest {job.digest()[:12]}) is "
                              f"not a batch of the campaign of {first.label}")
-    workload = first._workload()
-    golden = golden_run(workload, first.policy, first.config, first.sim)
+    golden = golden_run(first._workload(), first.policy, first.config,
+                        first.sim)
     num_threads = len(golden.names)
     strikes: List[Tuple[StrikeSpec, int, int]] = []
     for j, job in enumerate(jobs):
@@ -800,16 +815,28 @@ def run_batches(jobs: Sequence[LiveBatchJob]
         strikes += [(draw_strike(job.seed, job.structure, index,
                                  golden.cycles, capacity, bits, job.mbu), j, i)
                     for i, index in enumerate(job.indices)]
+    # A stable sort: equal cycles keep plan order.
+    strikes.sort(key=lambda strike: strike[0].cycle)
+    last = {j: position for position, (_, j, _) in enumerate(strikes)}
+    order = ([job for job in jobs if not job.indices]
+             + [jobs[j] for j in sorted(last, key=last.get)])
+    return order, _strike_batches(jobs, golden, strikes)
+
+
+def _strike_batches(jobs: List[LiveBatchJob], golden: GoldenRun,
+                    strikes: List[Tuple[StrikeSpec, int, int]]
+                    ) -> Iterator[Tuple[LiveBatchJob, Dict[str, object]]]:
     for job in jobs:
         if not job.indices:
             yield job, {"records": []}
+    first = jobs[0]
+    workload = first._workload()
     records: List[List[Optional[LiveStrikeRecord]]] = [
         [None] * len(job.indices) for job in jobs]
     pending = [len(job.indices) for job in jobs]
     driver = _StrikeDriver(workload, first.policy, first.config, first.sim,
                            golden, first.live)
-    # A stable sort: equal cycles keep plan order.
-    for spec, j, i in sorted(strikes, key=lambda strike: strike[0].cycle):
+    for spec, j, i in strikes:
         records[j][i] = run_one_strike(spec, workload, first.policy,
                                        first.config, first.sim, golden,
                                        first.protection, first.live, driver)
@@ -907,15 +934,18 @@ def run_live_campaign(workload: Union[WorkloadMix, Sequence[str]],
     not answer run together on one strike driver (:func:`run_batches`):
     the golden run is advanced once for the whole campaign, and each batch
     lands when its last strike — in cycle order — is classified.  With
-    ``jobs > 1`` or an explicit ``supervisor``, each batch executes on the
-    supervised worker pool with a driver of its own (timeouts, retries,
-    resume via the supervisor's journal).  Records are identical either
-    way.
+    ``jobs > 1`` or an explicit ``supervisor``, the same runner executes
+    on the supervised worker pool: the pending batches are split into
+    about one group of consecutive batches per worker, each group struck
+    on one driver, and each batch streamed back as it lands (timeouts,
+    retries and resume via the supervisor's journal stay per batch).
+    Records are identical either way.
 
     ``cache_dir`` persists each batch as ``live-<digest>.json``.
     ``on_batch(job, payload)`` fires once per batch as it lands: first the
     batches answered by the cache, in plan order, then the executed ones
-    in completion order (inline: by last strike cycle, not plan order).
+    in completion order (by last strike cycle within a group, not plan
+    order).
     The campaign service streams partial Wilson intervals from it.
     """
     (name, _, policy_name, config, base_sim, protection, live,

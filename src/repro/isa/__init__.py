@@ -7,15 +7,12 @@ control flow for branches.  See DESIGN.md section 2 for why this substitutes
 for the Alpha ISA used by M-Sim.
 """
 
-from repro.isa.opcodes import OpClass, FUType, fu_type_for, is_memory_op, is_control_op
+from repro.isa.opcodes import OpClass, FUType
 from repro.isa.instruction import DynInstr, AceClass
 
 __all__ = [
     "OpClass",
     "FUType",
-    "fu_type_for",
-    "is_memory_op",
-    "is_control_op",
     "DynInstr",
     "AceClass",
 ]

@@ -85,21 +85,6 @@ for _op in OpClass:
 del _op
 
 
-def fu_type_for(op: OpClass) -> FUType:
-    """Map an operation class to the functional-unit pool that executes it."""
-    return op.fu
-
-
-def is_memory_op(op: OpClass) -> bool:
-    """True for operations that access the data memory hierarchy."""
-    return op.is_memory
-
-
-def is_control_op(op: OpClass) -> bool:
-    """True for operations that can redirect the fetch stream."""
-    return op.is_control
-
-
 def is_fp_op(op: OpClass) -> bool:
     """True for operations whose destination lives in the FP register file."""
     return op in _FP_OPS

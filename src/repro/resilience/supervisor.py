@@ -1,54 +1,82 @@
-"""Supervised worker pool: retries, timeouts, pool rebuilds, failure budget.
+"""Supervised worker pool: task groups, streamed results, retries, timeouts.
 
-The :class:`Supervisor` runs *tasks* — picklable objects exposing
-``label``, ``digest()``, ``run() -> payload`` and ``validate(payload)`` —
-on a :class:`~concurrent.futures.ProcessPoolExecutor` it is prepared to
-lose.  Four failure classes are survived:
+The :class:`Supervisor` runs *tasks*: picklable objects exposing
+``label``, ``digest()``, ``validate(payload)``, ``group_key()`` and a
+static ``run_group(tasks) -> (order, results)``.  Tasks with equal group
+keys can share work (a strike driver, a trace set), so they run as one
+*group*: ``run_group`` returns ``order``, the tasks in the order their
+payloads will come, and ``results``, an iterator yielding ``(task,
+payload)`` as each task finishes.
+
+Groups.  Tasks are grouped by key in plan order.  With fewer keys than
+workers, each key's tasks are split into up to ``max_workers`` groups of
+consecutive tasks (a single live campaign spreads over the whole pool);
+otherwise a key is one group.  The pool has ``min(max_workers, groups)``
+worker processes, each on a pipe of its own.  An idle worker takes the
+next ready group, reports its ``order``, and streams each task's payload
+the moment the task yields.  The parent validates and commits each one
+as it arrives, so ``commit``, ``already_done``, the journal, retries,
+the failure budget, ``on_failure`` and ``MISSING`` markers all stay per
+task.  So does chaos (:mod:`repro.resilience.chaos`): a worker-mode rule
+for a task acts at that task's yield.
+
+Four failure classes are survived, each charged to single tasks:
 
 ``error``
-    The task raised: retried under exponential backoff with deterministic
-    (seeded) jitter, up to ``retries`` extra attempts.
+    The task raised: a rule raised at its yield (the group goes on), or
+    the group runner itself raised, which ends the group and charges the
+    task next due to yield.  Retried under exponential backoff with
+    deterministic (seeded) jitter, up to ``retries`` extra attempts.
 ``corrupt``
-    The worker returned a payload ``validate`` rejects (or one whose
-    digest does not match the task): same retry path — a payload is never
-    committed unvalidated.
+    The worker sent a payload ``validate`` rejects (or one whose digest
+    does not match the task): that task alone takes the same retry path,
+    and the group goes on.  A payload is never committed unvalidated.
 ``crash``
-    A worker process died and broke the pool.  Every payload already
-    completed is collected off the dead pool's futures, the pool is
-    rebuilt, and only the lost jobs are requeued.  The culprit cannot be
-    identified among the in-flight jobs, so each lost job is charged one
-    attempt — an innocent's extra attempt costs one retry, while a
-    deterministic crasher still exhausts its budget and fails permanently.
+    A worker process died.  The tasks it already streamed stay
+    committed.  The culprit cannot be told apart from the rest of its
+    group, so each uncommitted task of the group is charged one attempt:
+    an innocent's extra attempt costs one retry, while a deterministic
+    crasher still exhausts its budget.
 ``timeout``
-    A job exceeded ``job_timeout`` wall-clock seconds.  The pool's worker
-    processes are terminated (a hung worker never yields otherwise), the
-    overdue job is charged an attempt, and innocent in-flight jobs are
-    requeued free.
+    A group's deadline is ``job_timeout`` wall-clock seconds after its
+    last sign of progress: its start, its order report, or its last
+    yield.  Past it the worker is killed (a hung worker never yields
+    otherwise), the task next due to yield (the first uncommitted one in
+    ``order``) is charged an attempt, and the other uncommitted tasks
+    requeue free.
 
-A job that exhausts its attempts becomes a permanent failure.  Permanent
+After a crash, a timeout or a runner error, the group's uncommitted
+tasks rerun as one-task groups, so every later attempt has exactly the
+semantics of a task run alone.  Only the failed worker is replaced
+(:attr:`Supervisor.pool_rebuilds` counts replacements); the others keep
+running their groups.
+
+A task that exhausts its attempts becomes a permanent failure.  Permanent
 failures beyond the ``max_failures`` budget abort the whole run with
-:class:`~repro.errors.ExecutionFailed` — but only after every in-flight
-job has been given a grace period to finish and commit, so an abort never
-discards completed work.  Within budget, the run completes degraded and
-the caller receives a structured :class:`FailureReport`.
+:class:`~repro.errors.ExecutionFailed`, but only after every in-flight
+group has been given a grace period to stream and commit, so an abort
+never discards completed work.  Within budget, the run completes degraded
+and the caller receives a structured :class:`FailureReport`.
 
-Determinism: payloads cross process boundaries as exact pickled dicts and
-commit order never influences results keyed by digest, so supervised
-execution is byte-identical to inline execution when no faults fire.
+Determinism: payloads cross process boundaries as exact pickled dicts, a
+group's payloads are byte-equal to its tasks run alone, and commit order
+never influences results keyed by digest, so supervised execution is
+byte-identical to inline execution when no faults fire.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import multiprocessing
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.errors import CampaignCancelled, ConfigError, ExecutionFailed
-from repro.resilience.chaos import ChaosSpec, misbehave
+from repro.resilience.chaos import CORRUPT_PAYLOAD, ChaosSpec, misbehave
 
 #: Grace period (seconds) an abort grants in-flight jobs to finish and
 #: commit before the pool is torn down, when no job timeout bounds them.
@@ -168,18 +196,86 @@ class _TaskState:
     last_error: str = ""
 
 
-def _run_task(task, attempt: int):
-    """Worker entry point: run one task attempt, chaos permitting."""
-    label = task.label
-    rule = ChaosSpec.from_env().rule_for(label, attempt)
-    if rule is not None and rule.mode != "corrupt":
-        misbehave(rule, label)  # may crash, stall, or raise
-    payload = task.run()
-    if rule is not None and rule.mode == "corrupt":
-        from repro.resilience.chaos import CORRUPT_PAYLOAD
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
-        payload = dict(CORRUPT_PAYLOAD)
-    return task.digest(), payload
+
+def _ready_at(group: List[_TaskState]) -> float:
+    return max(state.ready_at for state in group)
+
+
+def _serve(conn, parent_end) -> None:
+    """Worker process: run each ``(tasks, attempts)`` group sent down
+    ``conn`` until ``None`` or the parent's end closes."""
+    parent_end.close()  # inherited; held open, the parent's death shows no EOF
+    try:
+        while True:
+            message = conn.recv()
+            if message is None:
+                return
+            _run_group(conn, *message)
+    except (EOFError, OSError):
+        return  # the parent is gone
+
+
+def _run_group(conn, tasks: list, attempts: List[int]) -> None:
+    """Run one group, sending ``("order", positions)``, then one
+    ``("done", i, digest, payload)`` or ``("error", i, text)`` per task as
+    it yields, then ``("end",)`` — or ``("fail", text)`` if the group
+    runner raises.  ``i`` is the task's position in ``tasks``."""
+    chaos = ChaosSpec.from_env()
+    position = {id(task): i for i, task in enumerate(tasks)}
+    try:
+        order, results = type(tasks[0]).run_group(tasks)
+        conn.send(("order", [position[id(task)] for task in order]))
+        for task, payload in results:
+            i = position[id(task)]
+            rule = chaos.rule_for(task.label, attempts[i])
+            if rule is not None and rule.mode == "corrupt":
+                payload = dict(CORRUPT_PAYLOAD)
+            elif rule is not None:
+                try:
+                    misbehave(rule, task.label)  # may crash, stall, or raise
+                except Exception as exc:
+                    conn.send(("error", i, _describe(exc)))
+                    continue
+            conn.send(("done", i, task.digest(), payload))
+    except Exception as exc:
+        conn.send(("fail", _describe(exc)))
+    else:
+        conn.send(("end",))
+
+
+class _Worker:
+    """One worker process, the parent's end of its pipe, and its group."""
+
+    def __init__(self, context) -> None:
+        self.conn, child = context.Pipe()
+        self.process = context.Process(target=_serve,
+                                       args=(child, self.conn))
+        self.process.start()
+        child.close()
+        #: The tasks of the group it runs, in plan order.
+        self.group: Optional[List[_TaskState]] = None
+        #: The group's uncommitted tasks, in yield order once reported.
+        self.pending: List[_TaskState] = []
+        self.started = 0.0
+        self.deadline = math.inf
+
+    def close(self, kill: bool) -> None:
+        """End the process: ask it to stop, or kill it (hung or busy)."""
+        if kill:
+            self.process.kill()
+        else:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass
+        self.process.join(timeout=5.0)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join(timeout=5.0)
+        self.conn.close()
 
 
 class Supervisor:
@@ -188,8 +284,9 @@ class Supervisor:
     One Supervisor serves a whole campaign (several :meth:`run` batches —
     e.g. the reproduce driver's two planning stages): the failure budget
     and :attr:`report` span all of them.  Counters (:attr:`pool_rebuilds`,
-    :attr:`timeouts`, :attr:`crashes`, :attr:`retried`) are cumulative and
-    exist for observability and tests.
+    the workers replaced after a crash or a timeout; :attr:`timeouts`,
+    :attr:`crashes`, :attr:`retried`) are cumulative and exist for
+    observability and tests.
     """
 
     def __init__(self, max_workers: int = 1,
@@ -218,10 +315,10 @@ class Supervisor:
         """Ask a running batch to drain and stop (thread-safe, idempotent).
 
         The run loop notices within :data:`STOP_POLL_SECONDS`, stops
-        submitting queued work, grants in-flight jobs a grace period
+        submitting queued work, grants in-flight groups a grace period
         (``job_timeout`` when set, else :data:`DEFAULT_ABORT_GRACE`) to
-        finish and commit, reclaims whatever is still running by tearing
-        the pool down — the same reclamation path a hung worker takes —
+        stream and commit, reclaims whatever is still running by killing
+        its workers — the same reclamation path a hung worker takes —
         and raises :class:`~repro.errors.CampaignCancelled`.  Finished
         work is never discarded and nothing is charged a retry attempt.
         """
@@ -262,279 +359,288 @@ class Supervisor:
         batch = FailureReport()
         if not states:
             return SupervisedRun(executed=0, skipped=skipped, report=batch)
+        executed = _Batch(self, self._groups(list(states.values())),
+                          commit, batch).execute()
+        return SupervisedRun(executed=executed, skipped=skipped, report=batch)
 
-        executed = 0
-        waiting: Dict[str, _TaskState] = dict(states)
-        futures: Dict[object, _TaskState] = {}
-        deadlines: Dict[object, float] = {}
-        pool = self._new_pool(len(states))
-        started: Dict[str, float] = {}
+    def _groups(self, states: List[_TaskState]) -> List[List[_TaskState]]:
+        """Group tasks by key in plan order; split keys over the pool
+        when there are fewer keys than workers."""
+        by_key: Dict[object, List[_TaskState]] = {}
+        for state in states:
+            by_key.setdefault(state.task.group_key(), []).append(state)
+        split = len(by_key) < self.max_workers
+        groups = []
+        for members in by_key.values():
+            n = len(members)
+            parts = min(self.max_workers, n) if split else 1
+            groups += [members[i * n // parts:(i + 1) * n // parts]
+                       for i in range(parts)]
+        return groups
 
-        def success(state: _TaskState, payload: dict) -> None:
-            nonlocal executed
-            commit(state.task, payload)
-            executed += 1
-            if self.journal is not None:
-                elapsed = self._clock() - started.get(state.digest,
-                                                      self._clock())
-                self.journal.record_done(state.digest, state.label,
-                                         attempts=state.attempt + 1,
-                                         elapsed=elapsed)
 
-        def collect(fut, state: _TaskState) -> Optional[str]:
-            """Handle one finished future; returns a failure kind or None."""
+class _Batch:
+    """One :meth:`Supervisor.run` call: its queue, workers and commits."""
+
+    def __init__(self, supervisor: Supervisor,
+                 groups: List[List[_TaskState]],
+                 commit: Callable[[object, dict], None],
+                 report: FailureReport) -> None:
+        self.sup = supervisor
+        self.policy = supervisor.policy
+        self.clock = supervisor._clock
+        self.commit = commit
+        self.report = report
+        self.waiting = groups
+        self.size = min(supervisor.max_workers, len(groups))
+        self.workers: List[_Worker] = []
+        # The platform's default start method (fork on Linux), as the
+        # process pool before: a worker inherits the parent's imports and
+        # golden-run memo instead of paying for them once per campaign.
+        self.context = multiprocessing.get_context()
+        self.executed = 0
+
+    def busy(self) -> List[_Worker]:
+        return [w for w in self.workers if w.group is not None]
+
+    # -- the run loop ----------------------------------------------------------------
+
+    def execute(self) -> int:
+        try:
+            while self.waiting or self.busy():
+                if self.sup._stop.is_set():
+                    self.cancel()
+                self.assign()
+                busy = self.busy()
+                now = self.clock()
+                horizons = [STOP_POLL_SECONDS]
+                if self.waiting and len(busy) < self.size:
+                    horizons.append(min(map(_ready_at, self.waiting)) - now)
+                if not busy:
+                    # Bounded naps so a stop request interrupts a backoff.
+                    self.sup._sleep(max(0.0, min(horizons)))
+                    continue
+                horizons += [w.deadline - now for w in busy]
+                self.pump(busy, max(0.05, min(horizons)), charge=True)
+                self.reap_overdue()
+        finally:
+            for worker in self.workers:
+                worker.close(kill=worker.group is not None)
+            self.workers.clear()
+        return self.executed
+
+    def assign(self) -> None:
+        """Hand every ready group to an idle (or a new) worker."""
+        now = self.clock()
+        for group in list(self.waiting):
+            if _ready_at(group) > now:
+                continue
+            worker = next((w for w in self.workers if w.group is None), None)
+            if worker is None:
+                if len(self.workers) >= self.size:
+                    return
+                worker = _Worker(self.context)
+                self.workers.append(worker)
             try:
-                digest, payload = fut.result()
-            except BrokenProcessPool:
-                return "crash"
-            except Exception as exc:  # the task raised in the worker
-                state.last_error = f"{type(exc).__name__}: {exc}"
-                return "error"
+                worker.conn.send(([s.task for s in group],
+                                  [s.attempt for s in group]))
+            except OSError:  # the idle worker died; try a fresh one
+                self.retire(worker, kill=True)
+                continue
+            self.waiting.remove(group)
+            worker.group = group
+            worker.pending = list(group)
+            worker.started = now
+            self.touch(worker)
+
+    def touch(self, worker: _Worker) -> None:
+        timeout = self.policy.job_timeout
+        worker.deadline = (self.clock() + timeout if timeout is not None
+                           else math.inf)
+
+    def retire(self, worker: _Worker, kill: bool) -> None:
+        self.workers.remove(worker)
+        worker.close(kill=kill)
+
+    def pump(self, busy: List[_Worker], timeout: float, charge: bool) -> None:
+        """Wait up to ``timeout`` for messages; handle every one that came.
+
+        ``charge=False`` (drain) commits successes but charges nobody."""
+        ready = wait([w.conn for w in busy], timeout)
+        for worker in busy:
+            if worker.conn not in ready:
+                continue
+            while worker.group is not None:
+                try:
+                    message = worker.conn.recv()
+                except Exception:  # EOF, or a message cut short by death
+                    self.lost(worker, charge)
+                    break
+                self.receive(worker, message, charge)
+                if worker.group is None or not worker.conn.poll():
+                    break
+
+    def receive(self, worker: _Worker, message: tuple, charge: bool) -> None:
+        kind = message[0]
+        self.touch(worker)
+        if kind == "order":
+            worker.pending = [worker.group[i] for i in message[1]]
+        elif kind == "done":
+            _, i, digest, payload = message
+            state = worker.group[i]
+            worker.pending.remove(state)
             try:
                 if digest != state.digest:
                     raise ValueError(f"worker returned digest {digest[:12]} "
                                      f"for job {state.digest[:12]}")
                 state.task.validate(payload)
             except Exception as exc:
-                state.last_error = f"{type(exc).__name__}: {exc}"
-                return "corrupt"
-            success(state, payload)
-            return None
-
-        def fail(state: _TaskState, kind: str, detail: str = "") -> None:
-            """Charge one attempt; requeue with backoff or fail permanently."""
-            if detail:
-                state.last_error = detail
-            state.kinds.append(kind)
-            if kind == "timeout":
-                self.timeouts += 1
-            elif kind == "crash":
-                self.crashes += 1
-            state.attempt += 1
-            if state.attempt <= self.policy.retries:
-                self.retried += 1
-                state.ready_at = (self._clock()
-                                  + self.policy.delay(state.digest,
-                                                      state.attempt))
-                waiting[state.digest] = state
+                if charge:
+                    self.fail(state, "corrupt", _describe(exc))
                 return
-            failure = JobFailure(digest=state.digest, label=state.label,
-                                 attempts=state.attempt,
-                                 kinds=list(state.kinds),
-                                 error=state.last_error or kind)
-            batch.failures.append(failure)
-            self.report.failures.append(failure)
-            if self.journal is not None:
-                self.journal.record_failed(state.digest, state.label,
-                                           attempts=state.attempt,
-                                           kind=kind,
-                                           error=failure.error)
-            if self.on_failure is not None:
-                self.on_failure(failure)
+            self.success(worker, state, payload)
+        elif kind == "error":
+            state = worker.group[message[1]]
+            worker.pending.remove(state)
+            if charge:
+                self.fail(state, "error", message[2])
+        else:  # "end", or "fail": the runner raised
+            pending = self.release(worker)
+            if kind == "fail":
+                self.requeue(pending, charge, "error", message[1])
+            elif charge:  # a runner that skipped tasks; never expected
+                for state in pending:
+                    self.fail(state, "error", "not yielded by its group")
 
-        def over_budget() -> bool:
-            return len(self.report.failures) > self.policy.max_failures
+    def release(self, worker: _Worker) -> List[_TaskState]:
+        """End the worker's group; returns its uncommitted tasks."""
+        pending = worker.pending
+        worker.group = None
+        worker.pending = []
+        worker.deadline = math.inf
+        return pending
 
-        def abort() -> None:
-            """Drain in-flight work into the cache, then raise.
+    def replace(self, worker: _Worker) -> List[_TaskState]:
+        """Kill a dead or hung worker (a new one starts when a group needs
+        it); returns its group's uncommitted tasks."""
+        pending = self.release(worker)
+        self.retire(worker, kill=True)
+        self.sup.pool_rebuilds += 1
+        return pending
 
-            Completed-but-uncollected payloads are committed before the
-            failure propagates — an abort must never throw away finished
-            simulations (they are exactly what a re-run would skip).
-            """
-            grace = self.policy.job_timeout or DEFAULT_ABORT_GRACE
-            done, _not_done = wait(set(futures), timeout=grace)
-            for fut in done:
-                state = futures.pop(fut)
-                deadlines.pop(fut, None)
-                collect(fut, state)  # success commits; failures are moot now
-            self._kill_pool(pool)
-            report = FailureReport(failures=list(self.report.failures))
-            raise ExecutionFailed(
-                f"supervised execution aborted: {len(report.failures)} "
-                f"permanent job failure(s) exceeded the budget of "
-                f"{self.policy.max_failures} "
-                f"(failed: {', '.join(report.labels())})",
-                report=report)
+    def lost(self, worker: _Worker, charge: bool) -> None:
+        """The worker died: charge each uncommitted task of its group."""
+        for state in self.replace(worker):
+            if charge:
+                self.fail(state, "crash", "worker process died")
 
-        def drain_cancel() -> None:
-            """Stop requested: commit what finished, reclaim the rest.
-
-            The mirror image of :func:`abort`, but nothing is a failure:
-            futures that completed inside the grace period are committed
-            (and journaled) exactly as if the run had continued, the
-            still-running remainder is reclaimed by tearing the pool
-            down (the hung-worker path), and no job is charged an
-            attempt — a cancelled campaign's jobs must resume cleanly
-            from the cache on resubmission.
-            """
-            grace = self.policy.job_timeout or DEFAULT_ABORT_GRACE
-            done, _not_done = wait(set(futures), timeout=grace)
-            committed = 0
-            for fut in done:
-                state = futures.pop(fut)
-                deadlines.pop(fut, None)
-                if collect(fut, state) is None:
-                    committed += 1
-            reclaimed = len(futures)
-            futures.clear()
-            deadlines.clear()
-            self._kill_pool(pool)
-            raise CampaignCancelled(
-                f"supervised execution cancelled: {committed} in-flight "
-                f"job(s) committed during drain, {reclaimed} reclaimed, "
-                f"{len(waiting)} never submitted",
-                committed=committed, reclaimed=reclaimed)
-
-        try:
-            while waiting or futures:
-                if self._stop.is_set():
-                    drain_cancel()
-                now = self._clock()
-                # Submit every job whose backoff has elapsed.
-                rebuild = False
-                for digest in list(waiting):
-                    state = waiting[digest]
-                    if state.ready_at > now:
-                        continue
-                    try:
-                        fut = pool.submit(_run_task, state.task,
-                                          state.attempt)
-                    except Exception:  # pool broke under us
-                        rebuild = True
-                        break
-                    del waiting[digest]
-                    futures[fut] = state
-                    started[digest] = now
-                    if self.policy.job_timeout is not None:
-                        deadlines[fut] = now + self.policy.job_timeout
-                if rebuild:
-                    self.pool_rebuilds += 1
-                    pool = self._replace_pool(pool, len(waiting) + len(futures))
-                    continue
-                if not futures:
-                    next_ready = min(s.ready_at for s in waiting.values())
-                    # Bounded naps so a stop request interrupts a backoff.
-                    self._sleep(min(STOP_POLL_SECONDS,
-                                    max(0.0, next_ready - self._clock())))
-                    continue
-
-                now = self._clock()
-                horizons = [STOP_POLL_SECONDS]
-                if deadlines:
-                    horizons.append(min(deadlines.values()) - now)
-                if waiting:
-                    horizons.append(min(s.ready_at
-                                        for s in waiting.values()) - now)
-                timeout = max(0.05, min(horizons))
-                done, _ = wait(set(futures), timeout=timeout,
-                               return_when=FIRST_COMPLETED)
-
-                broken = False
-                for fut in done:
-                    state = futures.pop(fut)
-                    deadlines.pop(fut, None)
-                    kind = collect(fut, state)
-                    if kind == "crash":
-                        broken = True
-                        fail(state, "crash",
-                             "worker process died (pool broken)")
-                    elif kind is not None:
-                        fail(state, kind)
-                    if over_budget():
-                        abort()
-
-                if broken:
-                    # The pool is gone; every in-flight future completes
-                    # broken.  Collect stragglers (some may hold real
-                    # results set just before the break), charge the lost
-                    # ones one attempt each, and rebuild.
-                    leftovers, _ = wait(set(futures), timeout=5.0)
-                    for fut in list(futures):
-                        state = futures.pop(fut)
-                        deadlines.pop(fut, None)
-                        kind = (collect(fut, state) if fut in leftovers
-                                else "crash")
-                        if kind is not None:
-                            fail(state, kind,
-                                 "worker process died (pool broken)"
-                                 if kind == "crash" else "")
-                        if over_budget():
-                            abort()
-                    self.pool_rebuilds += 1
-                    pool = self._replace_pool(pool,
-                                              len(waiting) + len(futures))
-                    continue
-
-                # Per-job wall-clock timeouts.  Only a *running* overdue
-                # future is hung; one still queued behind a hog gets its
-                # clock restarted (it has not had its turn yet).
-                now = self._clock()
-                overdue = [f for f, dl in deadlines.items() if dl <= now]
-                hung = [f for f in overdue if f.running()]
-                for f in overdue:
-                    if not f.running() and f in deadlines:
-                        deadlines[f] = now + (self.policy.job_timeout or 0.0)
-                if hung:
-                    for f in hung:
-                        state = futures.pop(f)
-                        deadlines.pop(f, None)
-                        fail(state, "timeout",
+    def reap_overdue(self) -> None:
+        now = self.clock()
+        for worker in self.busy():
+            if worker.deadline <= now:
+                self.requeue(self.replace(worker), True, "timeout",
                              f"exceeded job timeout of "
                              f"{self.policy.job_timeout:g}s")
-                        if over_budget():
-                            abort()
-                    # A hung worker never yields; reclaim it by killing
-                    # the pool.  Innocent in-flight jobs requeue free.
-                    for f in list(futures):
-                        state = futures.pop(f)
-                        deadlines.pop(f, None)
-                        state.ready_at = 0.0
-                        waiting[state.digest] = state
-                    self.pool_rebuilds += 1
-                    pool = self._replace_pool(pool,
-                                              len(waiting) + len(futures))
-        finally:
-            try:
-                pool.shutdown(wait=True, cancel_futures=True)
-            except Exception:
-                self._kill_pool(pool)
 
-        return SupervisedRun(executed=executed, skipped=skipped, report=batch)
+    def requeue(self, pending: List[_TaskState], charge: bool, kind: str,
+                detail: str) -> None:
+        """A group ended early: charge the task next due to yield, and
+        requeue the others free, each as a group of its own."""
+        for state in pending[1:]:
+            state.ready_at = 0.0
+            self.waiting.append([state])
+        if pending and charge:
+            self.fail(pending[0], kind, detail)
 
-    # -- pool lifecycle ------------------------------------------------------------
+    # -- per-task outcomes ---------------------------------------------------------
 
-    def _new_pool(self, jobs: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=max(1, min(self.max_workers, jobs)))
+    def success(self, worker: _Worker, state: _TaskState,
+                payload: dict) -> None:
+        self.commit(state.task, payload)
+        self.executed += 1
+        journal = self.sup.journal
+        if journal is not None:
+            journal.record_done(state.digest, state.label,
+                                attempts=state.attempt + 1,
+                                elapsed=self.clock() - worker.started)
 
-    def _replace_pool(self, pool: ProcessPoolExecutor,
-                      jobs: int) -> ProcessPoolExecutor:
-        self._kill_pool(pool)
-        return self._new_pool(jobs)
+    def fail(self, state: _TaskState, kind: str, detail: str) -> None:
+        """Charge one attempt; requeue with backoff or fail permanently."""
+        sup = self.sup
+        state.last_error = detail
+        state.kinds.append(kind)
+        if kind == "timeout":
+            sup.timeouts += 1
+        elif kind == "crash":
+            sup.crashes += 1
+        state.attempt += 1
+        if state.attempt <= self.policy.retries:
+            sup.retried += 1
+            state.ready_at = (self.clock()
+                              + self.policy.delay(state.digest, state.attempt))
+            self.waiting.append([state])
+            return
+        failure = JobFailure(digest=state.digest, label=state.label,
+                             attempts=state.attempt, kinds=list(state.kinds),
+                             error=state.last_error or kind)
+        self.report.failures.append(failure)
+        sup.report.failures.append(failure)
+        if sup.journal is not None:
+            sup.journal.record_failed(state.digest, state.label,
+                                      attempts=state.attempt, kind=kind,
+                                      error=failure.error)
+        if sup.on_failure is not None:
+            sup.on_failure(failure)
+        if len(sup.report.failures) > self.policy.max_failures:
+            self.abort()
 
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down even if its workers are hung or dead.
+    # -- endings -------------------------------------------------------------------
 
-        ``shutdown`` alone joins the worker processes, which never returns
-        while one sleeps forever — so the processes are terminated first.
-        ``_processes`` is internal API, hence the defensive ``getattr``;
-        losing it on some future Python merely degrades to an abandoned
-        (leaked until exit) worker, never to a wrong result.
+    def drain(self) -> int:
+        """Commit what in-flight groups stream within the grace period
+        (``job_timeout``, else :data:`DEFAULT_ABORT_GRACE`), charging
+        nobody; returns the number committed."""
+        before = self.executed
+        end = self.clock() + (self.policy.job_timeout or DEFAULT_ABORT_GRACE)
+        while True:
+            busy = self.busy()
+            left = end - self.clock()
+            if not busy or left <= 0:
+                return self.executed - before
+            self.pump(busy, min(left, STOP_POLL_SECONDS), charge=False)
+
+    def abort(self) -> None:
+        """Over budget: drain in-flight work into the cache, then raise.
+
+        Completed-but-uncollected payloads are committed before the
+        failure propagates — an abort must never throw away finished
+        simulations (they are exactly what a re-run would skip).
         """
-        procs = list((getattr(pool, "_processes", None) or {}).values())
-        for proc in procs:
-            try:
-                proc.terminate()
-            except Exception:
-                pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-        for proc in procs:
-            try:
-                proc.join(timeout=5.0)
-            except Exception:
-                pass
+        self.drain()
+        report = FailureReport(failures=list(self.sup.report.failures))
+        raise ExecutionFailed(
+            f"supervised execution aborted: {len(report.failures)} "
+            f"permanent job failure(s) exceeded the budget of "
+            f"{self.policy.max_failures} "
+            f"(failed: {', '.join(report.labels())})",
+            report=report)
+
+    def cancel(self) -> None:
+        """Stop requested: commit what streams in the grace period,
+        reclaim the rest.
+
+        The mirror image of :meth:`abort`, but nothing is a failure:
+        payloads that arrive inside the grace period are committed (and
+        journaled) exactly as if the run had continued, the still-running
+        remainder is reclaimed by killing its workers (the hung-worker
+        path), and no task is charged an attempt — a cancelled campaign's
+        tasks must resume cleanly from the cache on resubmission.
+        """
+        committed = self.drain()
+        reclaimed = sum(len(w.pending) for w in self.busy())
+        unsubmitted = sum(map(len, self.waiting))
+        raise CampaignCancelled(
+            f"supervised execution cancelled: {committed} in-flight "
+            f"job(s) committed during drain, {reclaimed} reclaimed, "
+            f"{unsubmitted} never submitted",
+            committed=committed, reclaimed=reclaimed)

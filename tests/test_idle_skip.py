@@ -419,12 +419,11 @@ class TestPoliciesArePure:
 
 class TestStaticOpFacts:
     def test_facts_match_the_op_tables(self):
-        from repro.isa.opcodes import (fu_type_for, is_control_op,
-                                       is_memory_op)
+        from repro.isa.opcodes import _CONTROL_OPS, _FU_FOR_OP, _MEMORY_OPS
         for op in OpClass:
-            assert op.fu is fu_type_for(op)
-            assert op.is_memory == is_memory_op(op)
-            assert op.is_control == is_control_op(op)
+            assert op.fu is _FU_FOR_OP[op]
+            assert op.is_memory == (op in _MEMORY_OPS)
+            assert op.is_control == (op in _CONTROL_OPS)
             assert op.is_load == (op is OpClass.LOAD)
             assert op.is_store == (op is OpClass.STORE)
             assert op.bypasses_iq == (op is OpClass.NOP)

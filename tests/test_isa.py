@@ -8,29 +8,26 @@ from repro.isa.opcodes import (
     FUType,
     OpClass,
     execution_latency,
-    fu_type_for,
-    is_control_op,
     is_fp_op,
-    is_memory_op,
 )
 
 
 class TestOpClassification:
     def test_every_op_maps_to_a_fu(self):
         for op in OpClass:
-            assert fu_type_for(op) in FUType
+            assert op.fu in FUType
 
     def test_memory_ops(self):
-        assert is_memory_op(OpClass.LOAD)
-        assert is_memory_op(OpClass.STORE)
-        assert is_memory_op(OpClass.PREFETCH)
-        assert not is_memory_op(OpClass.IALU)
-        assert not is_memory_op(OpClass.BRANCH)
+        assert OpClass.LOAD.is_memory
+        assert OpClass.STORE.is_memory
+        assert OpClass.PREFETCH.is_memory
+        assert not OpClass.IALU.is_memory
+        assert not OpClass.BRANCH.is_memory
 
     def test_control_ops(self):
         for op in (OpClass.BRANCH, OpClass.JUMP, OpClass.CALL, OpClass.RET):
-            assert is_control_op(op)
-        assert not is_control_op(OpClass.LOAD)
+            assert op.is_control
+        assert not OpClass.LOAD.is_control
 
     def test_fp_ops(self):
         for op in (OpClass.FALU, OpClass.FMUL, OpClass.FDIV):
@@ -39,12 +36,12 @@ class TestOpClassification:
         assert not is_fp_op(OpClass.LOAD)
 
     def test_muldiv_uses_dedicated_units(self):
-        assert fu_type_for(OpClass.IMUL) is FUType.INT_MULDIV
-        assert fu_type_for(OpClass.FDIV) is FUType.FP_MULDIV
+        assert OpClass.IMUL.fu is FUType.INT_MULDIV
+        assert OpClass.FDIV.fu is FUType.FP_MULDIV
 
     def test_memory_ops_use_load_store_units(self):
-        assert fu_type_for(OpClass.LOAD) is FUType.LOAD_STORE
-        assert fu_type_for(OpClass.STORE) is FUType.LOAD_STORE
+        assert OpClass.LOAD.fu is FUType.LOAD_STORE
+        assert OpClass.STORE.fu is FUType.LOAD_STORE
 
 
 class TestLatencies:

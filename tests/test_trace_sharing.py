@@ -247,7 +247,7 @@ class TestBookkeeping:
 
 @pytest.fixture
 def held_builds(tmp_path, monkeypatch):
-    """Reads back every ``build_traces`` call ``SimJob.run`` made, in any
+    """Reads back every ``build_traces`` call a group runner made, in any
     process, as ``(pid, programs, traces of that process still alive at
     the build)``.  Pool workers are forked, so they inherit the spy and
     its per-process weakrefs; they report through a file."""
@@ -263,7 +263,6 @@ def held_builds(tmp_path, monkeypatch):
         return traces
 
     monkeypatch.setattr(parallel, "build_traces", spy)
-    monkeypatch.setattr(parallel, "_held_traces", None)
 
     def read():
         if not log.exists():
@@ -274,20 +273,21 @@ def held_builds(tmp_path, monkeypatch):
 
 
 class TestWorkerReusesTraces:
-    """``SimJob.run`` keeps the last trace set of its process and reuses it
-    while the trace identity matches; the pooled ``run_jobs`` submits jobs
-    grouped by identity so workers meet a group's jobs back to back."""
+    """``SimJob.run_group`` builds one trace set for its group and drops it
+    when the group ends; the pooled ``run_jobs`` hands each worker whole
+    trace-identity groups."""
 
     def test_a_group_in_one_process_builds_once(self, held_builds):
-        for job in _policy_and_rob_jobs():
-            job.run()
+        order, results = SimJob.run_group(_policy_and_rob_jobs())
+        assert [job for job, _payload in results] == order
         assert held_builds() == [(os.getpid(), list(MIX.programs), 0)]
 
-    def test_the_held_set_is_dropped_before_the_next_builds(self,
+    def test_each_group_drops_its_set_before_the_next_builds(self,
                                                              held_builds):
         jobs = _small_jobs()  # identities: CPU, MEM, CPU, MIX
         for job in jobs:
-            job.run()
+            _order, results = SimJob.run_group([job])
+            list(results)
         assert [(programs, alive) for _pid, programs, alive
                 in held_builds()] == [(list(job.programs), 0)
                                       for job in jobs]
@@ -306,13 +306,11 @@ class TestWorkerReusesTraces:
 
         assert builds and os.getpid() not in {pid for pid, _, _ in builds}
         assert all(alive == 0 for _pid, _programs, alive in builds), builds
-        last = {}
-        for pid, programs, _alive in builds:
-            assert last.get(pid) != programs, builds
-            last[pid] = programs
-        # Four identities, two of them with several jobs: each worker
-        # builds each identity at most once.
-        assert len(builds) <= 2 * 2 + 2, builds
+        # Four identities, two of them with several jobs: one group, so
+        # one build, each.
+        assert sorted(programs for _pid, programs, _alive in builds) == sorted(
+            list(job.programs) for job in {job.group_key(): job
+                                           for job in jobs}.values()), builds
 
 
 class TestForeignTracesRejected:
