@@ -410,7 +410,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     def ready(port: int) -> None:
         print(f"campaign service listening on http://{args.host}:{port} "
-              f"(store: {args.store}, {args.workers} workers/campaign)",
+              f"(store: {args.store}, {args.workers} workers per "
+              f"running campaign)",
               flush=True)
 
     run_service(args.store, host=args.host, port=args.port,
@@ -426,7 +427,11 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
     from repro.resilience.chaos import NetworkChaos
     from repro.service.fleet import ChaosTransport, HttpTransport, ShardAgent
+    from repro.service.leases import LOCAL_SHARD_ID
 
+    if args.shard_id == LOCAL_SHARD_ID:
+        raise ReproError(f"shard id {LOCAL_SHARD_ID!r} is reserved for the "
+                         f"service's own pool")
     base = args.connect
     transport = HttpTransport(base)
     chaos = NetworkChaos()
@@ -731,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=_non_negative_int, default=8642,
                        help="TCP port (0 picks an ephemeral port)")
     serve.add_argument("--workers", type=_positive_int, default=2,
-                       help="worker processes per campaign pool")
+                       help="worker processes per running campaign")
     serve.add_argument("--max-running", type=_positive_int, default=4,
                        help="campaigns executing concurrently; the rest "
                             "queue FIFO within priority")

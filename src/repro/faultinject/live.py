@@ -726,7 +726,14 @@ class LiveBatchJob:
         return key
 
     def digest(self) -> str:
-        return stable_digest(self.key())
+        """The content digest of :meth:`key`, computed once per job
+        object and kept in its ``__dict__`` (a frozen dataclass refuses
+        attribute assignment, not dict writes; its fields, ``==``,
+        ``hash`` and ``repr`` never see the entry)."""
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            digest = self.__dict__["_digest"] = stable_digest(self.key())
+        return digest
 
     def run(self) -> Dict[str, object]:
         """Strike every index of the batch alone; records in index order

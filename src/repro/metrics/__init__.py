@@ -15,7 +15,6 @@ from repro.metrics.perf import (
 )
 from repro.metrics.reliability import (
     reliability_efficiency,
-    mitf_relative,
     normalize_to_baseline,
 )
 
@@ -24,6 +23,5 @@ __all__ = [
     "weighted_speedup",
     "harmonic_mean_weighted_ipc",
     "reliability_efficiency",
-    "mitf_relative",
     "normalize_to_baseline",
 ]

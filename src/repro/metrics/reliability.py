@@ -61,30 +61,6 @@ def reliability_efficiency(ipc_value: float, avf: float) -> float:
     return ipc_value / avf
 
 
-def mitf_relative(ipc_value: float, avf: float, baseline_ipc: float,
-                  baseline_avf: float) -> float:
-    """MITF of a design point relative to a baseline (ratio of IPC/AVF).
-
-    When both design points have zero AVF, both efficiencies are infinite
-    but the points are not equivalent: MITF is proportional to IPC/AVF, so
-    in the limit of equal (vanishing) AVF the ratio is the IPC ratio.
-    Comparisons involving a dead point (0 IPC, 0 AVF) are indeterminate
-    and return ``nan``.
-    """
-    base = reliability_efficiency(baseline_ipc, baseline_avf)
-    this = reliability_efficiency(ipc_value, avf)
-    if math.isnan(base) or math.isnan(this):
-        return float("nan")
-    if base == float("inf"):
-        if this == float("inf"):
-            # Both zero-AVF: distinguish the points by the work they did.
-            return ipc_value / baseline_ipc
-        return 0.0
-    if this == float("inf"):
-        return float("inf")
-    return this / base
-
-
 def normalize_to_baseline(values: Mapping[str, float],
                           baseline_key: str) -> Dict[str, float]:
     """Scale a {name: value} mapping so the baseline entry equals 1.0.

@@ -36,7 +36,6 @@ from repro.protection.schemes import (
     SCHEME_NAMES,
     SCHEME_PROPERTIES,
     added_bits,
-    area_overhead,
     check_bits,
     detected_outcome,
     energy_cost,
@@ -59,7 +58,6 @@ __all__ = [
     "check_bits",
     "entry_width",
     "added_bits",
-    "area_overhead",
     "energy_cost",
     "ProtectionPlan",
     "ProtectedEstimate",

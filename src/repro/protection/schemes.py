@@ -217,12 +217,6 @@ def added_bits(scheme: ProtectionScheme, structure, total_bits: float) -> float:
     return check_bits(scheme, width) * (total_bits / width)
 
 
-def area_overhead(scheme: ProtectionScheme, structure) -> float:
-    """Extra bits per protected bit of ``structure`` (planning ratio)."""
-    width = entry_width(structure)
-    return check_bits(scheme, width) / width
-
-
 def energy_cost(scheme: ProtectionScheme, total_bits: float,
                 scrub_interval_cycles: Optional[int] = None) -> float:
     """Dynamic-energy proxy of protecting ``total_bits`` with ``scheme``.

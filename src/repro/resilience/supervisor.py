@@ -38,12 +38,13 @@ Four failure classes are survived, each charged to single tasks:
     an innocent's extra attempt costs one retry, while a deterministic
     crasher still exhausts its budget.
 ``timeout``
-    A group's deadline is ``job_timeout`` wall-clock seconds after its
-    last sign of progress: its start, its order report, or its last
-    yield.  Past it the worker is killed (a hung worker never yields
-    otherwise), the task next due to yield (the first uncommitted one in
-    ``order``) is charged an attempt, and the other uncommitted tasks
-    requeue free.
+    Until its first yield, a group's deadline is ``job_timeout`` times
+    its task count after its start: a group strikes its tasks together,
+    so its first task lands only after most of the group's work.  After
+    each yield the deadline is ``job_timeout`` from that yield.  Past it
+    the worker is killed (a hung worker never yields otherwise), the
+    task next due to yield (the first uncommitted one in ``order``) is
+    charged an attempt, and the other uncommitted tasks requeue free.
 
 After a crash, a timeout or a runner error, the group's uncommitted
 tasks rerun as one-task groups, so every later attempt has exactly the
@@ -73,7 +74,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
 from repro.errors import CampaignCancelled, ConfigError, ExecutionFailed
 from repro.resilience.chaos import CORRUPT_PAYLOAD, ChaosSpec, misbehave
@@ -306,22 +307,25 @@ class Supervisor:
         self.crashes = 0
         self.retried = 0
         self._stop = threading.Event()
+        self._now = False
         self._clock = time.monotonic
         self._sleep = time.sleep
 
     # -- cancellation ----------------------------------------------------------------
 
-    def request_stop(self) -> None:
+    def request_stop(self, now: bool = False) -> None:
         """Ask a running batch to drain and stop (thread-safe, idempotent).
 
         The run loop notices within :data:`STOP_POLL_SECONDS`, stops
         submitting queued work, grants in-flight groups a grace period
         (``job_timeout`` when set, else :data:`DEFAULT_ABORT_GRACE`) to
         stream and commit, reclaims whatever is still running by killing
-        its workers — the same reclamation path a hung worker takes —
-        and raises :class:`~repro.errors.CampaignCancelled`.  Finished
-        work is never discarded and nothing is charged a retry attempt.
+        its workers — the same reclamation path a hung worker takes — and
+        raises :class:`~repro.errors.CampaignCancelled`.  Finished work is
+        never discarded and nothing is charged a retry attempt.  With
+        ``now`` there is no grace: the caller has no use for the results.
         """
+        self._now = now
         self._stop.set()
 
     @property
@@ -332,13 +336,17 @@ class Supervisor:
 
     def run(self, tasks: Iterable[object],
             commit: Callable[[object, dict], None],
-            already_done: Optional[Callable[[object], bool]] = None
+            already_done: Optional[Callable[[object], bool]] = None,
+            attempts: Optional[Mapping[str, int]] = None
             ) -> SupervisedRun:
         """Execute every task not already satisfied; commit each payload.
 
         ``commit(task, payload)`` is called exactly once per validated
         success, as results arrive.  ``already_done(task)`` short-circuits
-        tasks the cache (or a resumed journal) can already answer.  The
+        tasks the cache (or a resumed journal) can already answer.
+        ``attempts`` maps a task digest to the attempts it was already
+        charged elsewhere (a fleet shard runs a leased batch's next
+        attempt), so chaos rules and the journal count on from there.  The
         constructor's ``on_failure(failure)`` hook is called as each
         *permanent* failure lands (the campaign service streams these
         into live status payloads); retryable failures are invisible to
@@ -354,8 +362,9 @@ class Supervisor:
             if already_done is not None and already_done(task):
                 skipped += 1
                 continue
-            states[digest] = _TaskState(task=task, digest=digest,
-                                        label=task.label)
+            states[digest] = _TaskState(
+                task=task, digest=digest, label=task.label,
+                attempt=attempts.get(digest, 0) if attempts else 0)
         batch = FailureReport()
         if not states:
             return SupervisedRun(executed=0, skipped=skipped, report=batch)
@@ -451,12 +460,13 @@ class _Batch:
             worker.group = group
             worker.pending = list(group)
             worker.started = now
-            self.touch(worker)
+            self.touch(worker, len(group))
 
-    def touch(self, worker: _Worker) -> None:
+    def touch(self, worker: _Worker, tasks: int = 1) -> None:
+        """Set the deadline ``tasks`` job timeouts from now."""
         timeout = self.policy.job_timeout
-        worker.deadline = (self.clock() + timeout if timeout is not None
-                           else math.inf)
+        worker.deadline = (self.clock() + timeout * tasks
+                           if timeout is not None else math.inf)
 
     def retire(self, worker: _Worker, kill: bool) -> None:
         self.workers.remove(worker)
@@ -482,7 +492,8 @@ class _Batch:
 
     def receive(self, worker: _Worker, message: tuple, charge: bool) -> None:
         kind = message[0]
-        self.touch(worker)
+        if kind in ("done", "error"):
+            self.touch(worker)
         if kind == "order":
             worker.pending = [worker.group[i] for i in message[1]]
         elif kind == "done":
@@ -598,10 +609,13 @@ class _Batch:
 
     def drain(self) -> int:
         """Commit what in-flight groups stream within the grace period
-        (``job_timeout``, else :data:`DEFAULT_ABORT_GRACE`), charging
-        nobody; returns the number committed."""
+        (``job_timeout``, else :data:`DEFAULT_ABORT_GRACE`; none after
+        ``request_stop(now=True)``), charging nobody; returns the number
+        committed."""
+        grace = 0.0 if self.sup._now else (self.policy.job_timeout
+                                           or DEFAULT_ABORT_GRACE)
         before = self.executed
-        end = self.clock() + (self.policy.job_timeout or DEFAULT_ABORT_GRACE)
+        end = self.clock() + grace
         while True:
             busy = self.busy()
             left = end - self.clock()

@@ -32,12 +32,13 @@ recovered artefacts are byte-identical to an uninterrupted run's.
 Admission control bounds the queue (429 + ``Retry-After`` beyond it) and
 ``DELETE /campaigns/{id}`` cancels with a graceful supervisor drain.
 
-Multi-host fleets (:mod:`repro.service.fleet`, :mod:`repro.service.leases`):
-remote worker shards (``repro-sim worker --connect``) register over the
-same HTTP protocol and run live batches under time-bounded, heartbeat-
-renewed leases with fencing tokens — at-least-once dispatch, exactly-once
-commit, hedged redispatch of slow shards, and graceful degradation to
-the local pool when the whole fleet is lost.
+Leased dispatch (:mod:`repro.service.fleet`, :mod:`repro.service.leases`):
+every live batch runs under a time-bounded, heartbeat-renewed lease with
+a fencing token — at-least-once dispatch, exactly-once commit, hedged
+redispatch of slow shards.  The service's own pool is an in-process
+shard; remote shards (``repro-sim worker --connect``) lease from the
+same coordinator over HTTP, and when every one is lost their leases
+expire and the local shard takes the batches back.
 """
 
 from repro.service.fleet import (

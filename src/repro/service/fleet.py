@@ -1,49 +1,36 @@
-"""Fault-tolerant multi-host worker fleet behind the campaign scheduler.
+"""Leased dispatch of live batches: the campaign service's one path.
 
-Remote worker pools ("shards") that register with the campaign server
-and take strike batches from the same scheduler as the local pool.  The
-design is robustness-first — a dead, hung, partitioned or merely slow
-shard must never corrupt, duplicate or lose a campaign's results — and
-leans entirely on machinery the repo already trusts:
+Every live batch the service runs is leased to a *shard*, a worker pool
+that polls for work, and committed under that lease.  The service's own
+pool is an in-process shard: a :class:`ShardAgent` on a
+:class:`LocalTransport`, which calls the :class:`FleetCoordinator`
+directly (no HTTP, no JSON).  ``repro-sim worker --connect`` runs the
+same agent on an :class:`HttpTransport`.  So every batch is leased,
+fenced and charged alike, whichever process runs it and whether or not
+a remote shard is connected (:mod:`repro.service.leases` says which
+lease transitions are journaled); losing every remote shard
+needs no path of its own (their leases expire and the local shard takes
+the batches back).  ``docs/campaign-service.md`` states the protocol:
 
-* **Leases, not connections** (:mod:`repro.service.leases`): a shard
-  holds a batch under a time-bounded lease renewed by heartbeats.  The
-  server never needs to detect a dead TCP peer; it only needs a
-  monotonic clock.  Expiry → reclaim → redispatch, one attempt charged
-  (the local supervisor's crash discipline).
-* **Fencing tokens**: each grant carries a fresh token from one global
-  counter.  A zombie — a live worker on the far side of a partition —
-  can finish its batch and commit late; the token is no longer in the
-  active table, so the commit is refused (``fenced``) and journaled.
-* **Exactly-once by content hash**: batches are
-  :class:`~repro.faultinject.LiveBatchJob` units whose results are keyed
-  by (structure, strike-index) digests.  Dispatch is at-least-once;
-  commit order cannot move a byte (the per-batch cache and ``by_key``
-  assembly are order-independent), so a hedged batch committed by two
-  shards dedups byte-identically and the chaos differential holds:
-  a 3-shard campaign under network chaos produces artifact bytes
-  identical to a clean single-host run.
-* **Hedged redispatch**: a batch leased longer than ``hedge_after``
-  (and still being renewed — a *slow* shard, not a dead one) is leased
-  a second time to a different shard; the first valid commit wins, the
-  loser's is a ``duplicate`` no-op.
-* **Graceful degradation**: a campaign that loses every shard withdraws
-  its remote work, journals ``fleet_degraded``, and finishes on the
-  local supervisor pool.  With zero shards connected the scheduler
-  never routes through the fleet at all — the local path is untouched.
-
-Wire protocol: four POST routes on the existing stdlib-asyncio server
-(``/fleet/register``, ``/fleet/poll`` (long-poll), ``/fleet/heartbeat``,
-``/fleet/commit``), JSON bodies, ``Connection: close``.  Jobs cross the
-wire as explicit payloads rebuilt through the real constructors and
-re-digested on arrival — a codec or build mismatch is refused at the
-shard, never simulated.
-
-Chaos (:mod:`repro.resilience.chaos`): the shard's transport consults a
-:class:`~repro.resilience.chaos.NetworkChaos` before every operation, so
-``drop``/``delay``/``partition``/``slow``/``zombie`` are injected at the
-transport layer of a *real* shard — the server-side machinery being
-tested cannot tell chaos from weather.
+* leases (:mod:`repro.service.leases`) renewed by heartbeats; expiry
+  charges one attempt and redispatches; fencing tokens refuse a zombie's
+  late commit; commits are exactly-once by content hash, so a hedged
+  batch (leased again after ``hedge_after``) dedups byte-identically;
+* the in-process shard leases a *run* of consecutive batches of one
+  campaign, its share ``ceil(open batches / live shards)`` less what it
+  holds, and strikes it as one :meth:`~repro.resilience.Supervisor.run`
+  (one strike driver per worker), committing each batch under its own
+  token as it streams.  A remote shard, or a batch charged an attempt,
+  is leased one batch at a time, so remote load balances itself;
+* one retry layer: a shard runs each batch once under the campaign's
+  ``job_timeout`` and reports one it cannot finish through ``fail``; the
+  coordinator charges it and backs off
+  (:meth:`~repro.resilience.RetryPolicy.delay`), and the campaign's
+  :class:`FleetExecutor` fails it past ``retries``;
+* jobs are encoded for the wire on a remote grant only, rebuilt through
+  the real constructors and re-digested on arrival; a remote shard's
+  transport consults a :class:`~repro.resilience.chaos.NetworkChaos`
+  before every operation.
 """
 
 from __future__ import annotations
@@ -77,7 +64,12 @@ from repro.resilience.supervisor import (
     Supervisor,
     SupervisedRun,
 )
-from repro.service.leases import DEFAULT_LEASE_TIMEOUT, LeaseTable
+from repro.service.leases import (
+    DEFAULT_LEASE_TIMEOUT,
+    LOCAL_SHARD_ID,
+    Lease,
+    LeaseTable,
+)
 from repro.structures.strike import MbuConfig
 
 #: Seconds a leased batch may run before a second shard is hedged in.
@@ -89,8 +81,13 @@ DEFAULT_HEARTBEAT_INTERVAL = 2.0
 #: Seconds a shard's poll long-polls before returning idle.
 DEFAULT_POLL_WAIT = 10.0
 
+#: Payloads an executor's inbox holds before the in-process shard's
+#: commits wait for it (remote commits never wait: they hold a server
+#: thread).
+INBOX_LIMIT = 64
+
 #: The fleet's transport operations (chaos match targets).
-FLEET_OPS = ("register", "poll", "heartbeat", "commit")
+FLEET_OPS = ("register", "poll", "heartbeat", "commit", "fail")
 
 
 class FleetError(ReproError):
@@ -171,32 +168,44 @@ def job_from_wire(payload: Dict[str, object]) -> LiveBatchJob:
 class _RemoteBatch:
     """One batch's dispatch state inside the coordinator (lock-guarded)."""
 
-    def __init__(self, job: LiveBatchJob, campaign_id: str) -> None:
+    def __init__(self, job: LiveBatchJob, digest: str, campaign_id: str,
+                 policy: RetryPolicy, inbox: List["_RemoteBatch"]) -> None:
         self.job = job
-        self.digest = job.digest()
-        self.wire = job_to_wire(job)
+        self.digest = digest
         self.campaign_id = campaign_id
+        self.policy = policy
+        #: Its executor's inbox, which the batch joins when it needs its
+        #: executor: a payload to deliver, or its attempts spent.
+        self.inbox = inbox
         self.attempts = 0
         self.kinds: List[str] = []
         self.last_error = ""
+        #: Monotonic time before which a charged batch is not redispatched.
+        self.ready_at = 0.0
         self.payload: Optional[Dict[str, object]] = None
-        self.delivered = False
-        self.withdrawn = False
-        self.failed = False
+        self.delivered = self.withdrawn = self.failed = False
 
     @property
     def settled(self) -> bool:
         return self.delivered or self.failed or self.withdrawn
 
+    @property
+    def open(self) -> bool:
+        """Still owed a payload."""
+        return not self.settled and self.payload is None
+
 
 class FleetCoordinator:
     """Server-side fleet state: shards, the dispatch pool, the leases.
 
-    One coordinator serves every campaign of a service process; the
-    per-campaign :class:`FleetExecutor` submits work into it and drains
-    results out.  All methods are thread-safe (they are called from the
-    asyncio server's ``to_thread`` workers and from campaign threads).
-    Lock order is always coordinator condition → lease table lock.
+    One per service; each campaign's :class:`FleetExecutor` submits work
+    into it and drains results out.  Thread-safe; lock order is
+    coordinator lock → lease table lock.  Shards wait on ``_cond`` for
+    leasable work, executors on ``_ready`` for their inbox, so a commit
+    wakes only executors.  A lease's ``ref`` is the
+    batch it was granted for.  The in-process shard is the one whose id
+    is :data:`~repro.service.leases.LOCAL_SHARD_ID`: always live, never
+    counted as connected, and handed jobs rather than wire payloads.
     """
 
     def __init__(self, journal=None, *,
@@ -211,89 +220,136 @@ class FleetCoordinator:
         self.shard_timeout = (shard_timeout if shard_timeout is not None
                               else lease_timeout)
         self._clock = clock
-        self._cond = threading.Condition()
+        lock = threading.Lock()
+        self._cond = threading.Condition(lock)
+        self._ready = threading.Condition(lock)
         self._shards: Dict[str, float] = {}  # shard id -> last seen (monotonic)
         self._work: List[_RemoteBatch] = []
-        self._by_digest: Dict[str, _RemoteBatch] = {}
         self.hedges = 0
-        self.degraded = 0
 
     # -- shard-facing protocol -------------------------------------------------------
 
-    def register(self, shard_id: str) -> Dict[str, object]:
+    def register(self, shard: str) -> Dict[str, object]:
         with self._cond:
-            self._shards[shard_id] = self._clock()
+            self._shards[shard] = self._clock()
             self._cond.notify_all()
-        return {"shard": shard_id,
+        return {"shard": shard,
                 "lease_timeout": self.leases.lease_timeout,
                 "draining": self.leases.closed}
 
-    def poll(self, shard_id: str, wait: float) -> Dict[str, object]:
-        """Long-poll for one leased batch (or idle / draining).
+    def poll(self, shard: str, wait: float = 0.0) -> Dict[str, object]:
+        """Long-poll for one leased run (or idle / draining).
 
-        The wait loop doubles as the fleet's maintenance pass: every
-        wake-up expires due leases, so reclaim latency is bounded by the
-        poll cadence even with no executor actively waiting.
+        The grant's ``job`` is the wire payload, or for the in-process
+        shard the job itself.  Every wake-up also expires due leases.
         """
         deadline = self._clock() + max(0.0, wait)
         with self._cond:
             while True:
-                now = self._clock()
-                self._shards[shard_id] = now
+                self._shards[shard] = self._clock()
                 self._reap_locked()
-                if self.leases.closed:
-                    return {"job": None, "token": None, "draining": True}
-                batch, hedge = self._next_dispatchable_locked(shard_id)
-                if batch is not None:
+                run, hedge = ([], False) if self.leases.closed \
+                    else self._next_run_locked(shard)
+                grants = []
+                for batch in run:
                     lease = self.leases.grant(batch.digest, batch.job.label,
-                                              batch.campaign_id, shard_id)
-                    if lease is None:  # closed raced the check above
-                        return {"job": None, "token": None, "draining": True}
+                                              batch.campaign_id, shard,
+                                              ref=batch)
+                    if lease is None:  # closed after the check above
+                        break
+                    grants.append((batch, lease.token))
+                if grants:
                     if hedge:
                         self.hedges += 1
                         if self.journal is not None:
                             self.journal.record(
-                                f"fleet:{batch.digest[:16]}", "batch_hedged",
-                                extra={"shard": shard_id,
-                                       "token": lease.token,
-                                       "label": batch.job.label})
-                    self._cond.notify_all()
-                    return {"job": batch.wire, "token": lease.token,
-                            "digest": batch.digest,
-                            "lease_timeout": self.leases.lease_timeout,
-                            "draining": False}
+                                f"fleet:{run[0].digest[:16]}", "batch_hedged",
+                                extra={"shard": shard,
+                                       "token": grants[0][1],
+                                       "label": run[0].job.label})
+                    return self._grant(grants, shard != LOCAL_SHARD_ID)
                 remaining = deadline - self._clock()
-                if remaining <= 0:
-                    return {"job": None, "token": None, "draining": False}
-                # Bounded naps so expiry reaping and close() are noticed.
+                if self.leases.closed or remaining <= 0:
+                    return {"job": None, "token": None,
+                            "draining": self.leases.closed}
+                # Bounded naps so expiry reaping, retry backoffs and
+                # close() are noticed.
                 self._cond.wait(min(remaining, 0.25))
 
-    def _next_dispatchable_locked(self, shard_id: str
-                                  ) -> Tuple[Optional[_RemoteBatch], bool]:
+    def _grant(self, grants: List[Tuple[_RemoteBatch, int]],
+               encode: bool) -> Dict[str, object]:
+        first, *more = [{"job": job_to_wire(batch.job) if encode
+                                 else batch.job,
+                         "token": token, "digest": batch.digest,
+                         "attempt": batch.attempts}
+                        for batch, token in grants]
+        return dict(first, more=more,
+                    lease_timeout=self.leases.lease_timeout,
+                    job_timeout=grants[0][0].policy.job_timeout,
+                    draining=False)
+
+    def _holders(self, batch: _RemoteBatch):
+        return [lease for lease in self.leases.holders(batch.digest)
+                if lease.ref is batch]
+
+    def _next_run_locked(self, shard: str
+                         ) -> Tuple[List[_RemoteBatch], bool]:
+        """The run to lease to ``shard`` next, and whether it is a hedge.
+
+        The first free batch in submission order decides: a remote shard
+        or a charged batch gets it alone; otherwise the in-process shard
+        takes up to its share of that campaign's free batches, in plan
+        order.  A hedge is offered only when no free batch is.
+        """
         now = self._clock()
+        live = self._connected_locked(now) + 1
+        hedge: Optional[_RemoteBatch] = None
+        full: Set[str] = set()  # campaigns this shard holds its share of
         for batch in self._work:
-            if batch.settled or batch.payload is not None:
+            if (not batch.open or batch.campaign_id in full
+                    or batch.attempts > batch.policy.retries
+                    or batch.ready_at > now):
                 continue
-            holders = self.leases.holders(batch.digest)
-            if not holders:
-                return batch, False
-            if (len(holders) == 1
-                    and holders[0].shard_id != shard_id
-                    and now - holders[0].granted_at >= self.hedge_after):
-                # Still renewed (not expired) but past the latency
-                # budget: a slow shard.  Hedge it to this one; first
-                # valid commit wins, the loser dedups as 'duplicate'.
-                return batch, True
-        return None, False
+            holders = self._holders(batch)
+            if holders:
+                if (hedge is None and len(holders) == 1
+                        and holders[0].shard_id != shard
+                        and now - holders[0].granted_at >= self.hedge_after):
+                    # Still renewed (not expired) but past the latency
+                    # budget: a slow shard.  Hedge it to this one; first
+                    # valid commit wins, the loser dedups as 'duplicate'.
+                    hedge = batch
+                continue
+            if batch.attempts or shard != LOCAL_SHARD_ID:
+                return [batch], False
+            campaign = [b for b in self._work
+                        if b.campaign_id == batch.campaign_id and b.open]
+            held = sum(1 for b in campaign for lease in self._holders(b)
+                       if lease.shard_id == shard)
+            share = -(-len(campaign) // live) - held
+            if share <= 0:
+                full.add(batch.campaign_id)
+                continue
+            run = [b for b in campaign[campaign.index(batch):]
+                   if not b.attempts and not self._holders(b)]
+            return run[:share], False
+        return ([hedge], True) if hedge is not None else ([], False)
 
-    def heartbeat(self, shard_id: str,
-                  tokens: Sequence[int]) -> Dict[str, object]:
+    def heartbeat(self, shard: str, tokens: Sequence[int]) -> Dict[str, object]:
         with self._cond:
-            self._shards[shard_id] = self._clock()
-        result = self.leases.renew(shard_id, tokens)
-        return {"shard": shard_id, **result}
+            self._shards[shard] = self._clock()
+        return {"shard": shard, **self.leases.renew(shard, tokens)}
 
-    def commit(self, shard_id: str, token: int, digest: str,
+    def _lease(self, shard: str, token: int,
+               digest: str) -> Optional[Lease]:
+        """``token``'s lease, if it is ``shard``'s live lease on ``digest``."""
+        lease = self.leases.get(token)
+        if (lease is not None and lease.digest == digest
+                and lease.shard_id == shard):
+            return lease
+        return None
+
+    def commit(self, shard: str, token: int, digest: str,
                payload: object) -> Dict[str, object]:
         """Rule on one commit: validate, then let the lease table decide.
 
@@ -301,105 +357,139 @@ class FleetCoordinator:
         corrupt payload never occupies a digest's one commit slot — the
         batch is charged an attempt and redispatched instead.
         """
+        # All under the condition, so no poll sees the batch unleased
+        # before its payload (or its charge) lands and leases it again.
         with self._cond:
-            batch = self._by_digest.get(digest)
-        if batch is not None and isinstance(payload, dict):
-            try:
-                batch.job.validate(payload)
-            except Exception as exc:  # noqa: BLE001 - any invalid payload
-                self.leases.release(token)
-                with self._cond:
-                    batch.attempts += 1
-                    batch.kinds.append("corrupt")
-                    batch.last_error = (f"invalid payload from {shard_id}: "
-                                        f"{type(exc).__name__}: {exc}")
-                    self._cond.notify_all()
-                return {"verdict": "invalid", "error": batch.last_error}
-        elif batch is not None:
-            self.leases.release(token)
-            return {"verdict": "invalid", "error": "payload not an object"}
-        verdict = self.leases.commit(shard_id, token, digest)
-        if verdict == "ok" and batch is not None:
-            with self._cond:
+            lease = self._lease(shard, token, digest)
+            batch = lease.ref if lease is not None else None
+            if batch is not None:
+                try:
+                    if not isinstance(payload, dict):
+                        raise TypeError("payload not an object")
+                    batch.job.validate(payload)
+                except Exception as exc:  # noqa: BLE001 - any invalid payload
+                    self.leases.release(token)
+                    error = (f"invalid payload from {shard}: "
+                             f"{type(exc).__name__}: {exc}")
+                    self._charge_locked(batch, "corrupt", error)
+                    return {"verdict": "invalid", "error": error}
+            verdict = self.leases.commit(shard, token, digest)
+            if (verdict in ("ok", "duplicate") and batch is not None
+                    and batch.open):
                 batch.payload = payload
-                self._cond.notify_all()
+                self._notify_locked(batch)
+                if shard == LOCAL_SHARD_ID:
+                    # Backpressure, as a supervisor's own commit gives:
+                    # undelivered payloads stay bounded when the
+                    # campaign's executor falls behind.
+                    self._ready.wait_for(
+                        lambda: len(batch.inbox) < INBOX_LIMIT, 1.0)
         return {"verdict": verdict}
+
+    def fail(self, shard: str, token: int, digest: str, kind: str,
+             error: str = "") -> Dict[str, object]:
+        """A shard could not finish a leased batch: charge one attempt.
+
+        ``charged`` when the token was the shard's live lease on a batch
+        still owed a payload; ``stale`` (a no-op) otherwise.
+        """
+        with self._cond:
+            lease = self._lease(shard, token, digest)
+            if lease is not None:
+                self.leases.release(token, "lease_failed", kind=kind)
+            batch = lease.ref if lease is not None else None
+            if batch is None or not batch.open:
+                return {"verdict": "stale"}
+            self._charge_locked(batch, kind,
+                                f"{kind} on shard {shard}: {error}")
+        return {"verdict": "charged"}
+
+    def _charge_locked(self, batch: _RemoteBatch, kind: str,
+                       error: str) -> None:
+        """One attempt of ``batch`` failed: count it and back off."""
+        batch.attempts += 1
+        batch.kinds.append(kind)
+        batch.last_error = error
+        batch.ready_at = self._clock() + batch.policy.delay(batch.digest,
+                                                            batch.attempts)
+        if batch.attempts > batch.policy.retries:
+            self._notify_locked(batch)
+        self._cond.notify_all()
+
+    def _notify_locked(self, batch: _RemoteBatch) -> None:
+        batch.inbox.append(batch)
+        self._ready.notify_all()
 
     # -- executor-facing API ---------------------------------------------------------
 
     def submit(self, campaign_id: str,
-               jobs: Sequence[LiveBatchJob]) -> List[_RemoteBatch]:
-        batches = [_RemoteBatch(job, campaign_id) for job in jobs]
+               jobs: Sequence[Tuple[LiveBatchJob, str]],
+               policy: RetryPolicy,
+               inbox: List[_RemoteBatch]) -> List[_RemoteBatch]:
+        """Queue ``(job, digest)`` pairs for dispatch under ``policy``;
+        each joins ``inbox`` when it needs its executor."""
+        batches = [_RemoteBatch(job, digest, campaign_id, policy, inbox)
+                   for job, digest in jobs]
         with self._cond:
-            for batch in batches:
-                self._work.append(batch)
-                self._by_digest[batch.digest] = batch
+            self._work.extend(batches)
             self._cond.notify_all()
         return batches
 
-    def withdraw(self, batches: Sequence[_RemoteBatch],
-                 only_idle: bool = False) -> List[_RemoteBatch]:
-        """Make batches undispatchable; returns the ones left leased.
-
-        With ``only_idle`` the currently-leased batches are spared (the
-        graceful-shutdown drain lets them finish and commit); otherwise
-        their leases are released too, so any late commit is fenced.
-        """
-        leased: List[_RemoteBatch] = []
+    def withdraw(self, batches: Sequence[_RemoteBatch]) -> int:
+        """Make the batches owed a payload and leased to no shard
+        undispatchable (a drain lets leased ones commit); returns how
+        many."""
+        withdrawn = 0
         with self._cond:
             for batch in batches:
-                if batch.settled:
-                    continue
-                if only_idle and self.leases.holders(batch.digest):
-                    leased.append(batch)
-                    continue
-                batch.withdrawn = True
-            self._cond.notify_all()
-        if not only_idle:
-            for batch in batches:
-                for lease in self.leases.holders(batch.digest):
-                    self.leases.release(lease.token)
-        return leased
+                if batch.open and not self._holders(batch):
+                    batch.withdrawn = True
+                    withdrawn += 1
+        return withdrawn
 
     def retire(self, batches: Sequence[_RemoteBatch]) -> None:
-        """Remove a campaign's batches at end of run; late commits fence."""
+        """Remove a campaign's batches at end of run.  Late commits of
+        undelivered batches fence; a hedge partner's late commit of a
+        delivered one stays a ``duplicate`` (its lease lives on)."""
+        gone = set(map(id, batches))
         with self._cond:
-            for batch in batches:
-                if batch in self._work:
-                    self._work.remove(batch)
-                self._by_digest.pop(batch.digest, None)
+            self._work = [b for b in self._work if id(b) not in gone]
         for batch in batches:
-            for lease in self.leases.holders(batch.digest):
-                self.leases.release(lease.token)
+            if not batch.delivered:
+                for lease in self._holders(batch):
+                    self.leases.release(lease.token)
 
     def reap(self) -> None:
         with self._cond:
             self._reap_locked()
 
     def _reap_locked(self) -> None:
-        expired = self.leases.expire_due()
-        charged = False
-        for lease in expired:
-            batch = self._by_digest.get(lease.digest)
-            if batch is None or batch.settled or batch.payload is not None:
-                continue
-            batch.attempts += 1
-            batch.kinds.append("lease_expired")
-            batch.last_error = (f"lease {lease.token} on shard "
-                                f"{lease.shard_id} expired unrenewed")
-            charged = True
-        if charged:
-            self._cond.notify_all()
+        for lease in self.leases.expire_due():
+            batch = lease.ref
+            if batch is not None and batch.open:
+                self._charge_locked(batch, "lease_expired",
+                                    f"lease {lease.token} on shard "
+                                    f"{lease.shard_id} expired unrenewed")
 
-    def wait_event(self, timeout: float) -> None:
-        with self._cond:
-            self._cond.wait(timeout)
+    def take(self, inbox: List[_RemoteBatch],
+             timeout: float) -> List[_RemoteBatch]:
+        """Wait up to ``timeout`` for ``inbox`` to fill, then empty it."""
+        with self._ready:
+            self._ready.wait_for(lambda: inbox, timeout)
+            ready = list(inbox)
+            inbox.clear()
+            self._ready.notify_all()
+        return ready
 
     def connected_shards(self) -> int:
+        """Remote shards heard from within ``shard_timeout``."""
         with self._cond:
-            now = self._clock()
-            return sum(1 for seen in self._shards.values()
-                       if now - seen <= self.shard_timeout)
+            return self._connected_locked(self._clock())
+
+    def _connected_locked(self, now: float) -> int:
+        return sum(1 for shard, seen in self._shards.items()
+                   if shard != LOCAL_SHARD_ID
+                   and now - seen <= self.shard_timeout)
 
     def close(self) -> None:
         """Stop granting leases (graceful-shutdown step one)."""
@@ -407,65 +497,46 @@ class FleetCoordinator:
         with self._cond:
             self._cond.notify_all()
 
-    def note_degraded(self) -> None:
-        with self._cond:
-            self.degraded += 1
-
     def stats(self) -> Dict[str, object]:
-        with self._cond:
-            degraded = self.degraded
         return {"shards": {"connected": self.connected_shards()},
                 "leases": self.leases.stats(),
-                "batches": {"hedged": self.hedges},
-                "fleet_degraded": degraded}
-
-
-def empty_fleet_stats() -> Dict[str, object]:
-    """The /stats fleet block of a service running without a fleet."""
-    return {"shards": {"connected": 0},
-            "leases": {"active": 0, "granted": 0, "renewed": 0,
-                       "reclaimed": 0, "fenced": 0},
-            "batches": {"hedged": 0},
-            "fleet_degraded": 0}
+                "batches": {"hedged": self.hedges}}
 
 
 class FleetExecutor:
-    """Supervisor-protocol executor that runs live batches on the fleet.
+    """The service's one executor of live campaigns, on leases.
 
-    Drop-in for :class:`~repro.resilience.Supervisor` where the
-    scheduler passes one into :func:`~repro.faultinject.run_live_campaign`:
-    same ``run(tasks, commit, already_done)`` contract, same
-    ``request_stop`` drain, same :class:`FailureReport` — literally the
-    same object as the campaign's local supervisor's, so the scheduler's
-    degradation accounting covers remote and fallback failures alike.
-    The commit callback runs only on this (the campaign's) thread, so
-    cache writes and progress bumps stay single-threaded exactly as with
-    a local pool.
+    A drop-in for :class:`~repro.resilience.Supervisor` in
+    :func:`~repro.faultinject.run_live_campaign` (same ``run`` contract,
+    ``request_stop`` drain, ``report`` and ``on_failure`` hook), with no
+    pool of its own: batches run wherever a shard leases them, under the
+    campaign's retry ``policy``.  ``commit`` runs only on the campaign's
+    thread.
     """
 
     def __init__(self, coordinator: FleetCoordinator, campaign_id: str,
-                 local: Supervisor, on_degraded=None) -> None:
+                 policy: RetryPolicy, on_failure=None) -> None:
         self.coordinator = coordinator
         self.campaign_id = campaign_id
-        self.local = local
-        self.policy = local.policy
-        self.on_degraded = on_degraded
-        self.report = local.report  # shared: one budget for both paths
-        self.on_failure = local.on_failure
-        self._stop = local._stop    # shared: one stop request drains both
-
-    # -- Supervisor protocol ---------------------------------------------------------
+        self.policy = policy
+        self.report = FailureReport()
+        self.on_failure = on_failure
+        self._stop = threading.Event()
 
     def request_stop(self) -> None:
         self._stop.set()
 
-    @property
-    def stop_requested(self) -> bool:
-        return self._stop.is_set()
-
     def run(self, tasks, commit, already_done=None) -> SupervisedRun:
+        """Submit, then deliver each batch's payload as it is committed.
+
+        A stop request mirrors :meth:`Supervisor.run`'s drain: batches
+        never leased are withdrawn at once, leased ones get
+        ``job_timeout`` (or the default abort grace) to commit — those
+        commits are delivered — and the rest are withdrawn (their late
+        commits fence) before :class:`~repro.errors.CampaignCancelled`.
+        """
         skipped = 0
-        jobs: List[LiveBatchJob] = []
+        jobs: List[Tuple[LiveBatchJob, str]] = []
         seen: Set[str] = set()
         for task in tasks:
             digest = task.digest()
@@ -474,83 +545,64 @@ class FleetExecutor:
             seen.add(digest)
             if already_done is not None and already_done(task):
                 skipped += 1
-                continue
-            jobs.append(task)
-        batch_report = FailureReport()
+            else:
+                jobs.append((task, digest))
+        report = FailureReport()
         if not jobs:
-            return SupervisedRun(executed=0, skipped=skipped,
-                                 report=batch_report)
-        if self.coordinator.connected_shards() == 0:
-            # Zero shards: the local pool, unchanged (the invariant the
-            # existing contract/recovery suites pin).
-            outcome = self.local.run(jobs, commit)
-            return SupervisedRun(executed=outcome.executed,
-                                 skipped=outcome.skipped + skipped,
-                                 report=outcome.report)
-
-        batches = self.coordinator.submit(self.campaign_id, jobs)
-        executed = 0
-        lost_fleet = False
+            return SupervisedRun(executed=0, skipped=skipped, report=report)
+        inbox: List[_RemoteBatch] = []
+        batches = self.coordinator.submit(self.campaign_id, jobs,
+                                          self.policy, inbox)
+        owed = len(batches)  # neither delivered, failed nor withdrawn
+        executed = drained_from = unleased = 0
+        drain_end: Optional[float] = None
         try:
             while True:
-                if self._stop.is_set():
-                    self._drain_cancel(batches, commit)  # raises
+                if self._stop.is_set() and drain_end is None:
+                    drain_end = time.monotonic() + (self.policy.job_timeout
+                                                    or DEFAULT_ABORT_GRACE)
+                    drained_from = executed
+                    unleased = self.coordinator.withdraw(batches)
+                    owed -= unleased
                 self.coordinator.reap()
-                pending = 0
-                for batch in batches:
+                for batch in self.coordinator.take(inbox,
+                                                   0.1 if owed else 0.0):
                     if batch.settled:
                         continue
+                    owed -= 1
                     if batch.payload is not None:
                         commit(batch.job, batch.payload)
-                        batch.delivered = True
+                        batch.delivered, batch.payload = True, None
                         executed += 1
-                        continue
-                    if batch.attempts > self.policy.retries:
-                        self._fail(batch, batch_report)
-                        continue
-                    pending += 1
-                if pending == 0:
+                    elif drain_end is None:
+                        self._fail(batch, report)
+                    else:  # attempts spent while draining
+                        batch.withdrawn = True
+                if drain_end is not None and (
+                        not owed or time.monotonic() >= drain_end):
+                    # retire() below fences the rest's late commits.
+                    raise CampaignCancelled(
+                        f"fleet execution cancelled: "
+                        f"{executed - drained_from} in-flight batch(es) "
+                        f"committed during drain, {owed} reclaimed, "
+                        f"{unleased} withdrawn undispatched",
+                        committed=executed - drained_from,
+                        reclaimed=owed)
+                if not owed:
                     break
-                if self.coordinator.connected_shards() == 0:
-                    lost_fleet = True
-                    break
-                self.coordinator.wait_event(0.1)
-
-            if lost_fleet:
-                # Whole-fleet loss: withdraw what the fleet still holds
-                # (late commits fence), deliver anything that landed in
-                # the race, and finish on the local pool.
-                self.coordinator.withdraw(batches)
-                for batch in batches:
-                    if not batch.settled and batch.payload is not None:
-                        commit(batch.job, batch.payload)
-                        batch.delivered = True
-                        executed += 1
         finally:
             self.coordinator.retire(batches)
-
-        if lost_fleet:
-            self.coordinator.note_degraded()
-            if self.on_degraded is not None:
-                self.on_degraded()
-            remaining = [b.job for b in batches
-                         if not b.delivered and not b.failed]
-            outcome = self.local.run(remaining, commit)
-            executed += outcome.executed
-            batch_report.failures.extend(outcome.report.failures)
         return SupervisedRun(executed=executed, skipped=skipped,
-                             report=batch_report)
+                             report=report)
 
-    # -- failure / abort / drain -----------------------------------------------------
-
-    def _fail(self, batch: _RemoteBatch, batch_report: FailureReport) -> None:
+    def _fail(self, batch: _RemoteBatch, report: FailureReport) -> None:
         batch.failed = True
         failure = JobFailure(digest=batch.digest, label=batch.job.label,
                              attempts=batch.attempts,
                              kinds=list(batch.kinds),
                              error=batch.last_error
                                    or "remote attempts exhausted")
-        batch_report.failures.append(failure)
+        report.failures.append(failure)
         self.report.failures.append(failure)
         if self.on_failure is not None:
             self.on_failure(failure)
@@ -562,52 +614,12 @@ class FleetExecutor:
                 f"(failed: {', '.join(self.report.labels())})",
                 report=FailureReport(failures=list(self.report.failures)))
 
-    def _drain_cancel(self, batches: Sequence[_RemoteBatch],
-                      commit) -> int:
-        """Stop requested: spare leased work a grace, reclaim the rest.
-
-        Mirrors :meth:`Supervisor.run`'s ``drain_cancel``: never-leased
-        batches are withdrawn immediately, in-flight leased batches get
-        ``job_timeout`` (or the default abort grace) to commit — those
-        commits are delivered — and whatever is still out after the
-        grace is reclaimed by withdrawal (its late commit fences).
-        """
-        grace = self.policy.job_timeout or DEFAULT_ABORT_GRACE
-        leased = self.coordinator.withdraw(batches, only_idle=True)
-        committed = 0
-        deadline = time.monotonic() + grace
-        while leased and time.monotonic() < deadline:
-            self.coordinator.reap()
-            still: List[_RemoteBatch] = []
-            for batch in leased:
-                if batch.payload is not None and not batch.delivered:
-                    commit(batch.job, batch.payload)
-                    batch.delivered = True
-                    committed += 1
-                elif not batch.settled and batch.attempts <= \
-                        self.policy.retries:
-                    still.append(batch)
-            leased = still
-            if leased:
-                self.coordinator.wait_event(0.1)
-        reclaimed = len(leased)
-        never_submitted = sum(1 for b in batches
-                              if b.withdrawn and b not in leased)
-        self.coordinator.withdraw(batches)
-        raise CampaignCancelled(
-            f"fleet execution cancelled: {committed} in-flight batch(es) "
-            f"committed during drain, {reclaimed} reclaimed, "
-            f"{never_submitted} withdrawn undispatched",
-            committed=committed, reclaimed=reclaimed)
-
 
 # -- shard side --------------------------------------------------------------------
 
 
 class HttpTransport:
     """One-request-per-connection HTTP client for the fleet protocol."""
-
-    PATHS = {op: f"/fleet/{op}" for op in FLEET_OPS}
 
     def __init__(self, base: str, timeout: float = 75.0) -> None:
         if "//" in base:
@@ -619,13 +631,12 @@ class HttpTransport:
         self.timeout = timeout
 
     def request(self, op: str, body: Dict[str, object]) -> Dict[str, object]:
-        path = self.PATHS.get(op)
-        if path is None:
+        if op not in FLEET_OPS:
             raise FleetError(f"unknown fleet operation {op!r}")
         conn = http.client.HTTPConnection(self.host, self.port,
                                           timeout=self.timeout)
         try:
-            conn.request("POST", path,
+            conn.request("POST", f"/fleet/{op}",
                          body=json.dumps(body).encode("utf-8"),
                          headers={"Content-Type": "application/json"})
             response = conn.getresponse()
@@ -637,6 +648,23 @@ class HttpTransport:
             return data
         finally:
             conn.close()
+
+
+class LocalTransport:
+    """The fleet protocol as direct calls on an in-process coordinator.
+
+    No HTTP and no JSON: payloads cross as objects, and a shard named
+    :data:`~repro.service.leases.LOCAL_SHARD_ID` is granted jobs, not
+    wire payloads.
+    """
+
+    def __init__(self, coordinator: FleetCoordinator) -> None:
+        self.coordinator = coordinator
+
+    def request(self, op: str, body: Dict[str, object]) -> Dict[str, object]:
+        if op not in FLEET_OPS:
+            raise FleetError(f"unknown fleet operation {op!r}")
+        return getattr(self.coordinator, op)(**body)
 
 
 class ChaosTransport:
@@ -651,22 +679,30 @@ class ChaosTransport:
         return self.inner.request(op, body)
 
 
-class ShardAgent:
-    """A remote worker shard: poll, run on the local PR-3 pool, commit.
+class _Run:
+    """One leased run on a shard: its tokens and its supervisor."""
 
-    The agent is deliberately stateless about the campaign: every leased
-    batch is rebuilt from its wire payload, executed on a local
-    :class:`~repro.resilience.Supervisor` pool (so worker crashes and
-    hangs on the shard are absorbed by the same machinery as anywhere
-    else), and committed under its fencing token.  A batch whose lease
-    the server reports lost is abandoned — its commit would fence.  A
-    batch that fails permanently on this shard is simply never
-    committed; the server's lease expiry charges the attempt and
-    redispatches.
+    def __init__(self, tokens: Dict[str, int], supervisor: Supervisor):
+        self.tokens = tokens               # digest -> token
+        self.open = set(tokens.values())   # neither reported nor lost
+        self.supervisor = supervisor
+
+
+class ShardAgent:
+    """A worker shard: poll for runs, strike each on a pool, commit.
+
+    Each leased run executes on a :class:`~repro.resilience.Supervisor`
+    pool of ``jobs`` workers of its own, each batch once (``retries=0``)
+    under the campaign's ``job_timeout``, committed under its own token
+    as it streams or reported through ``fail``.  A remote shard's runs
+    are one batch each.  Up to ``runs`` runs execute at once (the
+    in-process shard holds one per running campaign, so one campaign's
+    hang never delays another's).  A run whose every open token the
+    server reports lost is stopped at once.
     """
 
     def __init__(self, transport, *, shard_id: Optional[str] = None,
-                 jobs: int = 1, policy: Optional[RetryPolicy] = None,
+                 jobs: int = 1, runs: int = 1,
                  heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
                  poll_wait: float = DEFAULT_POLL_WAIT,
                  chaos: Optional[NetworkChaos] = None) -> None:
@@ -674,22 +710,28 @@ class ShardAgent:
         self.shard_id = shard_id or (f"{socket.gethostname()}"
                                      f"-{os.getpid()}")
         self.jobs = jobs
-        # A shard-local permanent failure must not poison later batches,
-        # so the failure budget is effectively unlimited: the batch just
-        # goes uncommitted and the server's lease machinery takes over.
-        self.policy = policy or RetryPolicy(retries=1, max_failures=1 << 30)
         self.heartbeat_interval = heartbeat_interval
         self.poll_wait = poll_wait
         self.chaos = chaos if chaos is not None else NetworkChaos()
         self._stop = threading.Event()
+        self._done = threading.Event()
+        self._slots = threading.Semaphore(runs)
         self._lock = threading.Lock()
-        self._held: Dict[int, str] = {}   # token -> digest
-        self._lost: Set[int] = set()
+        self._runs: List[_Run] = []
+        self._abandon = False
         self.batches_done = 0
-        self.batches_fenced = 0
 
-    def request_stop(self) -> None:
+    def request_stop(self, now: bool = False) -> None:
+        """Stop polling; runs in flight finish, or with ``now`` are
+        stopped at once (their workers killed, their leases left to the
+        server)."""
         self._stop.set()
+        if now:
+            with self._lock:
+                self._abandon = True
+                runs = list(self._runs)
+            for run in runs:
+                run.supervisor.request_stop(now=True)
 
     def _call(self, op: str, body: Dict[str, object]
               ) -> Optional[Dict[str, object]]:
@@ -711,81 +753,132 @@ class ShardAgent:
             if self._call("register", {"shard": self.shard_id}) is not None:
                 break
             self._stop.wait(0.5)
-        heartbeats = threading.Thread(target=self._heartbeat_loop,
-                                      name=f"heartbeat-{self.shard_id}",
-                                      daemon=True)
-        heartbeats.start()
-        supervisor = Supervisor(max_workers=self.jobs, policy=self.policy)
+        threading.Thread(target=self._heartbeat_loop,
+                         name=f"heartbeat-{self.shard_id}",
+                         daemon=True).start()
+        threads: List[threading.Thread] = []
         try:
             while not self._stop.is_set():
-                response = self._call("poll", {"shard": self.shard_id,
-                                               "wait": self.poll_wait})
-                if response is None:
-                    self._stop.wait(0.2)
+                if not self._slots.acquire(timeout=0.5):
                     continue
-                if response.get("draining"):
-                    break
-                wire = response.get("job")
-                if wire is None:
-                    continue
-                self._run_leased(wire, int(response["token"]), supervisor)
                 if (max_batches is not None
                         and self.batches_done >= max_batches):
+                    self._slots.release()
                     break
+                grant = self._call("poll", {"shard": self.shard_id,
+                                            "wait": self.poll_wait})
+                if grant is None or grant.get("job") is None:
+                    self._slots.release()
+                    if grant is None:
+                        self._stop.wait(0.2)
+                    elif grant.get("draining"):
+                        break
+                    continue
+                thread = threading.Thread(target=self._strike, args=(grant,),
+                                          name=f"run-{self.shard_id}",
+                                          daemon=True)
+                thread.start()
+                threads = [t for t in threads if t.is_alive()] + [thread]
         finally:
             self._stop.set()
+            for thread in threads:
+                thread.join()
+            self._done.set()
         return self.batches_done
 
-    def _run_leased(self, wire: Dict[str, object], token: int,
-                    supervisor: Supervisor) -> None:
+    def _strike(self, grant: Dict[str, object]) -> None:
+        """Strike one leased run; always frees its slot."""
         try:
-            job = job_from_wire(wire)
-        except FleetError:
-            # Version-skewed or corrupt dispatch: never simulate it; the
-            # lease expires server-side and the batch goes elsewhere.
-            return
-        with self._lock:
-            self._held[token] = job.digest()
-        try:
-            stall = self.chaos.slow_for(job.label)
-            if stall > 0:
-                time.sleep(stall)
-            collected: Dict[str, Dict[str, object]] = {}
-
-            def grab(task, payload) -> None:
-                collected["payload"] = payload
-
+            jobs: List[LiveBatchJob] = []
+            tokens: Dict[str, int] = {}
+            attempts: Dict[str, int] = {}
+            for entry in [grant, *(grant.get("more") or ())]:
+                job = entry["job"]
+                if not isinstance(job, LiveBatchJob):
+                    try:
+                        job = job_from_wire(job)
+                    except FleetError:
+                        # Version-skewed or corrupt dispatch: never
+                        # simulate it; the lease expires server-side and
+                        # the batch goes elsewhere.
+                        continue
+                digest = str(entry["digest"])
+                jobs.append(job)
+                tokens[digest] = int(entry["token"])
+                attempts[digest] = int(entry.get("attempt") or 0)
+            run = _Run(tokens, Supervisor(
+                max_workers=self.jobs,
+                # One attempt per lease: the server's budget is the only
+                # retry layer, and a failure is reported, never absorbed.
+                policy=RetryPolicy(retries=0,
+                                   job_timeout=grant.get("job_timeout"),
+                                   max_failures=1 << 30),
+                on_failure=lambda failure: self._report(run, failure)))
+            with self._lock:
+                if not jobs or self._abandon:
+                    return
+                self._runs.append(run)
             try:
-                supervisor.run([job], commit=grab)
+                stall = max(self.chaos.slow_for(job.label) for job in jobs)
+                if stall > 0:
+                    time.sleep(stall)
+                run.supervisor.run(
+                    jobs, commit=lambda job, payload: self._commit(
+                        run, job.digest(), payload),
+                    attempts=attempts)
             except (ExecutionFailed, CampaignCancelled):
-                return
-            payload = collected.get("payload")
-            if payload is None:
-                return  # permanent local failure: let the lease expire
-            with self._lock:
-                if token in self._lost:
-                    return  # the server already reclaimed this batch
-            response = self._call("commit", {"shard": self.shard_id,
-                                             "token": token,
-                                             "digest": job.digest(),
-                                             "payload": payload})
-            verdict = (response or {}).get("verdict")
-            if verdict in ("ok", "duplicate"):
-                self.batches_done += 1
-            elif verdict == "fenced":
-                self.batches_fenced += 1
+                pass
+            finally:
+                with self._lock:
+                    self._runs.remove(run)
         finally:
+            self._slots.release()
+
+    def _settle(self, run: _Run, digest: str) -> Optional[int]:
+        """Close ``digest``'s token in ``run``; None if it was lost."""
+        token = run.tokens[digest]
+        with self._lock:
+            if token not in run.open:
+                return None
+            run.open.discard(token)
+        return token
+
+    def _commit(self, run: _Run, digest: str,
+                payload: Dict[str, object]) -> None:
+        token = self._settle(run, digest)
+        if token is None:
+            return
+        response = self._call("commit", {"shard": self.shard_id,
+                                         "token": token, "digest": digest,
+                                         "payload": payload})
+        if (response or {}).get("verdict") in ("ok", "duplicate"):
             with self._lock:
-                self._held.pop(token, None)
-                self._lost.discard(token)
+                self.batches_done += 1
+
+    def _report(self, run: _Run, failure: JobFailure) -> None:
+        token = self._settle(run, failure.digest)
+        if token is not None:
+            self._call("fail", {"shard": self.shard_id, "token": token,
+                                "digest": failure.digest,
+                                "kind": failure.kinds[-1],
+                                "error": failure.error})
 
     def _heartbeat_loop(self) -> None:
-        while not self._stop.wait(self.heartbeat_interval):
+        # Beats until every run has ended, so leases stay renewed while
+        # runs finish after the poll loop stops (a draining server).
+        while not self._done.wait(self.heartbeat_interval):
             with self._lock:
-                tokens = list(self._held)
+                tokens = sorted(t for run in self._runs for t in run.open)
             response = self._call("heartbeat", {"shard": self.shard_id,
                                                 "tokens": tokens})
-            if response is not None:
-                lost = response.get("lost") or ()
-                with self._lock:
-                    self._lost.update(int(t) for t in lost)
+            if response is None:
+                continue
+            lost = set(int(t) for t in response.get("lost") or ())
+            stale = []
+            with self._lock:
+                for run in self._runs:
+                    if run.open and run.open <= lost:
+                        stale.append(run)
+                    run.open -= lost
+            for run in stale:
+                run.supervisor.request_stop(now=True)

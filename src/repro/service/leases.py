@@ -28,11 +28,16 @@ comparisons.
 Lease transitions are journaled write-ahead into the PR-8 service
 journal under ``fleet:<digest16>`` ids — observability records that
 compaction drops wholesale and campaign-lifecycle folding never sees
-(:data:`repro.service.journal.FLEET_ID_PREFIX`).
+(:data:`repro.service.journal.FLEET_ID_PREFIX`).  Renewals are counted,
+never journaled, and so are the routine grants and commits of the
+service's in-process shard (:data:`LOCAL_SHARD_ID`): the journal costs
+a fleet-less service nothing per batch, and heartbeat traffic never
+grows it.  Expiry, fencing and failure are journaled for every shard.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -46,6 +51,14 @@ DEFAULT_LEASE_TIMEOUT = 15.0
 #: Commit verdicts (the wire contract of POST /fleet/commit).
 VERDICTS = ("ok", "duplicate", "fenced", "invalid")
 
+#: Shard id of the service's in-process shard (refused over HTTP).
+LOCAL_SHARD_ID = "local"
+
+#: Committed digests the table remembers for ``duplicate`` verdicts.  A
+#: hedge partner committing later than this many commits reads ``ok``,
+#: which its grantor already treats alike (the batch has its payload).
+COMMITTED_MEMORY = 1 << 16
+
 
 @dataclass
 class Lease:
@@ -58,6 +71,8 @@ class Lease:
     shard_id: str
     deadline: float  # monotonic
     granted_at: float  # monotonic
+    #: The grantor's own record of the leased work (opaque to the table).
+    ref: object = None
 
     def journal_id(self) -> str:
         return f"{FLEET_ID_PREFIX}{self.digest[:16]}"
@@ -82,7 +97,10 @@ class LeaseTable:
         self._next_token = 1
         self._active: Dict[int, Lease] = {}
         self._by_digest: Dict[str, Set[int]] = {}
-        self._committed: Set[str] = set()
+        self._committed: Dict[str, None] = {}  # insertion-ordered
+        #: No active lease's deadline is earlier (renewals only raise
+        #: deadlines), so :meth:`expire_due` scans only once it passes.
+        self._earliest = math.inf
         self._closed = False
         # Cumulative counters (the /stats fleet block).
         self.granted = 0
@@ -92,8 +110,10 @@ class LeaseTable:
 
     # -- journaling ------------------------------------------------------------------
 
-    def _journal(self, lease: Lease, event: str, **extra: object) -> None:
-        if self.journal is None:
+    def _journal(self, lease: Lease, event: str, routine: bool = False,
+                 **extra: object) -> None:
+        if self.journal is None or (routine
+                                    and lease.shard_id == LOCAL_SHARD_ID):
             return
         record = {"token": lease.token, "shard": lease.shard_id,
                   "label": lease.label, "campaign": lease.campaign_id}
@@ -118,7 +138,7 @@ class LeaseTable:
     # -- grant / renew / expire ------------------------------------------------------
 
     def grant(self, digest: str, label: str, campaign_id: str,
-              shard_id: str) -> Optional[Lease]:
+              shard_id: str, ref: object = None) -> Optional[Lease]:
         """Lease one batch to one shard; None when the table is closed."""
         with self._lock:
             if self._closed:
@@ -128,11 +148,13 @@ class LeaseTable:
             self._next_token += 1
             lease = Lease(token=token, digest=digest, label=label,
                           campaign_id=campaign_id, shard_id=shard_id,
-                          deadline=now + self.lease_timeout, granted_at=now)
+                          deadline=now + self.lease_timeout, granted_at=now,
+                          ref=ref)
             self._active[token] = lease
+            self._earliest = min(self._earliest, lease.deadline)
             self._by_digest.setdefault(digest, set()).add(token)
             self.granted += 1
-        self._journal(lease, "lease_granted")
+        self._journal(lease, "lease_granted", routine=True)
         return lease
 
     def renew(self, shard_id: str, tokens: Iterable[int]
@@ -147,7 +169,6 @@ class LeaseTable:
         """
         renewed: List[int] = []
         lost: List[int] = []
-        renewed_leases: List[Lease] = []
         with self._lock:
             now = self._clock()
             for token in tokens:
@@ -157,10 +178,7 @@ class LeaseTable:
                     continue
                 lease.deadline = now + self.lease_timeout
                 renewed.append(token)
-                renewed_leases.append(lease)
                 self.renewed += 1
-        for lease in renewed_leases:
-            self._journal(lease, "lease_renewed")
         return {"renewed": renewed, "lost": lost}
 
     def expire_due(self) -> List[Lease]:
@@ -173,11 +191,16 @@ class LeaseTable:
         expired: List[Lease] = []
         with self._lock:
             now = self._clock()
+            if now < self._earliest:
+                return expired
             for token, lease in list(self._active.items()):
                 if lease.deadline <= now:
                     self._drop_locked(token)
                     self.reclaimed += 1
                     expired.append(lease)
+            self._earliest = min((lease.deadline
+                                  for lease in self._active.values()),
+                                 default=math.inf)
         for lease in expired:
             self._journal(lease, "lease_expired")
             self._journal(lease, "lease_reclaimed")
@@ -193,10 +216,15 @@ class LeaseTable:
             if not holders:
                 del self._by_digest[lease.digest]
 
-    def release(self, token: int) -> None:
-        """Drop a lease without verdict (withdrawn/cancelled work)."""
+    def release(self, token: int, event: Optional[str] = None,
+                **extra: object) -> None:
+        """Drop a lease without verdict (withdrawn, cancelled or failed
+        work), journaling ``event`` for it if given."""
         with self._lock:
+            lease = self._active.get(token)
             self._drop_locked(token)
+        if lease is not None and event is not None:
+            self._journal(lease, event, **extra)
 
     # -- the exactly-once verdict ----------------------------------------------------
 
@@ -225,7 +253,9 @@ class LeaseTable:
                 if digest in self._committed:
                     verdict = "duplicate"
                 else:
-                    self._committed.add(digest)
+                    self._committed[digest] = None
+                    if len(self._committed) > COMMITTED_MEMORY:
+                        del self._committed[next(iter(self._committed))]
                     verdict = "ok"
             else:
                 verdict = "fenced"
@@ -236,10 +266,15 @@ class LeaseTable:
                           deadline=0.0, granted_at=0.0)
             self._journal(ghost, "lease_fenced")
         elif lease is not None:
-            self._journal(lease, f"lease_{'committed' if verdict == 'ok' else 'duplicate'}")
+            event = "committed" if verdict == "ok" else "duplicate"
+            self._journal(lease, f"lease_{event}", routine=True)
         return verdict
 
     # -- queries ---------------------------------------------------------------------
+
+    def get(self, token: int) -> Optional[Lease]:
+        with self._lock:
+            return self._active.get(token)
 
     def holders(self, digest: str) -> List[Lease]:
         with self._lock:

@@ -1,59 +1,46 @@
 """Campaign scheduler: specs in, supervised job shards out, status streamed.
 
-One :class:`CampaignScheduler` owns every campaign of a service process.
-Each submitted spec becomes a campaign record; execution runs in a
-dedicated thread on a dedicated :class:`~repro.resilience.Supervisor`
-pool, so one campaign's worker crashes, hangs and budget exhaustion
-degrade *that campaign only* — its neighbours' pools never see the
-broken executor.  The spec's ``budget`` is the per-campaign degradation
-budget (PR-3 semantics: fail past it, degrade within it).
+One :class:`CampaignScheduler` owns every campaign of a service process;
+each runs in a thread of its own.  A live campaign's batches are leased
+through the :class:`~repro.service.fleet.FleetCoordinator` by a
+:class:`~repro.service.fleet.FleetExecutor`, and run by whichever shard
+leases them: the service's own pool is an in-process shard, started with
+the first live campaign, that holds one leased run per running campaign,
+each on a :class:`~repro.resilience.Supervisor` pool of ``workers``
+processes of its own.  A reproduce campaign runs on a supervisor pool of
+its own.  So one campaign's worker crashes, hangs and budget exhaustion
+degrade *that campaign only*.  The spec's ``budget`` is the per-campaign
+degradation budget (fail past it, degrade within it).
 
-**Admission control.** At most ``max_running`` campaigns execute
-concurrently; beyond that, submissions wait in a bounded queue
-(``max_queued``) ordered FIFO within priority (spec ``priority`` 0–9,
-higher admits first, submission order breaks ties).  A submission that
-finds the queue full raises :class:`QueueFull`, which the server renders
-as ``429`` with a ``Retry-After`` hint and a machine-readable
-queue-depth body — backpressure is part of the wire contract, not an
-accident of load.  Queued campaigns report their ``queue_position`` so
-clients can back off intelligently.
+**Admission control.** At most ``max_running`` campaigns execute at
+once; the rest wait in a queue of at most ``max_queued``, FIFO within
+priority (spec ``priority`` 0–9, higher first).  A full queue raises
+:class:`QueueFull`, which the server renders as ``429`` with a
+``Retry-After`` hint; queued campaigns report their ``queue_position``.
 
 **Durability.** Every lifecycle transition (``submitted`` → ``admitted``
 → ``running`` → ``done``/``degraded``/``failed``/``cancelled``) is
-journaled write-ahead to ``service-journal.jsonl``
-(:class:`~repro.service.journal.ServiceJournal`).  On restart,
-:meth:`CampaignScheduler.recover` replays the journal and re-admits
-every campaign the dead process still owed work to; execution resumes
-through the per-batch content cache, so finished batches are served —
-never recomputed — and the recovered artifact is byte-identical to an
-uninterrupted run's.
+journaled write-ahead (:class:`~repro.service.journal.ServiceJournal`).
+:meth:`CampaignScheduler.recover` replays the journal on restart and
+re-admits every campaign the dead process still owed; finished batches
+come back from the per-batch cache, so the recovered artifact is
+byte-identical to an uninterrupted run's.
 
 **Cancellation.** :meth:`cancel` removes a queued campaign outright, or
-asks a running campaign's supervisor to drain: finished in-flight
-batches commit to the cache, the rest are reclaimed (the hung-worker
-pool-teardown path), the transition is journaled, and no partial result
-is ever content-addressed.  A cancelled campaign is resubmittable; the
-retry resumes from the committed batches.
+drains a running one: finished in-flight batches commit to the cache,
+the rest are reclaimed, and no partial result is content-addressed.  A
+cancelled campaign is resubmittable and resumes from the cache.
 
-Deduplication happens at two layers, both keyed by the spec's content
-digest (:meth:`~repro.service.specs.CampaignSpec.digest`):
+**Deduplication** is keyed by the spec's content digest
+(:meth:`~repro.service.specs.CampaignSpec.digest`): a submission of a
+queued or running spec joins that campaign, and one whose artifact is
+already in the :class:`~repro.service.store.ArtifactStore` completes
+from the store, so every client of a digest reads the same bytes.  A
+*failed*, *degraded* or *cancelled* campaign is not dedup'd:
+resubmitting it retries it.
 
-* **in-flight**: a second submission of a spec that is queued or running
-  joins the existing campaign (``submissions`` increments, nothing else
-  happens);
-* **at rest**: a submission whose digest already has a final artifact in
-  the :class:`~repro.service.store.ArtifactStore` completes instantly
-  from the store.
-
-Either way, every client of one digest reads the same artifact file —
-byte-identical results by construction.  A campaign that previously
-*failed*, *degraded* or was *cancelled* is not dedup'd: resubmitting it
-is an explicit request to try again (journal-resume semantics — finished
-batches are still in the shared cache, so only lost work re-runs).
-
-Progress: live campaigns stream per-batch; as each
-:class:`~repro.faultinject.LiveBatchJob` lands, the per-structure strike
-and SDC counts advance and the status payload's partial Wilson intervals
+**Progress.** As each live batch lands, the per-structure strike and SDC
+counts advance and the status payload's partial Wilson intervals
 (:func:`~repro.metrics.reliability.wilson_interval`) tighten.
 """
 
@@ -73,7 +60,17 @@ from repro.errors import (
 )
 from repro.metrics.reliability import wilson_interval
 from repro.resilience import RetryPolicy, Supervisor
-from repro.service.journal import ServiceJournal
+from repro.resilience.chaos import ChaosSpec, NetworkChaos
+from repro.resilience.supervisor import DEFAULT_ABORT_GRACE
+from repro.service.fleet import (
+    DEFAULT_HEARTBEAT_INTERVAL,
+    FleetCoordinator,
+    FleetExecutor,
+    LocalTransport,
+    ShardAgent,
+)
+from repro.service.journal import SERVICE_ID, ServiceJournal
+from repro.service.leases import LOCAL_SHARD_ID
 from repro.service.specs import CampaignSpec, SpecError, parse_spec
 from repro.service.store import ArtifactStore
 
@@ -169,10 +166,18 @@ class CampaignScheduler:
         self.max_running = max_running
         self.max_queued = max_queued
         self.journal = journal
-        #: Optional :class:`~repro.service.fleet.FleetCoordinator`.  With
-        #: no fleet — or a fleet with zero connected shards — every
-        #: campaign runs on its local pool exactly as before PR-10.
-        self.fleet = fleet
+        #: Every live batch is leased through this coordinator (the
+        #: server passes the one remote shards reach over HTTP).
+        self.fleet = fleet if fleet is not None else FleetCoordinator(journal)
+        #: The in-process shard, a leased run per running campaign:
+        #: started with the first live one, stopped by :meth:`shutdown`.
+        self._shard = ShardAgent(
+            LocalTransport(self.fleet), shard_id=LOCAL_SHARD_ID,
+            jobs=workers, runs=max_running, chaos=NetworkChaos(ChaosSpec()),
+            heartbeat_interval=min(DEFAULT_HEARTBEAT_INTERVAL,
+                                   self.fleet.leases.lease_timeout / 4))
+        self._shard_thread = threading.Thread(
+            target=self._shard.run, name="local-shard", daemon=True)
         self._draining = False
         self._lock = threading.Condition()
         self._campaigns: Dict[str, _Campaign] = {}
@@ -378,8 +383,6 @@ class CampaignScheduler:
     def cancel_grace(self, campaign_id: str) -> float:
         """The drain grace a cancellation of this campaign is bounded by
         (its ``job_timeout`` budget, or the supervisor's default)."""
-        from repro.resilience.supervisor import DEFAULT_ABORT_GRACE
-
         with self._lock:
             campaign = self._campaigns.get(campaign_id)
             if campaign is None:
@@ -403,12 +406,7 @@ class CampaignScheduler:
                                     key=lambda c: (c.created, c.id))]
 
     def stats(self) -> Dict[str, object]:
-        if self.fleet is not None:
-            fleet_stats = self.fleet.stats()
-        else:
-            from repro.service.fleet import empty_fleet_stats
-
-            fleet_stats = empty_fleet_stats()
+        fleet_stats = self.fleet.stats()
         with self._lock:
             states: Dict[str, int] = {}
             for campaign in self._campaigns.values():
@@ -481,22 +479,20 @@ class CampaignScheduler:
            campaign's ``job_timeout`` grace, the rest are reclaimed, and
            the campaign journals the non-terminal ``drained`` state so
            the next service life resumes it.
-        3. Journal a clean service ``shutdown`` record.
+        3. Stop the in-process shard: whatever it still runs was
+           reclaimed in step 2, so its workers are killed at once.
+        4. Journal a clean service ``shutdown`` record.
 
         The server closes its listening socket only after this returns —
         a client is never mid-request when the journal says the service
         exited cleanly.
         """
-        from repro.resilience.supervisor import DEFAULT_ABORT_GRACE
-        from repro.service.journal import SERVICE_ID
-
         with self._lock:
             self._draining = True
             running = [self._campaigns[cid] for cid in self._running
                        if cid in self._campaigns]
             supervisors = dict(self._supervisors)
-        if self.fleet is not None:
-            self.fleet.close()
+        self.fleet.close()
         grace = 0.0
         for campaign in running:
             grace = max(grace, float(campaign.spec.budget.job_timeout
@@ -505,6 +501,9 @@ class CampaignScheduler:
             if supervisor is not None:
                 supervisor.request_stop()
         self.join(timeout=grace + 10.0 if running else 5.0)
+        self.stop_shard()
+        if self._shard_thread.ident is not None:
+            self._shard_thread.join(10.0)
         if self.journal is not None:
             self.journal.record(SERVICE_ID, "shutdown",
                                 extra={"drained": len(running)})
@@ -569,7 +568,9 @@ class CampaignScheduler:
             campaign.version += 1
             self._lock.notify_all()
 
-    def _supervisor(self, campaign: _Campaign) -> Supervisor:
+    def _executor(self, campaign: _Campaign):
+        """A live campaign's :class:`FleetExecutor`, or a reproduce
+        campaign's :class:`Supervisor` pool."""
         spec = campaign.spec
         policy = RetryPolicy(retries=spec.budget.retries,
                              max_failures=spec.budget.max_failures,
@@ -580,107 +581,77 @@ class CampaignScheduler:
             self._bump(campaign,
                        lambda c: c.failures.append(failure.to_payload()))
 
+        if spec.kind == "live":
+            return FleetExecutor(self.fleet, campaign.id, policy,
+                                 on_failure=record)
         return Supervisor(max_workers=self.workers, policy=policy,
                           on_failure=record)
 
-    def _maybe_fleet(self, campaign: _Campaign, supervisor: Supervisor):
-        """Route a campaign through the worker fleet when one is live.
-
-        Only live campaigns shard over the fleet (their batches are the
-        content-hashed exactly-once unit); everything else — and every
-        campaign starting while zero shards are connected — runs on its
-        local pool exactly as without a fleet.
-        """
-        if (self.fleet is None or campaign.spec.kind != "live"
-                or self.fleet.connected_shards() == 0):
-            return supervisor
-        from repro.service.fleet import FleetExecutor
-
-        def degraded() -> None:
-            # Whole-fleet loss mid-campaign: journaled under the
-            # campaign id (non-terminal — if the process then dies the
-            # campaign is still owed) before the local pool takes over.
-            self._bump(campaign,
-                       lambda c: self._journal(c, "fleet_degraded"))
-
-        return FleetExecutor(self.fleet, campaign.id, supervisor,
-                             on_degraded=degraded)
+    def stop_shard(self) -> None:
+        """Stop the in-process shard and kill whatever it still runs."""
+        self._shard.request_stop(now=True)
 
     def _execute(self, campaign: _Campaign) -> None:
         def start_running(c: _Campaign) -> None:
             self._journal(c, "running")
             c.state = "running"
         self._bump(campaign, start_running)
-        supervisor = self._maybe_fleet(campaign, self._supervisor(campaign))
+        supervisor = self._executor(campaign)
         with self._lock:
+            if (campaign.spec.kind == "live"
+                    and self._shard_thread.ident is None):
+                self._shard_thread.start()
             self._supervisors[campaign.id] = supervisor
             if campaign.cancel_requested or self._draining:
                 # Cancelled (or service drain began) in the
                 # admission/running gap: drain at once.
                 supervisor.request_stop()
         try:
-            try:
-                runner = {"live": self._run_live,
-                          "reproduce": self._run_reproduce}[campaign.spec.kind]
-                payload, degraded = runner(campaign, supervisor)
-            except CampaignCancelled:
-                if self._draining and not campaign.cancel_requested:
-                    # Graceful service shutdown, not a client cancel: the
-                    # campaign is *owed*, not abandoned.  Journal the
-                    # non-terminal ``drained`` state so the next service
-                    # life re-admits it and resumes from the batch cache.
-                    def drained(c: _Campaign) -> None:
-                        self._journal(c, "drained")
-                        c.state = "queued"
-                    self._bump(campaign, drained)
-                    return
-                def cancelled(c: _Campaign) -> None:
-                    self._journal(c, "cancelled")
-                    c.state = "cancelled"
-                    c.failures = [f.to_payload()
-                                  for f in supervisor.report.failures]
-                    c.finished = time.time()
-                self._bump(campaign, cancelled)
-                self._write_manifest(campaign)
-                return
-            except ExecutionFailed as exc:
-                def fail(c: _Campaign, exc=exc) -> None:
-                    self._journal(c, "failed")
-                    c.state = "failed"
-                    c.error = str(exc)
-                    c.failures = [f.to_payload()
-                                  for f in supervisor.report.failures]
-                    c.finished = time.time()
-                self._bump(campaign, fail)
-                self._write_manifest(campaign)
-                return
-            except Exception as exc:  # noqa: BLE001 - a campaign never takes
-                # down the service; the error belongs to its submitter.
-                def fail(c: _Campaign, exc=exc) -> None:
-                    self._journal(c, "failed")
-                    c.state = "failed"
-                    c.error = f"{type(exc).__name__}: {exc}"
-                    c.finished = time.time()
-                self._bump(campaign, fail)
-                self._write_manifest(campaign)
-                return
-
+            runner = {"live": self._run_live,
+                      "reproduce": self._run_reproduce}[campaign.spec.kind]
+            payload, degraded = runner(campaign, supervisor)
+        except CampaignCancelled:
+            if self._draining and not campaign.cancel_requested:
+                # Graceful service shutdown, not a client cancel: the
+                # campaign is *owed*, not abandoned.  Journal the
+                # non-terminal ``drained`` state so the next service
+                # life re-admits it and resumes from the batch cache.
+                def drained(c: _Campaign) -> None:
+                    self._journal(c, "drained")
+                    c.state = "queued"
+                self._bump(campaign, drained)
+            else:
+                self._end(campaign, "cancelled", supervisor.report)
+        except ExecutionFailed as exc:
+            self._end(campaign, "failed", supervisor.report, str(exc))
+        except Exception as exc:  # noqa: BLE001 - a campaign never takes
+            # down the service; the error belongs to its submitter.
+            self._end(campaign, "failed",
+                      error=f"{type(exc).__name__}: {exc}")
+        else:
             if not degraded:
                 self.store.write_artifact(campaign.digest, payload)
-
-            def finish(c: _Campaign) -> None:
-                self._journal(c, "degraded" if degraded else "done")
-                c.state = "degraded" if degraded else "done"
-                c.failures = [f.to_payload()
-                              for f in supervisor.report.failures]
-                c.finished = time.time()
-            self._bump(campaign, finish)
-            self._write_manifest(campaign)
+            self._end(campaign, "degraded" if degraded else "done",
+                      supervisor.report)
         finally:
             with self._lock:
                 self._supervisors.pop(campaign.id, None)
                 self._running.discard(campaign.id)
                 self._admit_locked()
+
+    def _end(self, campaign: _Campaign, state: str, report=None,
+             error: Optional[str] = None) -> None:
+        """Journal and record a terminal ``state``, then the manifest."""
+        def end(c: _Campaign) -> None:
+            self._journal(c, state)
+            c.state = state
+            if error is not None:
+                c.error = error
+            if report is not None:
+                c.failures = [f.to_payload() for f in report.failures]
+            c.finished = time.time()
+        self._bump(campaign, end)
+        self._write_manifest(campaign)
 
     def _write_manifest(self, campaign: _Campaign) -> None:
         with self._lock:

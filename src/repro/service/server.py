@@ -49,7 +49,7 @@ from repro.service.fleet import (
     FleetCoordinator,
 )
 from repro.service.journal import SERVICE_JOURNAL_NAME, ServiceJournal
-from repro.service.leases import DEFAULT_LEASE_TIMEOUT
+from repro.service.leases import DEFAULT_LEASE_TIMEOUT, LOCAL_SHARD_ID
 from repro.service.scheduler import (
     DEFAULT_MAX_QUEUED,
     DEFAULT_MAX_RUNNING,
@@ -64,8 +64,10 @@ from repro.service.store import ArtifactStore
 #: (429 + Retry-After + ``queue_position``), DELETE cancellation and the
 #: ``cancelled`` state, ``priority``, and ``batches.cached``.  v3 added
 #: the worker-fleet protocol (``POST /fleet/register|poll|heartbeat|
-#: commit``) and the ``fleet`` counters block in ``/stats``.
-API_SCHEMA_VERSION = 3
+#: commit``) and the ``fleet`` counters block in ``/stats``.  v4 added
+#: ``POST /fleet/fail`` and leased runs (poll's ``more``), and dropped
+#: ``fleet.fleet_degraded``: every live batch is leased.
+API_SCHEMA_VERSION = 4
 
 #: Refuse request bodies beyond this (a campaign spec is tiny).
 MAX_BODY_BYTES = 1 << 20
@@ -134,6 +136,7 @@ class CampaignServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
+        self.scheduler.stop_shard()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -279,19 +282,14 @@ class CampaignServer:
         if errors:
             raise _HttpError(400, f"bad fleet {op} body: "
                                   f"{'; '.join(errors)}")
-        shard = payload["shard"]
-        if op == "register":
-            result = self.fleet.register(shard)
-        elif op == "poll":
-            wait = min(float(payload.get("wait", 0.0)), MAX_WAIT_SECONDS)
-            result = await asyncio.to_thread(self.fleet.poll, shard, wait)
-        elif op == "heartbeat":
-            result = await asyncio.to_thread(
-                self.fleet.heartbeat, shard, payload["tokens"])
-        else:
-            result = await asyncio.to_thread(
-                self.fleet.commit, shard, payload["token"],
-                payload["digest"], payload["payload"])
+        if payload["shard"] == LOCAL_SHARD_ID:
+            raise _HttpError(400, f"shard id {LOCAL_SHARD_ID!r} is reserved "
+                                  f"for the service's own pool")
+        if op == "poll":
+            payload["wait"] = min(float(payload.get("wait", 0.0)),
+                                  MAX_WAIT_SECONDS)
+        # The schema pins the body's keys to the op's parameters.
+        result = await asyncio.to_thread(getattr(self.fleet, op), **payload)
         return 200, dict(result, api_schema=API_SCHEMA_VERSION), None
 
     @staticmethod

@@ -207,6 +207,19 @@ FLEET_SCHEMAS: Dict[str, Dict[str, object]] = {
             "payload": {"type": "object"},
         },
     },
+    "fail": {
+        "type": "object",
+        "required": ["shard", "token", "digest", "kind"],
+        "additionalProperties": False,
+        "properties": {
+            "shard": {"type": "string"},
+            "token": {"type": "integer", "minimum": 1},
+            "digest": {"type": "string"},
+            "kind": {"type": "string",
+                     "enum": ["crash", "timeout", "error", "corrupt"]},
+            "error": {"type": "string"},
+        },
+    },
 }
 
 

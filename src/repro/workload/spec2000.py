@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Mapping
+from typing import Dict
 
 from repro.errors import WorkloadError
 
@@ -99,10 +99,6 @@ class BenchmarkProfile:
             raise WorkloadError(f"{self.name}: hot_region_bytes must be positive")
         if not 0.0 <= self.global_source_fraction <= 1.0:
             raise WorkloadError(f"{self.name}: global_source_fraction out of range")
-
-    @property
-    def is_memory_intensive(self) -> bool:
-        return self.category is Category.MEM
 
 
 def _cpu(name: str, suite: str, **kw) -> BenchmarkProfile:
@@ -219,10 +215,3 @@ def get_profile(name: str) -> BenchmarkProfile:
         known = ", ".join(sorted(PROFILES))
         raise WorkloadError(f"unknown benchmark {name!r}; known: {known}") from None
 
-
-def profiles_by_category() -> Mapping[Category, tuple]:
-    """Group the profile names by CPU/MEM category."""
-    out: Dict[Category, list] = {Category.CPU: [], Category.MEM: []}
-    for p in PROFILES.values():
-        out[p.category].append(p.name)
-    return {k: tuple(sorted(v)) for k, v in out.items()}

@@ -13,9 +13,9 @@ The PR-10 tentpole is pinned four ways, innermost out:
 * **coordinator/executor** — the ISSUE acceptance scenarios driven
   in-process with scripted shards: exactly-once under re-lease (expiry
   → reclaim → redispatch, one attempt charged, the zombie's late commit
-  fenced), hedged redispatch of a slow shard, graceful degradation to
-  the local pool on whole-fleet loss, and the zero-shard invariant
-  (the local path untouched);
+  fenced), hedged redispatch of a slow shard, and the in-process shard
+  leasing every batch with zero remote shards and taking a lost
+  fleet's batches back;
 * **chaos differentials** — a real HTTP service plus real
   :class:`~repro.service.fleet.ShardAgent` threads under every network
   chaos mode (``drop``/``delay``/``partition``/``slow``/``zombie``) and
@@ -45,13 +45,14 @@ from repro.resilience.chaos import (
     ChaosSpec,
     NetworkChaos,
 )
-from repro.resilience.supervisor import RetryPolicy, Supervisor
+from repro.resilience.supervisor import RetryPolicy
 from repro.service.fleet import (
     ChaosTransport,
     FleetCoordinator,
     FleetError,
     FleetExecutor,
     HttpTransport,
+    LocalTransport,
     ShardAgent,
     job_from_wire,
     job_to_wire,
@@ -269,6 +270,21 @@ def _run_executor(executor, jobs):
     return commits, outbox, thread
 
 
+@contextmanager
+def local_shard(coordinator, runs=1):
+    """The service's in-process shard, on a thread, for one test."""
+    agent = ShardAgent(LocalTransport(coordinator), shard_id="local",
+                       jobs=2, runs=runs, heartbeat_interval=0.1,
+                       chaos=NetworkChaos(ChaosSpec()))
+    thread = threading.Thread(target=agent.run, daemon=True)
+    thread.start()
+    try:
+        yield agent
+    finally:
+        agent.request_stop(now=True)
+        thread.join(15)
+
+
 class TestCoordinatorExecutor:
     def test_exactly_once_under_re_lease(self, tmp_path):
         """The ISSUE acceptance test: expiry, redispatch, fenced zombie."""
@@ -279,8 +295,8 @@ class TestCoordinatorExecutor:
         coordinator.register("shard-b")
         [job] = tiny_jobs()
         payload = job.run()
-        local = Supervisor(max_workers=1, policy=RetryPolicy(retries=2))
-        executor = FleetExecutor(coordinator, "camp-x", local)
+        executor = FleetExecutor(coordinator, "camp-x",
+                                 RetryPolicy(retries=2))
         commits, outbox, thread = _run_executor(executor, [job])
 
         # Shard A acquires the batch, then neither heartbeats nor commits
@@ -320,38 +336,41 @@ class TestCoordinatorExecutor:
         assert events.count("lease_committed") == 1
 
     def test_zero_shards_delegates_to_the_local_pool(self):
+        # With no remote shard, the in-process shard leases every batch.
         coordinator = FleetCoordinator()
-        local = Supervisor(max_workers=2, policy=RetryPolicy(retries=1))
-        executor = FleetExecutor(coordinator, "camp-x", local)
-        [job] = tiny_jobs()
+        executor = FleetExecutor(coordinator, "camp-x",
+                                 RetryPolicy(retries=1))
+        jobs = tiny_jobs(strikes=8)
         commits = []
-        run = executor.run([job],
-                           lambda task, payload: commits.append(payload))
-        assert run.executed == 1 and not run.report.failures
-        assert commits == [job.run()]  # byte-identical to in-process
-        assert coordinator.stats()["leases"]["granted"] == 0
+        with local_shard(coordinator):
+            run = executor.run(jobs, lambda task, payload: commits.append(
+                (task.digest(), payload)))
+        assert run.executed == 2 and not run.report.failures
+        # Each batch committed once, byte-identical to in-process.
+        assert sorted(commits) == sorted((job.digest(), job.run())
+                                         for job in jobs)
+        stats = coordinator.stats()
+        assert stats["leases"]["granted"] == 2
+        assert stats["shards"]["connected"] == 0  # remote shards only
 
     def test_whole_fleet_loss_degrades_to_the_local_pool(self):
+        # The only remote shard takes the batch and dies: its lease
+        # expires and the local shard takes the batch back.
         coordinator = FleetCoordinator(lease_timeout=0.4, shard_timeout=1.0,
                                        hedge_after=60.0)
         coordinator.register("ghost")
-        local = Supervisor(max_workers=1, policy=RetryPolicy(retries=2))
-        degraded = []
-        executor = FleetExecutor(coordinator, "camp-x", local,
-                                 on_degraded=lambda: degraded.append(1))
+        executor = FleetExecutor(coordinator, "camp-x",
+                                 RetryPolicy(retries=2))
         [job] = tiny_jobs()
         commits, outbox, thread = _run_executor(executor, [job])
-
-        # The ghost takes the batch and is never heard from again.
         granted = coordinator.poll("ghost", 5.0)
         assert granted["job"] is not None
-
-        thread.join(60)
+        with local_shard(coordinator):
+            thread.join(60)
         assert not thread.is_alive() and "error" not in outbox
         assert outbox["run"].executed == 1
-        assert [d for d, _ in commits] == [job.digest()]
-        assert degraded == [1]
-        assert coordinator.stats()["fleet_degraded"] == 1
+        assert commits == [(job.digest(), job.run())]
+        assert coordinator.stats()["leases"]["reclaimed"] == 1
 
     def test_hedged_redispatch_first_commit_wins(self, tmp_path):
         journal = ServiceJournal(tmp_path / SERVICE_JOURNAL_NAME)
@@ -361,8 +380,8 @@ class TestCoordinatorExecutor:
         coordinator.register("fast")
         [job] = tiny_jobs()
         payload = job.run()
-        local = Supervisor(max_workers=1, policy=RetryPolicy(retries=2))
-        executor = FleetExecutor(coordinator, "camp-x", local)
+        executor = FleetExecutor(coordinator, "camp-x",
+                                 RetryPolicy(retries=2))
         commits, outbox, thread = _run_executor(executor, [job])
 
         first = coordinator.poll("slow", 5.0)
@@ -390,8 +409,8 @@ class TestCoordinatorExecutor:
         coordinator.register("shard-a")
         [job] = tiny_jobs()
         payload = job.run()
-        local = Supervisor(max_workers=1, policy=RetryPolicy(retries=2))
-        executor = FleetExecutor(coordinator, "camp-x", local)
+        executor = FleetExecutor(coordinator, "camp-x",
+                                 RetryPolicy(retries=2))
         commits, outbox, thread = _run_executor(executor, [job])
 
         granted = coordinator.poll("shard-a", 5.0)
@@ -422,8 +441,8 @@ class TestCoordinatorExecutor:
         payload = job.run()
         records = [dict(r) for r in payload["records"]]
         records[1]["index"] = records[0]["index"]
-        local = Supervisor(max_workers=1, policy=RetryPolicy(retries=2))
-        executor = FleetExecutor(coordinator, "camp-x", local)
+        executor = FleetExecutor(coordinator, "camp-x",
+                                 RetryPolicy(retries=2))
         commits, outbox, thread = _run_executor(executor, [job])
 
         granted = coordinator.poll("shard-a", 5.0)
@@ -445,9 +464,8 @@ class TestCoordinatorExecutor:
                                        shard_timeout=60.0)
         coordinator.register("shard-a")
         [job] = tiny_jobs()
-        local = Supervisor(max_workers=1,
-                           policy=RetryPolicy(retries=0, max_failures=0))
-        executor = FleetExecutor(coordinator, "camp-x", local)
+        executor = FleetExecutor(coordinator, "camp-x",
+                                 RetryPolicy(retries=0, max_failures=0))
 
         abandon = threading.Thread(
             target=lambda: coordinator.poll("shard-a", 5.0), daemon=True)
@@ -465,9 +483,8 @@ class TestCoordinatorExecutor:
         coordinator.register("shard-a")
         [job] = tiny_jobs()
         payload = job.run()
-        local = Supervisor(max_workers=1,
-                           policy=RetryPolicy(retries=2, job_timeout=5.0))
-        executor = FleetExecutor(coordinator, "camp-x", local)
+        executor = FleetExecutor(coordinator, "camp-x",
+                                 RetryPolicy(retries=2, job_timeout=5.0))
         commits, outbox, thread = _run_executor(executor, [job])
 
         granted = coordinator.poll("shard-a", 5.0)
@@ -714,8 +731,7 @@ class TestFleetProtocol:
             "shards": {"connected": 0},
             "leases": {"active": 0, "granted": 0, "renewed": 0,
                        "reclaimed": 0, "fenced": 0},
-            "batches": {"hedged": 0},
-            "fleet_degraded": 0}
+            "batches": {"hedged": 0}}
 
 
 @pytest.fixture

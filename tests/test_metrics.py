@@ -12,7 +12,6 @@ from repro.metrics.perf import (
     weighted_speedup,
 )
 from repro.metrics.reliability import (
-    mitf_relative,
     normalize_to_baseline,
     reliability_efficiency,
 )
@@ -74,27 +73,10 @@ class TestReliabilityEfficiency:
     def test_zero_avf_is_infinite(self):
         assert reliability_efficiency(1.0, 0.0) == float("inf")
 
-    def test_mitf_relative(self):
-        # Design point doubles IPC/AVF over the baseline.
-        assert mitf_relative(2.0, 0.5, 1.0, 0.5) == pytest.approx(2.0)
-
-    def test_mitf_relative_infinite_baseline(self):
-        assert mitf_relative(1.0, 0.5, 1.0, 0.0) == 0.0
-        assert mitf_relative(1.0, 0.0, 1.0, 0.0) == 1.0
-
     def test_dead_point_is_nan_not_inf(self):
         # 0 IPC / 0 AVF did no work and exposed nothing: the indeterminate
         # 0/0, not the flattering inf a bare zero-AVF check would produce.
         assert math.isnan(reliability_efficiency(0.0, 0.0))
-
-    def test_mitf_relative_both_zero_avf_compares_ipc(self):
-        # Both points have infinite IPC/AVF, but MITF ~ IPC/AVF: in the
-        # equal-vanishing-AVF limit the ratio is the IPC ratio, not inf/inf.
-        assert mitf_relative(3.0, 0.0, 1.5, 0.0) == pytest.approx(2.0)
-
-    def test_mitf_relative_dead_point_is_nan(self):
-        assert math.isnan(mitf_relative(0.0, 0.0, 1.0, 0.5))
-        assert math.isnan(mitf_relative(1.0, 0.5, 0.0, 0.0))
 
     def test_dead_point_renders_as_na(self):
         from repro.experiments.formatting import render_table

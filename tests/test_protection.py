@@ -12,7 +12,6 @@ from repro.protection import (
     ProtectionScheme,
     added_bits,
     apply_protection,
-    area_overhead,
     check_bits,
     detected_outcome,
     entry_width,
@@ -115,11 +114,6 @@ class TestCheckBitMath:
         for (structure, scheme), expected in pins.items():
             assert added_bits(scheme, structure, 1000) \
                 == pytest.approx(expected), (structure, scheme)
-
-    def test_area_overhead_differs_across_structures(self):
-        fu = area_overhead(ProtectionScheme.SECDED, Structure.FU)
-        lsq = area_overhead(ProtectionScheme.SECDED, Structure.LSQ_TAG)
-        assert fu != lsq  # the lone-64-bit-word model made these equal
 
 
 class TestProtectionConfig:

@@ -9,7 +9,6 @@ from repro.workload.spec2000 import (
     BenchmarkProfile,
     Category,
     get_profile,
-    profiles_by_category,
 )
 
 
@@ -25,20 +24,21 @@ class TestProfiles:
             get_profile("quake3")
 
     def test_paper_categories(self):
-        cats = profiles_by_category()
-        assert "mcf" in cats[Category.MEM]
-        assert "swim" in cats[Category.MEM]
-        assert "bzip2" in cats[Category.CPU]
-        assert "wupwise" in cats[Category.CPU]
+        for name in ("mcf", "swim"):
+            assert get_profile(name).category is Category.MEM
+        for name in ("bzip2", "wupwise"):
+            assert get_profile(name).category is Category.CPU
 
     def test_memory_programs_have_big_or_unruly_footprints(self):
-        for name in profiles_by_category()[Category.MEM]:
-            p = get_profile(name)
+        mem = [p for p in PROFILES.values() if p.category is Category.MEM]
+        assert mem
+        for p in mem:
             assert p.working_set_bytes >= 1 << 20 or p.fresh_fraction > 0
 
     def test_cpu_programs_fit_caches(self):
-        for name in profiles_by_category()[Category.CPU]:
-            p = get_profile(name)
+        cpu = [p for p in PROFILES.values() if p.category is Category.CPU]
+        assert cpu
+        for p in cpu:
             assert p.working_set_bytes <= 64 * 1024
             assert p.fresh_fraction == 0.0
 

@@ -27,43 +27,18 @@ fleet-smoke``.
 """
 
 import json
-import os
-import re
-import subprocess
-import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.resilience.chaos import CHAOS_ENV_VAR  # noqa: E402
-from repro.service.scheduler import CampaignScheduler  # noqa: E402
-from repro.service.store import ArtifactStore  # noqa: E402
+# serve_smoke (beside this file) also puts src/ on sys.path.
+from serve_smoke import baseline, request, spawn, spawn_serve
 
 #: 12 batches across 3 shards, a retry budget wide enough that every
 #: chaos-charged lease expiry still leaves headroom.
 SPEC = {"kind": "live", "workload": ["gcc"], "strikes": 24,
         "instructions": 80, "structures": ["iq"], "strike_batch": 2,
         "budget": {"retries": 5}}
-
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def request(port, method, path, body=None, timeout=240.0):
-    import http.client
-
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
-    try:
-        data = json.dumps(body).encode() if body is not None else None
-        conn.request(method, path, body=data)
-        response = conn.getresponse()
-        raw = response.read()
-    finally:
-        conn.close()
-    return response.status, raw
-
 
 def wait_stats(port, predicate, timeout, what):
     deadline = time.monotonic() + timeout
@@ -76,39 +51,8 @@ def wait_stats(port, predicate, timeout, what):
         time.sleep(0.2)
 
 
-def spawn(cmd, chaos=None):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop(CHAOS_ENV_VAR, None)
-    if chaos:
-        env[CHAOS_ENV_VAR] = chaos
-    return subprocess.Popen(cmd, stdout=subprocess.PIPE,
-                            stderr=subprocess.STDOUT, text=True, env=env)
-
-
-def spawn_serve(state_dir):
-    proc = spawn([sys.executable, "-m", "repro.cli", "serve",
-                  "--state-dir", str(state_dir), "--port", "0",
-                  "--lease-timeout", "1.5", "--hedge-after", "60"])
-    box = {}
-    ready = threading.Event()
-
-    def pump():
-        for line in proc.stdout:
-            match = re.search(r"listening on http://[\d.]+:(\d+)", line)
-            if match and not ready.is_set():
-                box["port"] = int(match.group(1))
-                ready.set()
-
-    threading.Thread(target=pump, daemon=True).start()
-    if not ready.wait(60):
-        proc.kill()
-        raise AssertionError("serve never announced its port")
-    return proc, box["port"]
-
-
 def spawn_worker(port, shard_id, chaos=None):
-    return spawn([sys.executable, "-m", "repro.cli", "worker",
-                  "--connect", f"127.0.0.1:{port}",
+    return spawn(["worker", "--connect", f"127.0.0.1:{port}",
                   "--shard-id", shard_id,
                   "--heartbeat-interval", "0.3",
                   "--poll-wait", "1.0"],
@@ -117,17 +61,10 @@ def spawn_worker(port, shard_id, chaos=None):
 
 def fleet_smoke(workdir):
     # The oracle: a clean, fleet-less run of the identical spec.
-    baseline = CampaignScheduler(ArtifactStore(workdir / "baseline"),
-                                 workers=2)
-    status, _ = baseline.submit(SPEC)
-    cid = status["id"]
-    final = baseline.wait(cid, timeout=300)
-    assert final["state"] == "done", final
-    baseline_bytes = baseline.result_bytes(cid)
-    print(f"baseline campaign {cid}: {final['batches']['total']} batches, "
-          f"artifact {len(baseline_bytes)} bytes")
+    cid, baseline_bytes = baseline(workdir, SPEC)
 
-    proc, port = spawn_serve(workdir / "state")
+    proc, port = spawn_serve(workdir / "state", "--lease-timeout", "1.5",
+                             "--hedge-after", "60")
     victim = partitioned = healthy = None
     try:
         # The victim stalls its first leased batch for 60 s — the

@@ -9,7 +9,9 @@ Two modes:
   - exactly one computation runs (``executions == 1``);
   - both clients read byte-identical result artifacts;
   - the ``submit``-style status stream reaches ``done`` with full
-    batches.
+    batches;
+  - with no remote shard connected, every batch was still leased
+    (the service's own pool is an in-process fleet shard).
 
 * ``--kill-after N`` — the durability drill the CI ``service-recovery``
   job runs: boots ``repro-sim serve`` as a real subprocess with chaos
@@ -37,7 +39,8 @@ import threading
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from repro.resilience.chaos import CHAOS_ENV_VAR  # noqa: E402
 from repro.service.scheduler import CampaignScheduler  # noqa: E402
@@ -134,6 +137,14 @@ def dedup_smoke(root):
     assert stats["executions"] == 1, stats
     print(f"exactly one execution for two clients; "
           f"result artifact {len(first)} bytes, byte-identical reads")
+    # No remote shard was connected, yet every batch ran under a lease:
+    # the service's own pool is an in-process fleet shard.
+    fleet = stats["fleet"]
+    assert fleet["shards"]["connected"] == 0, fleet
+    assert fleet["leases"]["granted"] >= batches["total"], fleet
+    print(f"fleet-less service ran on leases: "
+          f"{fleet['leases']['granted']} granted for "
+          f"{batches['total']} batches")
 
     asyncio.run_coroutine_threadsafe(server.stop(), loop).result(10)
     loop.call_soon_threadsafe(loop.stop)
@@ -141,22 +152,23 @@ def dedup_smoke(root):
     print("serve-smoke OK")
 
 
-def spawn_serve(state_dir, chaos=None, new_session=False):
-    """Start ``repro-sim serve`` on an ephemeral port; return (proc, port).
-
-    ``new_session`` starts the server in its own process group, so the
-    pool workers a SIGKILL orphans can be reaped by group afterwards.
-    """
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+def spawn(cmd, chaos=None, new_session=False):
+    """Start ``repro-sim *cmd`` under ``chaos`` only; ``new_session`` gives
+    it a process group, so the workers a SIGKILL orphans can be reaped."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop(CHAOS_ENV_VAR, None)
     if chaos:
         env[CHAOS_ENV_VAR] = chaos
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve",
-         "--state-dir", str(state_dir), "--port", "0"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *cmd], stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT, text=True, env=env,
         start_new_session=new_session)
+
+
+def spawn_serve(state_dir, *extra, chaos=None, new_session=False):
+    """Start ``repro-sim serve`` on an ephemeral port; return (proc, port)."""
+    proc = spawn(["serve", "--state-dir", str(state_dir), "--port", "0",
+                  *extra], chaos=chaos, new_session=new_session)
     box = {}
     ready = threading.Event()
 
@@ -174,18 +186,24 @@ def spawn_serve(state_dir, chaos=None, new_session=False):
     return proc, box["port"]
 
 
+def baseline(workdir, spec):
+    """Run ``spec`` on an in-process scheduler: its id and artifact bytes."""
+    scheduler = CampaignScheduler(ArtifactStore(workdir / "baseline"),
+                                  workers=2)
+    cid = scheduler.submit(spec)[0]["id"]
+    final = scheduler.wait(cid, timeout=300)
+    assert final["state"] == "done", final
+    raw = scheduler.result_bytes(cid)
+    scheduler.shutdown()
+    print(f"baseline campaign {cid}: {final['batches']['total']} batches, "
+          f"artifact {len(raw)} bytes")
+    return cid, raw
+
+
 def recovery_smoke(kill_after, workdir):
     # Uninterrupted baseline, in-process: the bytes a client must read
     # back no matter how many times the service dies along the way.
-    baseline = CampaignScheduler(ArtifactStore(workdir / "baseline"),
-                                 workers=2)
-    status, _ = baseline.submit(RECOVERY_SPEC)
-    cid = status["id"]
-    final = baseline.wait(cid, timeout=300)
-    assert final["state"] == "done", final
-    baseline_bytes = baseline.result_bytes(cid)
-    print(f"baseline campaign {cid}: {final['batches']['total']} batches, "
-          f"artifact {len(baseline_bytes)} bytes")
+    cid, baseline_bytes = baseline(workdir, RECOVERY_SPEC)
 
     # Life one: chaos-slowed batches, then SIGKILL mid-campaign.  Its own
     # process group, so the pool workers the SIGKILL orphans are reaped.
